@@ -158,7 +158,7 @@ def test_gateway_saturation(benchmark):
 
     # Determinism through the gateway: routed == direct, bit for bit.
     with ReconstructionService(
-        workers=1, executor="inline", cache_size=0
+        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
     ) as service:
         direct = service.result(service.submit(jobs[0], spec), timeout=600.0)
 

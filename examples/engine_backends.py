@@ -3,9 +3,10 @@
 
 Runs the same reformulated EMVS dataflow through every registered
 execution backend — ``numpy-reference`` (per-frame scatter votes),
-``numpy-fast`` (fused per-frame votes), ``numpy-batch`` (segment-batched
-fused passes over buffered frame batches) and ``hardware-model`` (the
-cycle-accurate accelerator datapath) — and shows that the point clouds
+``numpy-batch`` (segment-batched fused passes over buffered frame
+batches), ``native-batch`` (the same dataflow with compiled hot kernels,
+when a kernel provider loads) and ``hardware-model`` (the cycle-accurate
+accelerator datapath) — and shows that the point clouds
 are identical while the costs differ: wall-clock for the NumPy backends,
 modelled cycles/energy for the hardware.
 

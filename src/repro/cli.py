@@ -350,7 +350,7 @@ def _validate_serve_limits(args) -> None:
         raise SystemExit("--workers must be >= 1")
     if args.queue_limit < 1:
         raise SystemExit("--queue-limit must be >= 1")
-    if args.cache_size < 0:
+    if args.cache_entries < 0:
         raise SystemExit("--cache-size must be >= 0 (0 disables the cache)")
     if args.overflow not in OVERFLOW_POLICIES:
         raise SystemExit(
@@ -400,7 +400,7 @@ def _service_config(args):
         allow_partial=args.allow_partial or None,
     )
     cache = CacheConfig(
-        job_entries=args.cache_size,
+        job_entries=args.cache_entries,
         mem_mb=args.cache_mem_mb,
         disk_mb=args.cache_disk_mb,
         cache_dir=args.cache_dir,
@@ -864,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max active jobs per session before backpressure applies",
         )
         p.add_argument(
-            "--cache-size", type=int, default=32,
+            "--cache-size", type=int, default=32, dest="cache_entries",
             help="job-level LRU result-cache capacity in entries (0 disables)",
         )
         p.add_argument(

@@ -6,7 +6,7 @@ vote → detect → lift dataflow, parameterized by a
 :class:`repro.core.policy.DataflowPolicy` (correction scheduling, voting,
 quantization, score storage, batch scheduling) and an execution backend
 from :data:`repro.core.engine.BACKENDS` (``numpy-reference``,
-``numpy-fast``, ``numpy-batch``, ``hardware-model``).
+``numpy-batch``, ``native-batch``, ``hardware-model``).
 
 :class:`~repro.core.pipeline.EMVSPipeline` (original full-precision EMVS
 with bilinear voting, after Rebecq et al., IJCV 2018),

@@ -20,10 +20,6 @@ Backends are selected by name from the :data:`BACKENDS` registry:
 ``numpy-reference``
     Straightforward per-frame NumPy execution (the seed pipelines'
     exact hot path, one scatter-add per frame).
-``numpy-fast``
-    Per-frame execution with fused miss masking, dump-voxel nearest
-    voting in narrow integer arithmetic and per-segment DSI
-    materialization — substantially faster than the reference scatter.
 ``numpy-batch``
     Segment-batched execution: the engine buffers event frames (see
     ``DataflowPolicy.batch_frames``) and the backend executes each batch
@@ -74,7 +70,6 @@ from repro.core.voting import (
     BatchedNearestVoter,
     VotingMethod,
     bilinear_vote_terms,
-    bilinear_vote_terms_finite,
     cast_votes_into,
 )
 from repro.events.containers import EventArray
@@ -249,109 +244,11 @@ class NumpyReferenceBackend(_NumpyBackendBase):
         return votes, int((~valid).sum())
 
 
-@register_backend("numpy-fast")
-class NumpyFastBackend(_NumpyBackendBase):
-    """Fused multi-frame voting, batched per reference segment.
-
-    Three changes versus ``numpy-reference``, all bit-exact:
-
-    * projection-miss rows are dropped *once* per frame, so the voting
-      kernels skip the NaN substitution and the per-element finiteness
-      passes over the ``(1024, Nz)`` grids;
-    * nearest voting uses a *dump voxel*: instead of boolean-compressing
-      three index arrays per frame (the dominant cost of the reference
-      kernel), out-of-bounds votes are redirected to one spare counter
-      slot and the full index grid is scattered — in narrow ``int32``
-      arithmetic when the volume permits;
-    * nearest votes accumulate in a segment-lifetime count buffer that is
-      materialized into the DSI once per key frame, so the DSI image is
-      produced per segment instead of rewritten per frame.
-
-    Integer vote counts are order-independent, and the bilinear path
-    preserves the reference corner order, so both voting methods
-    reproduce ``numpy-reference`` exactly.
-    """
-
-    name = "numpy-fast"
-
-    def start_reference(self, T_w_ref: SE3) -> None:
-        """Reset the segment count buffer alongside the base DSI state."""
-        super().start_reference(T_w_ref)
-        self._dirty = False
-        if self.engine.policy.voting is VotingMethod.BILINEAR:
-            # Bilinear weights scatter straight into the DSI; the count
-            # buffer below is nearest-voting machinery only.
-            self._counts = None
-            return
-        nz, h, w = self._dsi.shape
-        nvox = nz * h * w
-        # int32 index arithmetic halves the memory traffic of the hot
-        # loop; fall back to int64 for volumes the narrow type can't span.
-        dtype = np.int32 if nvox + 1 < np.iinfo(np.int32).max else np.int64
-        self._iz_row = (np.arange(nz, dtype=dtype) * dtype(h * w))[None, :]
-        self._counts = np.zeros(nvox + 1, dtype=np.int64)
-
-    def _vote_nearest_fused(self, u: np.ndarray, v: np.ndarray) -> int:
-        """Round, bounds-check and scatter in one pass over the grid.
-
-        ``u``/``v`` are miss-free and freshly allocated, so in-place
-        mutation is safe.  Identical rounding (half-up) and bounds rules
-        as :func:`~repro.core.voting.nearest_vote_indices`; counts are
-        integers, so scatter order cannot change the result.
-        """
-        nz, h, w = self._dsi.shape
-        np.add(u, 0.5, out=u)
-        np.floor(u, out=u)
-        np.add(v, 0.5, out=v)
-        np.floor(v, out=v)
-        # Float comparison is exact on floored values and avoids relying
-        # on out-of-range cast behaviour for the validity decision.
-        valid = (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
-        dtype = self._iz_row.dtype
-        with np.errstate(invalid="ignore"):
-            iu = u.astype(dtype)
-            iv = v.astype(dtype)
-        lin = iv * dtype.type(w)
-        lin += iu
-        lin += self._iz_row
-        lin[~valid] = self._counts.size - 1  # the dump voxel
-        np.add.at(self._counts, lin.ravel(), 1)
-        self._dirty = True
-        return int(valid.sum())
-
-    def process_frame(self, frame: EventFrame) -> tuple[int, int]:
-        """Back-project one frame and vote through the fused kernels."""
-        params, uv0, valid = self._canonical(frame)
-        t0 = time.perf_counter()
-        misses = int((~valid).sum())
-        if misses:
-            uv0 = uv0[valid]
-        u, v = self._projector.proportional(params, uv0)
-        if self.engine.policy.voting is VotingMethod.BILINEAR:
-            lin, weights, votes = bilinear_vote_terms_finite(u, v, self._dsi.shape)
-            if lin.size:
-                np.add.at(self._dsi.flat_scores, lin, weights)
-        else:
-            votes = self._vote_nearest_fused(u, v)
-        self.engine.profile.add_time("P_Zi_R", time.perf_counter() - t0)
-        return votes, misses
-
-    def read_dsi(self) -> DSI:
-        """Materialize pending nearest-vote counts, then return the DSI."""
-        if self._dirty:
-            t0 = time.perf_counter()
-            flat = super().read_dsi().flat_scores
-            flat[...] = self._counts[:-1]
-            self.engine.profile.add_time("P_Zi_R", time.perf_counter() - t0)
-            self._dirty = False
-        return super().read_dsi()
-
-
 @register_backend("numpy-batch")
 class NumpyBatchBackend(_NumpyBackendBase):
     """Segment-batched execution: whole-batch fused passes, zero hot allocs.
 
-    Where ``numpy-fast`` still drives the hot path one 1024-event frame at
+    Where ``numpy-reference`` drives the hot path one 1024-event frame at
     a time from Python, this backend receives the engine's buffered frame
     batches (``DataflowPolicy.batch_frames`` per flush) and executes each
     batch in three fused steps, each bit-identical to the per-frame path:
@@ -373,7 +270,8 @@ class NumpyBatchBackend(_NumpyBackendBase):
        proportional scratch.
 
     Counts accumulate per segment and are materialized into the DSI once
-    per key frame (or preview), exactly like ``numpy-fast``.
+    per key frame (or preview).  With ``DataflowPolicy(batch_frames=1)``
+    the backend runs unbuffered, one frame per pass.
     """
 
     name = "numpy-batch"

@@ -8,8 +8,9 @@ they are embarrassingly parallel.  This module exploits that:
   segments of a stream from a cheap pose-only pass;
 * :class:`MappingOrchestrator` shards the stream along that plan, runs
   each segment's :class:`~repro.core.engine.ReconstructionEngine` on a
-  ``concurrent.futures`` worker pool (processes for the numpy backends,
-  threads for the in-process hardware model), and
+  ``concurrent.futures`` worker pool built by :class:`PoolSpec` (inline
+  for one worker, processes for the numpy backends, threads for the
+  in-process hardware model), and
 * :class:`GlobalMap` fuses the per-keyframe depth maps into one global
   point map with voxel-hash deduplication and confidence-weighted
   averaging, in the spirit of multi-view event-camera depth fusion
@@ -27,14 +28,20 @@ are module-level building blocks shared with the serving layer
 (:mod:`repro.serve`): a job served by the multi-session
 :class:`~repro.serve.ReconstructionService` travels the exact code path
 of an orchestrator run, which is why the two are bit-identical by
-construction.
+construction.  :class:`PoolSpec` is the one executor seam of all three
+pool owners (both orchestrators and the service).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,6 +391,85 @@ def fuse_camera_keyframes(
     return global_map
 
 
+# ----------------------------------------------------------------------
+# Segment pools — the one executor seam of the orchestrators and the service
+# ----------------------------------------------------------------------
+#: Executor kinds a segment pool can be built as.
+EXECUTOR_KINDS = ("inline", "thread", "process")
+
+
+class _InlineExecutor(Executor):
+    """Run tasks synchronously on the dispatching thread.
+
+    The zero-dependency serial substrate (the one-worker default): no
+    pool processes to spawn, identical scheduling decisions, and the
+    exact single-engine execution path — useful for tests and for hosts
+    where one core is all there is.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        """Run the task now; return an already-settled future."""
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # surfaced via future.exception();
+            # KeyboardInterrupt/SystemExit propagate — a Ctrl-C must
+            # stop the pump, not fail one job and keep dispatching.
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing to shut down: no threads, no processes."""
+        pass
+
+
+@dataclass(frozen=True)
+class PoolSpec:
+    """How a pool owner builds its segment executors.
+
+    ``workers`` is the requested width (``None``: the machine's CPU
+    count); ``executor`` an explicit kind from :data:`EXECUTOR_KINDS`,
+    or ``None`` to choose by width — inline for one worker, threads when
+    ``threaded`` (the in-process ``hardware-model`` backend gains
+    nothing from pickling across processes), processes otherwise.
+    Construction validates both values with one message per mistake.
+    """
+
+    workers: int | None = None
+    executor: str | None = None
+    threaded: bool = False
+
+    def __post_init__(self):
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1 (or None for auto)")
+        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
+            raise ValueError(
+                "executor must be 'inline', 'thread', 'process' or None"
+            )
+
+    def width(self, n_tasks: int | None = None) -> int:
+        """Pool width, capped by ``n_tasks`` when given (never below 1)."""
+        width = self.workers or os.cpu_count() or 1
+        return width if n_tasks is None else max(1, min(width, n_tasks))
+
+    def kind(self, width: int) -> str:
+        """The executor kind a pool of ``width`` workers is built as."""
+        if self.executor is not None:
+            return self.executor
+        if width == 1:
+            return "inline"
+        return "thread" if self.threaded else "process"
+
+    def create(self, width: int) -> Executor:
+        """A fresh executor of :meth:`kind` with ``width`` workers."""
+        kind = self.kind(width)
+        if kind == "inline":
+            return _InlineExecutor()
+        if kind == "thread":
+            return ThreadPoolExecutor(max_workers=width)
+        return ProcessPoolExecutor(max_workers=width)
+
+
 class MappingOrchestrator:
     """Shard a stream into key-frame segments and map them in parallel.
 
@@ -393,15 +479,16 @@ class MappingOrchestrator:
     ----------
     workers:
         Worker-pool width.  ``None`` uses the machine's CPU count capped
-        by the segment count; ``1`` runs serially (still through the
+        by the segment count; ``1`` runs inline (still through the
         segment plan, so results are identical to any parallel width).
     voxel_size:
         :class:`GlobalMap` fusion voxel edge in metres.  Defaults to 1 %
         of the mean DSI depth.
     executor:
-        ``"process"``, ``"thread"`` or ``None`` to choose per backend:
-        processes for the numpy backends (sidesteps the GIL for the
-        vectorized hot path), threads for ``hardware-model`` (the
+        ``"inline"``, ``"process"``, ``"thread"`` or ``None`` to choose
+        per width and backend (:class:`PoolSpec`): inline for one
+        worker, processes for the numpy backends (sidesteps the GIL for
+        the vectorized hot path), threads for ``hardware-model`` (the
         cycle-accurate system is cheap-state python that gains nothing
         from pickling across processes).
 
@@ -446,12 +533,11 @@ class MappingOrchestrator:
                 "MappingOrchestrator needs a backend registry name; worker "
                 "engines each construct their own backend instance"
             )
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1 (or None for auto)")
+        self.pool_spec = PoolSpec(
+            workers, executor, threaded=backend == "hardware-model"
+        )
         if voxel_size is not None and voxel_size <= 0:
             raise ValueError("voxel_size must be positive (or None for auto)")
-        if executor not in (None, "process", "thread"):
-            raise ValueError("executor must be 'process', 'thread' or None")
         self.spec = EngineSpec(
             camera,
             trajectory,
@@ -460,7 +546,6 @@ class MappingOrchestrator:
             policy=resolve_policy(policy),
             backend=backend,
         )
-        self.workers = workers
         # Derive the default from the spec-normalized (float) depth range
         # so the serving layer — which only sees the spec — computes the
         # exact same voxel edge and stays bit-identical.
@@ -469,7 +554,6 @@ class MappingOrchestrator:
             if voxel_size is not None
             else default_voxel_size(self.spec.depth_range)
         )
-        self.executor = executor
 
     # Constructor-parameter views onto the spec (the public surface
     # predates EngineSpec and stays stable).
@@ -504,29 +588,14 @@ class MappingOrchestrator:
         return self.spec.backend
 
     # ------------------------------------------------------------------
-    def _resolve_workers(self, n_segments: int) -> int:
-        requested = self.workers or os.cpu_count() or 1
-        return max(1, min(requested, n_segments))
-
-    def _make_pool(self, workers: int) -> Executor:
-        kind = self.executor or (
-            "thread" if self.backend == "hardware-model" else "process"
-        )
-        if kind == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers)
-
     def run(self, events: EventArray) -> MappingResult:
         """Plan, execute (possibly in parallel) and fuse one stream."""
         t_wall = time.perf_counter()
         plans, dropped = plan_segments(events, self.trajectory, self.config)
         tasks = segment_tasks(plans, events, self.spec)
-        workers = self._resolve_workers(len(plans))
-        if workers == 1:
-            outcomes = [run_segment_task(task) for task in tasks]
-        else:
-            with self._make_pool(workers) as pool:
-                outcomes = list(pool.map(run_segment_task, tasks))
+        workers = self.pool_spec.width(len(plans))
+        with self.pool_spec.create(workers) as pool:
+            outcomes = list(pool.map(run_segment_task, tasks))
         # Deterministic fusion: segment order, whatever the pool's
         # completion order was.
         keyframes, profile = merge_outcomes(outcomes, dropped)

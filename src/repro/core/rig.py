@@ -34,16 +34,15 @@ local pool or through :class:`~repro.serve.ReconstructionService`.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.core.engine import EngineSpec
 from repro.core.mapping import (
     GlobalMap,
     MappingResult,
+    PoolSpec,
     SegmentTask,
     default_voxel_size,
     fuse_camera_keyframes,
@@ -291,8 +290,10 @@ class RigOrchestrator:
         cloud.  ``None`` defaults to ``min(2, n_cameras)`` — stereo
         agreement when the rig has it, monocular passthrough otherwise.
     executor:
-        ``"process"``, ``"thread"`` or ``None`` (processes unless some
-        camera runs the in-process ``hardware-model`` backend).
+        ``"inline"``, ``"process"``, ``"thread"`` or ``None``
+        (:class:`~repro.core.mapping.PoolSpec`: inline for one worker,
+        else processes unless some camera runs the in-process
+        ``hardware-model`` backend).
     """
 
     def __init__(
@@ -306,8 +307,11 @@ class RigOrchestrator:
     ):
         if not isinstance(rig, CameraRig):
             raise TypeError("rig must be a CameraRig")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1 (or None for auto)")
+        self.pool_spec = PoolSpec(
+            workers,
+            executor,
+            threaded=any(cam.spec.backend == "hardware-model" for cam in rig),
+        )
         if voxel_size is not None and voxel_size <= 0:
             raise ValueError("voxel_size must be positive (or None for auto)")
         if min_observations < 1:
@@ -318,10 +322,7 @@ class RigOrchestrator:
             raise ValueError(
                 f"min_cameras must be in [1, {rig.n_cameras}], got {min_cameras}"
             )
-        if executor not in (None, "process", "thread"):
-            raise ValueError("executor must be 'process', 'thread' or None")
         self.rig = rig
-        self.workers = workers
         self._explicit_voxel = voxel_size
         self.voxel_size = (
             voxel_size
@@ -330,7 +331,6 @@ class RigOrchestrator:
         )
         self.min_observations = int(min_observations)
         self.min_cameras = int(min_cameras)
-        self.executor = executor
 
     # ------------------------------------------------------------------
     def _camera_voxel(self, spec: EngineSpec) -> float:
@@ -349,20 +349,6 @@ class RigOrchestrator:
                 f"events_by_camera keys {sorted(have)} must match rig "
                 f"cameras {sorted(want)}"
             )
-
-    def _resolve_workers(self, n_tasks: int) -> int:
-        requested = self.workers or os.cpu_count() or 1
-        return max(1, min(requested, n_tasks))
-
-    def _make_pool(self, workers: int) -> Executor:
-        kind = self.executor or (
-            "thread"
-            if any(cam.spec.backend == "hardware-model" for cam in self.rig)
-            else "process"
-        )
-        if kind == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers)
 
     # ------------------------------------------------------------------
     def run(self, events_by_camera: Mapping[str, EventArray]) -> RigMappingResult:
@@ -389,12 +375,9 @@ class RigOrchestrator:
                 for plan in plans
             )
 
-        workers = self._resolve_workers(len(tasks))
-        if workers == 1:
-            outcomes = [run_segment_task(task) for task in tasks]
-        else:
-            with self._make_pool(workers) as pool:
-                outcomes = list(pool.map(run_segment_task, tasks))
+        workers = self.pool_spec.width(len(tasks))
+        with self.pool_spec.create(workers) as pool:
+            outcomes = list(pool.map(run_segment_task, tasks))
 
         # pool.map preserves input order, so zipping tasks back onto
         # outcomes attributes each one to its camera deterministically.

@@ -68,6 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Poll interval of the gateway's async result/drain waits, seconds.
 POLL_INTERVAL_S = 0.002
 
+#: Points per shard on the consistent-hash ring.
+RING_POINTS_PER_SHARD = 64
+
 
 class GatewayRefused(ServeError):
     """A request the gateway's admission control (or a shard) refused.
@@ -103,26 +106,23 @@ class GatewayRefused(ServeError):
 class HashRing:
     """Consistent hashing of session ids onto shard indices.
 
-    ``virtual_nodes`` points per shard are placed on a 64-bit ring at
-    ``sha256("shard-<i>#<v>")`` positions; a session maps to the first
-    point clockwise of ``sha256(session)``.  SHA-256 (not Python's
-    seeded ``hash``) makes the mapping a pure function of
-    ``(session, shards, virtual_nodes)`` — the same session lands on
-    the same shard across process restarts, which is what lets a
-    restarted gateway with an equal shard count find a session's warm
-    segment-cache entries on the same shard's disk tier.
+    :data:`RING_POINTS_PER_SHARD` points per shard are placed on a
+    64-bit ring at ``sha256("shard-<i>#<v>")`` positions; a session maps
+    to the first point clockwise of ``sha256(session)``.  SHA-256 (not
+    Python's seeded ``hash``) makes the mapping a pure function of
+    ``(session, shards)`` — the same session lands on the same shard
+    across process restarts, which is what lets a restarted gateway with
+    an equal shard count find a session's warm segment-cache entries on
+    the same shard's disk tier.
     """
 
-    def __init__(self, shards: int, virtual_nodes: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         self.shards = shards
-        self.virtual_nodes = virtual_nodes
         points = []
         for shard in range(shards):
-            for v in range(virtual_nodes):
+            for v in range(RING_POINTS_PER_SHARD):
                 points.append((self._point(f"shard-{shard}#{v}"), shard))
         points.sort()
         self._ring = [p for p, _ in points]
@@ -341,7 +341,7 @@ class Gateway:
 
         self.config = config or GatewayConfig()
         self._clock = clock or time.perf_counter
-        self._ring = HashRing(self.config.shards, self.config.virtual_nodes)
+        self._ring = HashRing(self.config.shards)
         self._admission = AdmissionController(self.config, self._clock)
         self._shards: list[_Shard] = []
         self._routes: dict[str, _Shard] = {}

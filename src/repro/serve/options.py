@@ -20,8 +20,9 @@ three frozen value objects:
   :meth:`ReconstructionService.from_config` constructs a service from
   one of these; the CLI builds it in a single place.
 
-The legacy kwargs keep working through a shim that maps them onto
-:class:`JobOptions` and emits a :class:`DeprecationWarning`.
+``options=JobOptions(...)`` is the only spelling of the per-job knobs:
+``ReconstructionService.__init__`` / ``submit`` / ``open_stream`` take
+no loose reliability kwargs.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class JobOptions:
         if self.segment_deadline_s is not None and self.segment_deadline_s <= 0:
             raise ValueError("segment_deadline_s must be positive (or None)")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise TypeError("fault_plan must be a FaultPlan (or None)")
+            raise TypeError("faults must be a FaultPlan (or None)")
         if self.voxel_size is not None and self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if self.min_observations is not None and self.min_observations < 1:
@@ -119,10 +120,10 @@ class CacheConfig:
     """Capacity and placement of the serving layer's cache tiers.
 
     ``job_entries`` bounds the job-level LRU (whole fused results, in
-    entries; ``0`` disables it — the legacy ``cache_size`` knob).  The
-    segment tiers are byte-bounded: ``mem_mb`` for the in-memory LRU
-    (``0`` disables it, the default) and ``disk_mb`` for the on-disk
-    store, which activates only when a directory is resolved — from
+    entries; ``0`` disables it).  The segment tiers are byte-bounded:
+    ``mem_mb`` for the in-memory LRU (``0`` disables it, the default)
+    and ``disk_mb`` for the on-disk store, which activates only when a
+    directory is resolved — from
     ``cache_dir``, or from the ``REPRO_CACHE_DIR`` environment variable
     when ``cache_dir`` is ``None`` (pass ``cache_dir=""`` to suppress
     the environment fallback explicitly).
@@ -200,8 +201,6 @@ class GatewayConfig:
 
     #: Number of :class:`ReconstructionService` shards.
     shards: int = 1
-    #: Virtual nodes per shard on the consistent-hash ring.
-    virtual_nodes: int = 64
     #: Per-tenant token-bucket refill rate in requests/second
     #: (``0`` disables per-tenant throttling).
     tenant_rate: float = 0.0
@@ -221,8 +220,6 @@ class GatewayConfig:
         """Validate the shard and admission knobs."""
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         if self.tenant_rate < 0:
             raise ValueError("tenant_rate must be >= 0 (0 disables)")
         if self.tenant_burst < 1:

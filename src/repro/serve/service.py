@@ -71,17 +71,13 @@ Semantics in one breath:
 
 from __future__ import annotations
 
-import os
 import time
 import traceback as traceback_module
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Executor,
     Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field, replace
@@ -90,6 +86,7 @@ from typing import Callable, Iterator
 from repro.core.engine import EngineSpec
 from repro.core.mapping import (
     MappingResult,
+    PoolSpec,
     default_voxel_size,
     fuse_keyframes,
     merge_outcomes,
@@ -106,13 +103,11 @@ from repro.serve.cache import (
 )
 from repro.serve.faults import (
     FaultKind,
-    FaultPlan,
     new_hang_gate,
     release_hang_gate,
     run_guarded_segment,
 )
 from repro.serve.options import CacheConfig, JobOptions, ServiceConfig
-from repro.serve.retry import RetryPolicy
 from repro.serve.scheduler import RoundRobinScheduler
 from repro.serve.session import (
     TERMINAL_STATES,
@@ -131,23 +126,6 @@ OVERFLOW_POLICIES = ("refuse", "drop-oldest")
 #: after a pool break (see ``ReconstructionService._collect_done``).
 PROBATION_SUCCESSES = 3
 
-#: Sentinel distinguishing "kwarg not supplied" from an explicit None in
-#: the deprecated reliability-kwarg shims.
-_UNSET = object()
-
-#: The legacy per-call reliability kwargs the JobOptions redesign
-#: deprecates (constructor spelling -> JobOptions field).
-_DEPRECATED_FIELDS = {
-    "retry": "retry",
-    "deadline_s": "deadline_s",
-    "segment_deadline_s": "segment_deadline_s",
-    "allow_partial": "allow_partial",
-    "faults": "faults",
-    "fault_plan": "faults",
-    "integrity": "integrity",
-}
-
-
 class ServeError(RuntimeError):
     """Base class of service-level failures."""
 
@@ -162,31 +140,6 @@ class StreamBacklogFull(SessionBacklogFull):
 
 class JobFailed(ServeError):
     """``result`` was asked for a job that failed or was dropped."""
-
-
-class _InlineExecutor(Executor):
-    """Run tasks synchronously on the dispatching thread.
-
-    The zero-dependency serial substrate (``workers=1`` default): no
-    pool processes to spawn, identical scheduling decisions, and the
-    exact single-engine execution path — useful for tests and for hosts
-    where one core is all there is.
-    """
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        """Run the task now; return an already-settled future."""
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # surfaced via future.exception();
-            # KeyboardInterrupt/SystemExit propagate — a Ctrl-C must
-            # stop the pump, not fail one job and keep dispatching.
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        """Nothing to shut down: no threads, no processes."""
-        pass
 
 
 @dataclass(frozen=True)
@@ -250,14 +203,11 @@ class ReconstructionService:
         Shared pool width.  ``None`` uses the machine's CPU count.
     executor:
         ``"process"``, ``"thread"``, ``"inline"`` or ``None`` to choose
-        automatically: inline for one worker, processes otherwise
-        (threads suit the in-process hardware model and test doubles).
+        automatically (:class:`~repro.core.mapping.PoolSpec`): inline
+        for one worker, processes otherwise (threads suit the in-process
+        hardware model and test doubles).
     queue_limit:
         Per-session bound on active (queued + running) jobs.
-    cache_size:
-        Job-level LRU result-cache capacity in entries; ``0`` disables
-        caching.  Shorthand for ``cache=CacheConfig(job_entries=n)``;
-        mutually exclusive with ``cache``.
     retain_jobs:
         How many *terminal* (done/failed/dropped) job records to keep
         for late ``poll``/``result`` calls; the oldest are evicted
@@ -269,12 +219,6 @@ class ReconstructionService:
         dropped to admit the new one; with nothing droppable the
         submission is refused).  Either way the outcome is recorded in
         the aggregate profile.
-    retry, deadline_s, segment_deadline_s, allow_partial, fault_plan, integrity:
-        **Deprecated** spellings of the service-wide default
-        :class:`~repro.serve.options.JobOptions` fields; they keep
-        working through a shim that maps them onto ``options`` (and
-        emits a :class:`DeprecationWarning`).  See
-        :class:`~repro.serve.options.JobOptions` for their semantics.
     clock:
         Monotonic time source for deadlines and backoff scheduling
         (default ``time.perf_counter``); injectable so deadline tests
@@ -288,7 +232,7 @@ class ReconstructionService:
         entries plus the segment tiers — an in-memory LRU in front of a
         persistent on-disk store, so overlapping jobs and warm-started
         streams skip already-computed segments entirely (see
-        ``docs/CACHING.md``).  Mutually exclusive with ``cache_size``.
+        ``docs/CACHING.md``).  Defaults to ``CacheConfig()``.
 
     Examples
     --------
@@ -320,58 +264,34 @@ class ReconstructionService:
         workers: int | None = None,
         executor: str | None = None,
         queue_limit: int = 8,
-        cache_size: int | None = None,
         overflow: str = "refuse",
         retain_jobs: int = 256,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        fault_plan=_UNSET,
-        integrity=_UNSET,
-        clock: Callable[[], float] | None = None,
         *,
+        clock: Callable[[], float] | None = None,
         options: JobOptions | None = None,
         cache: CacheConfig | None = None,
     ):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1 (or None for auto)")
+        #: How the shared pool is built (validates workers/executor).
+        self.pool_spec = PoolSpec(workers, executor)
         if retain_jobs < 1:
             raise ValueError("retain_jobs must be >= 1")
-        if executor not in (None, "process", "thread", "inline"):
-            raise ValueError("executor must be 'process', 'thread', 'inline' or None")
         if overflow not in OVERFLOW_POLICIES:
             raise ValueError(
                 f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
             )
-        if cache is not None and cache_size is not None:
-            raise ValueError(
-                "pass either cache_size (legacy shorthand) or "
-                "cache=CacheConfig(...), not both"
-            )
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.executor = executor or ("inline" if self.workers == 1 else "process")
+        self.workers = self.pool_spec.width()
+        self.executor = self.pool_spec.kind(self.workers)
         self.overflow = overflow
         self.retain_jobs = retain_jobs
         self._clock = clock or time.perf_counter
-        legacy = {
-            "retry": retry,
-            "deadline_s": deadline_s,
-            "segment_deadline_s": segment_deadline_s,
-            "allow_partial": allow_partial,
-            "fault_plan": fault_plan,
-            "integrity": integrity,
-        }
-        ctor = self._shim_legacy_kwargs(legacy)
         hard = JobOptions(
             allow_partial=False, integrity=False, min_observations=1, cache="on"
         )
         #: The service-wide default :class:`JobOptions`; per-job options
         #: merge over these (``JobOptions.merged``).
-        self.defaults = ctor.merged(options or JobOptions()).merged(hard)
+        self.defaults = (options or JobOptions()).merged(hard)
         self._check_options(self.defaults)
-        if cache is None:
-            cache = CacheConfig(job_entries=32 if cache_size is None else cache_size)
+        cache = cache or CacheConfig()
         #: The :class:`CacheConfig` the cache tiers were built from.
         self.cache_config = cache
         self.cache = ResultCache(cache.job_entries)
@@ -427,39 +347,6 @@ class ReconstructionService:
         )
 
     # ------------------------------------------------------------------
-    # Legacy reliability-kwarg views (deprecated spellings)
-    # ------------------------------------------------------------------
-    @property
-    def retry(self) -> RetryPolicy | None:
-        """Service-wide default retry policy (``defaults.retry``)."""
-        return self.defaults.retry
-
-    @property
-    def deadline_s(self) -> float | None:
-        """Service-wide default job deadline (``defaults.deadline_s``)."""
-        return self.defaults.deadline_s
-
-    @property
-    def segment_deadline_s(self) -> float | None:
-        """Default per-attempt budget (``defaults.segment_deadline_s``)."""
-        return self.defaults.segment_deadline_s
-
-    @property
-    def allow_partial(self) -> bool:
-        """Default graceful-degradation switch (``defaults.allow_partial``)."""
-        return bool(self.defaults.allow_partial)
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        """Service-wide default fault schedule (``defaults.faults``)."""
-        return self.defaults.faults
-
-    @property
-    def integrity(self) -> bool:
-        """Default merge-time integrity checking (``defaults.integrity``)."""
-        return bool(self.defaults.integrity)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def __enter__(self) -> "ReconstructionService":
@@ -467,27 +354,6 @@ class ReconstructionService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @staticmethod
-    def _shim_legacy_kwargs(legacy: dict) -> JobOptions:
-        """Map supplied deprecated kwargs onto a :class:`JobOptions`.
-
-        ``legacy`` holds the deprecated kwargs by their old names with
-        ``_UNSET`` marking "not supplied"; anything supplied emits one
-        :class:`DeprecationWarning` naming the offenders.  Construction
-        validates the values (same messages as the legacy checks).
-        """
-        supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-        if supplied:
-            warnings.warn(
-                f"the {sorted(supplied)} kwargs are deprecated; pass "
-                "options=JobOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return JobOptions(
-            **{_DEPRECATED_FIELDS[k]: v for k, v in supplied.items()}
-        )
 
     def _check_options(self, options: JobOptions) -> None:
         """Validate a resolved options set against this service's executor.
@@ -597,20 +463,13 @@ class ReconstructionService:
             job for job in self._streams if job.state not in TERMINAL_STATES
         ]
 
-    def _make_pool(self) -> Executor:
-        if self.executor == "inline":
-            return _InlineExecutor()
-        if self.executor == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(max_workers=self.workers)
-
     @property
     def pool(self) -> Executor:
         """The lazily created executor (rebuilt after a pool break)."""
         if self._closed:
             raise ServeError("service is closed")
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = self.pool_spec.create(self.workers)
         return self._pool
 
     # ------------------------------------------------------------------
@@ -619,30 +478,19 @@ class ReconstructionService:
     def _resolve_job_options(
         self,
         options: JobOptions | None,
-        legacy: dict,
         *,
         voxel_size: float | None = None,
         min_observations: int | None = None,
     ) -> JobOptions:
         """Resolve one call's effective :class:`JobOptions`.
 
-        The single merge rule of the options redesign: deprecated
-        per-call kwargs (shimmed onto :class:`JobOptions`, with a
-        :class:`DeprecationWarning`) layer over ``options``, which
-        layers over the service defaults —
-        ``legacy.merged(options).merged(self.defaults)``.  The
-        first-class fuse kwargs (``voxel_size``/``min_observations``)
-        join the strongest layer.
+        The single merge rule of the options redesign: the first-class
+        fuse kwargs (``voxel_size``/``min_observations``) layer over
+        ``options``, which layers over the service defaults —
+        ``fuse.merged(options).merged(self.defaults)``.
         """
-        per_call = self._shim_legacy_kwargs(legacy)
-        fuse = {}
-        if voxel_size is not None:
-            fuse["voxel_size"] = voxel_size
-        if min_observations is not None:
-            fuse["min_observations"] = min_observations
-        if fuse:
-            per_call = replace(per_call, **fuse)
-        resolved = per_call.merged(options or JobOptions()).merged(self.defaults)
+        fuse = JobOptions(voxel_size=voxel_size, min_observations=min_observations)
+        resolved = fuse.merged(options or JobOptions()).merged(self.defaults)
         self._check_options(resolved)
         return resolved
 
@@ -666,12 +514,6 @@ class ReconstructionService:
         session: str = "default",
         voxel_size: float | None = None,
         min_observations: int | None = None,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        faults=_UNSET,
-        integrity=_UNSET,
         options: JobOptions | None = None,
     ) -> str:
         """Admit one reconstruction job; returns its job id.
@@ -683,12 +525,10 @@ class ReconstructionService:
 
         ``options`` overrides the service-wide default
         :class:`~repro.serve.options.JobOptions` for this job (``None``
-        fields inherit); the loose reliability kwargs are deprecated
-        spellings of the same fields and emit a
-        :class:`DeprecationWarning`.  The job's deadline clock starts
-        now (at admission).  When the segment cache holds outcomes for
-        some (or all) of the job's segments, those segments complete at
-        admission without ever touching the pool.
+        fields inherit).  The job's deadline clock starts now (at
+        admission).  When the segment cache holds outcomes for some (or
+        all) of the job's segments, those segments complete at admission
+        without ever touching the pool.
         """
         if self._closed:
             raise ServeError("service is closed")
@@ -696,17 +536,7 @@ class ReconstructionService:
         if not isinstance(spec, EngineSpec):
             raise TypeError("submit() takes an EngineSpec (see EngineSpec.build)")
         resolved = self._resolve_job_options(
-            options,
-            {
-                "retry": retry,
-                "deadline_s": deadline_s,
-                "segment_deadline_s": segment_deadline_s,
-                "allow_partial": allow_partial,
-                "faults": faults,
-                "integrity": integrity,
-            },
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options, voxel_size=voxel_size, min_observations=min_observations
         )
         voxel_size = resolved.voxel_size
         if voxel_size is None:
@@ -883,12 +713,6 @@ class ReconstructionService:
         voxel_size: float | None = None,
         min_observations: int | None = None,
         max_pending_chunks: int = 64,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        faults=_UNSET,
-        integrity=_UNSET,
         options: JobOptions | None = None,
     ) -> StreamingSession:
         """Admit a streaming job; returns its :class:`StreamingSession` handle.
@@ -904,11 +728,10 @@ class ReconstructionService:
         *segment* tier: a freshly cut segment whose outcome is already
         cached emits its updates immediately, without a dispatch.
 
-        ``options`` / the deprecated reliability kwargs resolve exactly
-        as in :meth:`submit`, with one difference: a stream's
-        ``deadline_s`` arms at ``close()`` — an open stream can always
-        grow, so there is no meaningful total budget until the input
-        ends.
+        ``options`` resolve exactly as in :meth:`submit`, with one
+        difference: a stream's ``deadline_s`` arms at ``close()`` — an
+        open stream can always grow, so there is no meaningful total
+        budget until the input ends.
         """
         if self._closed:
             raise ServeError("service is closed")
@@ -918,17 +741,7 @@ class ReconstructionService:
         if max_pending_chunks < 1:
             raise ValueError("max_pending_chunks must be >= 1")
         resolved = self._resolve_job_options(
-            options,
-            {
-                "retry": retry,
-                "deadline_s": deadline_s,
-                "segment_deadline_s": segment_deadline_s,
-                "allow_partial": allow_partial,
-                "faults": faults,
-                "integrity": integrity,
-            },
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options, voxel_size=voxel_size, min_observations=min_observations
         )
         voxel_size = resolved.voxel_size
         if voxel_size is None:

@@ -3,11 +3,10 @@
 The acceptance bar of the engine refactor: under ``EVENTOR_SCHEMA`` the
 ``numpy-reference`` and ``hardware-model`` backends produce *identical*
 depth maps through the same :class:`ReconstructionEngine` front-end, and
-``numpy-fast`` / ``numpy-batch`` are bit-exact with ``numpy-reference`` —
-the fast backend while batching its DSI updates per reference segment,
-the batch backend while executing whole buffered frame batches as fused
-array passes (across every voting method × correction scheduling
-combination, including identical profile counters).
+``numpy-batch`` / ``native-batch`` are bit-exact with ``numpy-reference``
+while executing whole buffered frame batches as fused array passes
+(across every voting method × correction scheduling combination,
+including identical profile counters).
 """
 
 import numpy as np
@@ -103,41 +102,6 @@ class TestHardwareBackendBitExact:
         sys_result, report = system.run(events, seq.trajectory)
         assert sys_result.n_points == engine_result.n_points
         assert report.votes == engine_result.profile.votes_cast
-
-
-class TestFastBackendBitExact:
-    def test_fast_matches_reference(self, setup, reference):
-        _, fast = run_backend(setup, "numpy-fast")
-        assert fast.profile.votes_cast == reference.profile.votes_cast
-        for a, b in zip(reference.keyframes, fast.keyframes):
-            np.testing.assert_array_equal(a.depth_map.mask, b.depth_map.mask)
-            np.testing.assert_array_equal(
-                a.depth_map.confidence, b.depth_map.confidence
-            )
-        np.testing.assert_allclose(
-            reference.cloud.points, fast.cloud.points, atol=1e-12
-        )
-
-    def test_fast_with_keyframes(self, seq_3planes_fast):
-        seq = seq_3planes_fast
-        events = seq.events.time_slice(0.4, 1.6)
-        config = EMVSConfig(
-            n_depth_planes=64, frame_size=1024, keyframe_distance=0.12
-        )
-        results = {}
-        for backend in ("numpy-reference", "numpy-fast"):
-            engine = ReconstructionEngine(
-                seq.camera,
-                seq.trajectory,
-                config,
-                depth_range=seq.depth_range,
-                backend=backend,
-            )
-            results[backend] = engine.run(events)
-        ref, fast = results["numpy-reference"], results["numpy-fast"]
-        assert len(ref.keyframes) >= 2
-        assert len(fast.keyframes) == len(ref.keyframes)
-        np.testing.assert_allclose(ref.cloud.points, fast.cloud.points, atol=1e-12)
 
 
 #: The full voting × correction design-space corners the batch backend

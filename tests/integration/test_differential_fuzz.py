@@ -54,6 +54,7 @@ from repro.serve import (
     CacheConfig,
     FaultKind,
     FaultPlan,
+    JobOptions,
     JobState,
     ReconstructionService,
     RetryPolicy,
@@ -188,7 +189,7 @@ def test_differential_equivalence(seed):
     with ReconstructionService(
         workers=case.workers,
         executor=executor,
-        cache_size=32 if case.cache_on else 0,
+        cache=CacheConfig(job_entries=32 if case.cache_on else 0),
     ) as service:
         job_id = service.submit(case.events, spec)
         served = service.result(job_id)
@@ -203,7 +204,9 @@ def test_differential_equivalence(seed):
     # --- streaming level: chunked ingestion ≡ one-shot submission ------
     chunk_rng = np.random.default_rng(7000 + seed)
     with ReconstructionService(
-        workers=case.workers, executor=executor, cache_size=0
+        workers=case.workers,
+        executor=executor,
+        cache=CacheConfig(job_entries=0),
     ) as service:
         with service.open_stream(spec) as stream:
             updates = []
@@ -296,7 +299,7 @@ def test_chaos_transient_faults_are_invisible(seed, executor):
     spec = case.spec("numpy-batch")
     workers = 1 if executor == "inline" else 2
     with ReconstructionService(
-        workers=workers, executor=executor, cache_size=0
+        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
     ) as service:
         clean = service.result(
             service.submit(case.events, spec), timeout=300.0
@@ -307,13 +310,12 @@ def test_chaos_transient_faults_are_invisible(seed, executor):
         FaultKind.TRANSIENT, seed=CHAOS_FAULT_SEED, rate=1.0, max_failures=1
     )
     with ReconstructionService(
-        workers=workers, executor=executor, cache_size=0
+        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
     ) as service:
         job_id = service.submit(
             case.events,
             spec,
-            faults=plan,
-            retry=RetryPolicy(max_attempts=3),
+            options=JobOptions(faults=plan, retry=RetryPolicy(max_attempts=3)),
         )
         chaotic = service.result(job_id, timeout=300.0)
         # The acceptance bar: at least one injected failure per job —
@@ -346,7 +348,7 @@ def test_gateway_routing_is_invisible(seed):
     case = draw_case(seed)
     spec = case.spec("numpy-batch")
     with ReconstructionService(
-        workers=1, executor="inline", cache_size=0
+        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
     ) as service:
         direct = service.result(service.submit(case.events, spec), timeout=300.0)
 
@@ -523,7 +525,7 @@ def test_rig_served_equals_local(seed, executor):
     orchestrator = RigOrchestrator(rig, workers=1)
     workers = 1 if executor == "inline" else int(seed % 3) + 1
     with ReconstructionService(
-        workers=workers, executor=executor, cache_size=0
+        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
     ) as service:
         handle = orchestrator.submit(service, events)
         served = orchestrator.collect(service, handle, timeout=300.0)

@@ -109,7 +109,7 @@ class TestEngineEquivalence:
             seq.trajectory,
             config,
             depth_range=seq.depth_range,
-            backend="numpy-fast",
+            backend="numpy-batch",
         ).run(events)
         assert len(plans) == len(result.keyframes)
         assert sum(p.n_frames for p in plans) == result.profile.n_frames

@@ -126,7 +126,7 @@ class TestRouting:
         """
         events, spec = served
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         ) as service:
             direct = service.result(service.submit(events, spec), timeout=300.0)
 

@@ -16,6 +16,7 @@ import pytest
 from repro.core import EngineSpec, MappingOrchestrator
 from repro.core.engine import BACKENDS, ExecutionBackend, register_backend
 from repro.serve import (
+    CacheConfig,
     JobFailed,
     JobState,
     ReconstructionService,
@@ -89,7 +90,9 @@ class TestServiceDeterminism:
     ):
         _, events, _, spec = served
         with ReconstructionService(
-            workers=workers, executor=executor, cache_size=cache_size
+            workers=workers,
+            executor=executor,
+            cache=CacheConfig(job_entries=cache_size),
         ) as service:
             job_id = service.submit(events, spec)
             result = service.result(job_id)
@@ -130,7 +133,9 @@ class TestServiceDeterminism:
     def test_fuse_parameters_respected(self, served):
         """min_observations filters through the service exactly as direct."""
         seq, events, config, spec = served
-        with ReconstructionService(workers=1, cache_size=0) as service:
+        with ReconstructionService(
+            workers=1, cache=CacheConfig(job_entries=0)
+        ) as service:
             job_id = service.submit(events, spec, min_observations=2)
             result = service.result(job_id)
         assert result.n_points == len(
@@ -143,7 +148,9 @@ class TestFairness:
     def test_sessions_interleave_round_robin(self, served):
         _, events, _, spec = served
         short = events.time_slice(events.t_start, events.t_start + 0.7)
-        with ReconstructionService(workers=1, cache_size=0) as service:
+        with ReconstructionService(
+            workers=1, cache=CacheConfig(job_entries=0)
+        ) as service:
             a = service.submit(events, spec, session="alpha")
             b = service.submit(short, spec, session="beta")
             service.drain()
@@ -158,7 +165,9 @@ class TestFairness:
 
     def test_per_session_dispatch_accounting(self, served):
         _, events, _, spec = served
-        with ReconstructionService(workers=1, cache_size=0) as service:
+        with ReconstructionService(
+            workers=1, cache=CacheConfig(job_entries=0)
+        ) as service:
             service.submit(events, spec, session="alpha")
             service.submit(events, spec, session="beta")
             service.drain()
@@ -281,7 +290,7 @@ class TestFailurePaths:
             seq, events, config, spec = served
             bad_spec = dataclasses.replace(spec, backend="hard-crash-test")
             with ReconstructionService(
-                workers=2, executor="process", cache_size=0
+                workers=2, executor="process", cache=CacheConfig(job_entries=0)
             ) as service:
                 if crasher_first:
                     bad = service.submit(events, bad_spec, session="bad")
@@ -300,7 +309,7 @@ class TestFailurePaths:
     def test_queue_full_refusal(self, served):
         _, events, _, spec = served
         with ReconstructionService(
-            workers=1, queue_limit=1, cache_size=0
+            workers=1, queue_limit=1, cache=CacheConfig(job_entries=0)
         ) as service:
             service.submit(events, spec, session="s")
             with pytest.raises(SessionBacklogFull, match="queue limit"):
@@ -319,7 +328,10 @@ class TestFailurePaths:
         _, events, _, spec = served
         short = events.time_slice(events.t_start, events.t_start + 0.5)
         with ReconstructionService(
-            workers=1, queue_limit=1, cache_size=0, overflow="drop-oldest"
+            workers=1,
+            queue_limit=1,
+            cache=CacheConfig(job_entries=0),
+            overflow="drop-oldest",
         ) as service:
             first = service.submit(events, spec, session="s")
             second = service.submit(short, spec, session="s")

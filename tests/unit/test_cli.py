@@ -28,9 +28,9 @@ class TestParser:
     def test_backend_and_policy_flags_parse(self):
         args = build_parser().parse_args(
             ["reconstruct", "-s", "slider_far",
-             "--backend", "numpy-fast", "--policy", "original"]
+             "--backend", "numpy-batch", "--policy", "original"]
         )
-        assert args.backend == "numpy-fast"
+        assert args.backend == "numpy-batch"
         assert args.policy == "original"
 
     def test_parallel_mapping_flags_parse(self):
@@ -54,8 +54,7 @@ class TestParser:
         with pytest.raises(SystemExit, match="unknown backend 'cuda'") as exc:
             main(["reconstruct", "-s", "slider_far", "--backend", "cuda"])
         message = str(exc.value)
-        for name in ("numpy-reference", "numpy-fast", "numpy-batch",
-                     "hardware-model"):
+        for name in ("numpy-reference", "numpy-batch", "hardware-model"):
             assert name in message
 
     def test_unknown_policy_rejected_with_registry_listing(self):
@@ -87,7 +86,7 @@ class TestServeParser:
         assert args.job is None
         assert args.workers is None
         assert args.queue_limit == 8
-        assert args.cache_size == 32
+        assert args.cache_entries == 32
         assert args.overflow == "refuse"
         assert args.backend == "numpy-batch"
 
@@ -352,12 +351,12 @@ class TestCommands:
                 "--quality", "fast",
                 "--planes", "48",
                 "--t-start", "0.95", "--t-end", "1.1",
-                "--backend", "numpy-fast",
+                "--backend", "numpy-batch",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend=numpy-fast" in out
+        assert "backend=numpy-batch" in out
         assert "reconstructed" in out
 
     def test_hardware_backend_rejects_float_policy(self):

@@ -45,7 +45,6 @@ class TestRegistry:
     def test_required_backends_registered(self):
         for name in (
             "numpy-reference",
-            "numpy-fast",
             "numpy-batch",
             "hardware-model",
         ):
@@ -217,53 +216,6 @@ class TestFacadesDelegate:
         assert online.profile.dropped_events == misses + tail
 
 
-class TestNumpyFastBackend:
-    def test_bit_exact_with_reference_nearest(self, scene, config):
-        seq, events = scene
-        ref = make_engine(seq, config, backend="numpy-reference").run(events)
-        fast = make_engine(seq, config, backend="numpy-fast").run(events)
-        assert fast.profile.votes_cast == ref.profile.votes_cast
-        assert len(fast.keyframes) == len(ref.keyframes)
-        for a, b in zip(ref.keyframes, fast.keyframes):
-            np.testing.assert_array_equal(a.depth_map.mask, b.depth_map.mask)
-            np.testing.assert_array_equal(
-                a.depth_map.confidence, b.depth_map.confidence
-            )
-        np.testing.assert_allclose(ref.cloud.points, fast.cloud.points, atol=1e-12)
-
-    def test_bit_exact_with_reference_bilinear(self, scene, config):
-        """The fast path preserves the reference corner order, so even
-        float bilinear weights accumulate to the identical result."""
-        seq, events = scene
-        ref = make_engine(
-            seq, config, policy=ORIGINAL_POLICY, backend="numpy-reference"
-        ).run(events)
-        fast = make_engine(
-            seq, config, policy=ORIGINAL_POLICY, backend="numpy-fast"
-        ).run(events)
-        assert fast.profile.votes_cast == ref.profile.votes_cast
-        for a, b in zip(ref.keyframes, fast.keyframes):
-            np.testing.assert_array_equal(a.depth_map.mask, b.depth_map.mask)
-            np.testing.assert_array_equal(
-                a.depth_map.confidence, b.depth_map.confidence
-            )
-        np.testing.assert_allclose(ref.cloud.points, fast.cloud.points, atol=1e-12)
-
-    def test_preview_then_continue_is_consistent(self, scene, config):
-        """Flushing pending votes for a preview must not corrupt the DSI."""
-        seq, events = scene
-        fast = make_engine(seq, config, backend="numpy-fast")
-        half = len(events) // 2
-        fast.push(events[:half])
-        fast.preview_depth_map()  # forces a mid-segment flush
-        fast.push(events[half:])
-        result = fast.finish()
-        ref = make_engine(seq, config, backend="numpy-reference").run(events)
-        np.testing.assert_allclose(
-            result.cloud.points, ref.cloud.points, atol=1e-12
-        )
-
-
 class TestNumpyBatchBackend:
     """Engine lifecycle under the segment-batched backend."""
 
@@ -383,13 +335,13 @@ class TestNumpyBatchBackend:
 class TestPreviewRematerialization:
     """Preview -> more votes -> finalize equals a no-preview run.
 
-    ``numpy-fast`` and ``numpy-batch`` defer vote materialization into the
-    DSI, so ``read_dsi`` must be non-destructive and re-materialize
-    correctly after further votes arrive mid-segment.
+    ``numpy-batch`` defers vote materialization into the DSI, so
+    ``read_dsi`` must be non-destructive and re-materialize correctly
+    after further votes arrive mid-segment.
     """
 
     @pytest.mark.parametrize(
-        "backend", ["numpy-reference", "numpy-fast", "numpy-batch"]
+        "backend", ["numpy-reference", "numpy-batch"]
     )
     def test_interleaved_previews_do_not_perturb(self, scene, config, backend):
         seq, events = scene
@@ -418,7 +370,7 @@ class TestPreviewRematerialization:
             result.cloud.points, plain.cloud.points, atol=0
         )
 
-    @pytest.mark.parametrize("backend", ["numpy-fast", "numpy-batch"])
+    @pytest.mark.parametrize("backend", ["numpy-batch"])
     def test_preview_is_consistent_snapshot(self, scene, config, backend):
         """A mid-segment preview equals the reference backend's preview."""
         seq, events = scene

@@ -76,11 +76,9 @@ class TestHashRing:
         SHA-256 based, so these values cannot drift with the process's
         hash seed; a change here is a routing break, not noise.
         """
-        ring = HashRing(3, virtual_nodes=64)
+        ring = HashRing(3)
         observed = {s: ring.shard_for(s) for s in ["alpha", "beta", "gamma"]}
-        assert observed == {
-            s: HashRing(3, virtual_nodes=64).shard_for(s) for s in observed
-        }
+        assert observed == {s: HashRing(3).shard_for(s) for s in observed}
         # All shards are reachable over a modest tenant population.
         hit = {ring.shard_for(f"tenant-{i}") for i in range(100)}
         assert hit == {0, 1, 2}
@@ -99,8 +97,6 @@ class TestHashRing:
     def test_validation(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, virtual_nodes=0)
 
 
 class TestTokenBucket:
@@ -265,7 +261,7 @@ class TestGatewayConfig:
         "kwargs",
         [
             {"shards": 0},
-            {"virtual_nodes": 0},
+            {"port": -1},
             {"tenant_rate": -0.1},
             {"tenant_burst": 0},
             {"max_inflight": -1},

@@ -3,11 +3,38 @@
 import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, GlobalMap, MappingOrchestrator, plan_segments
+from repro.core import (
+    CameraRig,
+    EMVSConfig,
+    GlobalMap,
+    MappingOrchestrator,
+    RigOrchestrator,
+    plan_segments,
+)
 from repro.core.engine import SegmentPlan
 from repro.core.keyframes import KeyframeSelector
 from repro.events.containers import EventArray
 from repro.events.packetizer import aggregate_frames
+from repro.geometry.se3 import SE3
+from repro.serve import ReconstructionService
+
+
+#: The three segment-pool owners sharing the ``PoolSpec`` seam.
+POOL_OWNERS = ["mapping", "rig", "service"]
+
+EXECUTOR_MESSAGE = "executor must be 'inline', 'thread', 'process' or None"
+
+
+def make_owner(owner, camera, trajectory, backend="numpy-batch", **kwargs):
+    """Construct one pool owner with ``workers``/``executor`` kwargs."""
+    if owner == "mapping":
+        return MappingOrchestrator(camera, trajectory, backend=backend, **kwargs)
+    if owner == "rig":
+        rig = CameraRig.from_trajectory(
+            camera, trajectory, extrinsics=[SE3.identity()], backend=backend
+        )
+        return RigOrchestrator(rig, **kwargs)
+    return ReconstructionService(**kwargs)
 
 
 class TestSegmentPlan:
@@ -165,27 +192,61 @@ class TestOrchestratorValidation:
         with pytest.raises(ValueError, match="voxel_size"):
             MappingOrchestrator(davis_camera, simple_trajectory, voxel_size=0.0)
 
-    def test_rejects_bad_executor(self, simple_trajectory, davis_camera):
-        with pytest.raises(ValueError, match="executor"):
-            MappingOrchestrator(
-                davis_camera, simple_trajectory, executor="greenlets"
-            )
-
-    def test_hardware_model_defaults_to_threads(
-        self, simple_trajectory, davis_camera
+    @pytest.mark.parametrize("owner", POOL_OWNERS)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(executor="greenlets"), EXECUTOR_MESSAGE),
+            (dict(workers=0), "workers must be >= 1 (or None for auto)"),
+        ],
+        ids=["executor", "workers"],
+    )
+    def test_rejects_bad_executor(
+        self, simple_trajectory, davis_camera, owner, kwargs, message
     ):
+        """All three pool owners share one validator and one message."""
+        with pytest.raises(ValueError) as exc:
+            make_owner(owner, davis_camera, simple_trajectory, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("owner", POOL_OWNERS)
+    @pytest.mark.parametrize(
+        "backend, executor, width, kind",
+        [
+            ("numpy-batch", None, 1, "inline"),
+            ("hardware-model", None, 1, "inline"),
+            ("hardware-model", None, 2, "thread"),
+            ("numpy-batch", None, 2, "process"),
+            ("numpy-batch", "thread", 1, "thread"),
+            ("hardware-model", "process", 2, "process"),
+        ],
+    )
+    def test_hardware_model_defaults_to_threads(
+        self, simple_trajectory, davis_camera, owner, backend, executor, width,
+        kind,
+    ):
+        """One worker runs inline, hardware-model on threads, anything
+        else on processes; an explicit kind always wins."""
         from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-        hw = MappingOrchestrator(
-            davis_camera, simple_trajectory, backend="hardware-model"
-        )
-        with hw._make_pool(2) as pool:
-            assert isinstance(pool, ThreadPoolExecutor)
-        sw = MappingOrchestrator(
-            davis_camera, simple_trajectory, backend="numpy-batch"
-        )
-        with sw._make_pool(2) as pool:
-            assert isinstance(pool, ProcessPoolExecutor)
+        from repro.core.mapping import _InlineExecutor
+
+        if owner == "service" and kind == "thread" and executor is None:
+            # The service is backend-agnostic (its pool serves every
+            # job's spec), so its multi-worker default stays processes.
+            kind = "process"
+        pool_spec = make_owner(
+            owner, davis_camera, simple_trajectory,
+            backend=backend, executor=executor, workers=width,
+        ).pool_spec
+        assert pool_spec.kind(pool_spec.width()) == kind
+        expected = {
+            "inline": _InlineExecutor,
+            "thread": ThreadPoolExecutor,
+            "process": ProcessPoolExecutor,
+        }[kind]
+        with pool_spec.create(width) as pool:
+            assert isinstance(pool, expected)
 
     def test_default_voxel_tracks_depth_range(self, simple_trajectory, davis_camera):
         from repro.core import default_voxel_size
@@ -203,7 +264,7 @@ class TestOrchestratorValidation:
         from repro.core import EngineSpec, REFORMULATED_POLICY
 
         orch = MappingOrchestrator(
-            davis_camera, simple_trajectory, backend="numpy-fast"
+            davis_camera, simple_trajectory, backend="numpy-reference"
         )
         assert isinstance(orch.spec, EngineSpec)
         assert orch.camera is orch.spec.camera is davis_camera
@@ -211,7 +272,7 @@ class TestOrchestratorValidation:
         assert orch.config is orch.spec.config
         assert orch.depth_range == orch.spec.depth_range
         assert orch.policy is REFORMULATED_POLICY
-        assert orch.backend == "numpy-fast"
+        assert orch.backend == "numpy-reference"
 
 
 class TestSegmentHelpers:

@@ -11,6 +11,7 @@ import pytest
 from repro.core import EMVSConfig, EngineSpec
 from repro.core.engine import SegmentPlan
 from repro.serve import (
+    CacheConfig,
     OVERFLOW_POLICIES,
     JobState,
     ReconstructionService,
@@ -282,7 +283,7 @@ class TestServiceValidation:
 
     def test_rejects_bad_cache_size(self):
         with pytest.raises(ValueError, match="capacity"):
-            ReconstructionService(cache_size=-1)
+            ReconstructionService(cache=CacheConfig(job_entries=-1))
 
     def test_submit_requires_spec(self, events):
         with ReconstructionService(workers=1) as service:
@@ -381,12 +382,12 @@ class TestEngineSpec:
             simple_trajectory,
             EMVSConfig(n_depth_planes=24),
             depth_range=(0.5, 2.0),
-            backend="numpy-fast",
+            backend="numpy-reference",
         )
         engine = spec.build()
         assert engine.camera is davis_camera
         assert engine.config.n_depth_planes == 24
-        assert engine.backend.name == "numpy-fast"
+        assert engine.backend.name == "numpy-reference"
 
     def test_specs_compare_equal_by_value(self, davis_camera, simple_trajectory):
         a = EngineSpec(davis_camera, simple_trajectory, EMVSConfig())
