@@ -150,8 +150,8 @@ def test_sec21_host_measured_breakdown(benchmark, sequences):
 #: The software backends the perf trajectory tracks, slowest first.
 NUMPY_BACKENDS = ("numpy-reference", "numpy-batch")
 
-#: Plus the compiled backend, when a kernel provider loaded on this host
-#: (on-demand cc build, installed extension, or numba) — see
+#: Plus the compiled backend, when the kernels loaded on this host
+#: (installed extension or on-demand cc build) — see
 #: ``repro.native``.  The comparison degrades gracefully to the numpy
 #: pair on hosts with neither.
 SPEEDUP_BACKENDS = NUMPY_BACKENDS + (

@@ -5,9 +5,9 @@ declarative config cannot express: the *optional* native kernel
 extension.  ``repro.native._ckernels`` is a plain C shared library (no
 Python.h) loaded through ctypes, so ``optional=True`` keeps source
 installs working on hosts without a toolchain — the native package then
-falls back to an on-demand ``cc`` build or the numba provider at import
-time.  Set ``REPRO_SKIP_CEXT=1`` to skip the build entirely (CI's
-no-toolchain job uses it to prove the pure-python path).
+falls back to an on-demand ``cc`` build at import time.  Set
+``REPRO_SKIP_CEXT=1`` to skip the build entirely (CI's no-toolchain job
+uses it to prove the pure-python path).
 """
 
 import os

@@ -12,8 +12,6 @@ runs on the *confidence map* (per-pixel maximum score along depth):
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
@@ -70,9 +68,13 @@ def median_reject(
         ys_dst = slice(max(0, dy), min(h, h + dy))
         xs_dst = slice(max(0, dx), min(w, w + dx))
         stack[i, ys_dst, xs_dst] = sparse[ys_src, xs_src]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
-        local_median = np.nanmedian(stack, axis=0)
+    # Median only the windows holding a detected pixel: an all-NaN window
+    # stays NaN without tripping numpy's All-NaN RuntimeWarning (and
+    # without ``warnings.catch_warnings``, which is process-global state
+    # and so unsafe under thread executors).
+    occupied = np.isfinite(stack).any(axis=0)
+    local_median = np.full((h, w), np.nan)
+    local_median[occupied] = np.nanmedian(stack[:, occupied], axis=0)
     good = np.abs(depth - local_median) <= 0.15 * np.abs(local_median)
     return mask & np.where(np.isfinite(local_median), good, True)
 

@@ -30,8 +30,8 @@ Backends are selected by name from the :data:`BACKENDS` registry:
 ``native-batch``
     The ``numpy-batch`` dataflow with the hot stage (φ parameter stack
     and the fused proportional+vote scatter) executed in compiled code
-    (:mod:`repro.native`).  Registered only when a kernel provider (C
-    extension or numba JIT) loads on this host; see ``repro info``.
+    (:mod:`repro.native`).  Registered only when the compiled C kernels
+    load on this host; see ``repro info``.
 ``hardware-model``
     Wraps :class:`repro.hardware.EventorSystem`'s PL datapath so
     cycle-accurate runs share this exact front-end — bit-exactness between

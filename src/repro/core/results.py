@@ -34,23 +34,6 @@ class PipelineProfile:
     the quantity the accelerator's throughput is sized by.
     ``dropped_events`` counts events that produced no vote: projection
     misses plus the trailing partial frame dropped at stream end.
-
-    ``jobs_refused`` / ``jobs_dropped`` record the serving layer's
-    explicit backpressure outcomes (see :mod:`repro.serve`): jobs a full
-    session queue refused at submission, and queued jobs evicted by the
-    ``drop-oldest`` overflow policy.  ``chunks_refused`` /
-    ``chunks_dropped`` are the same two outcomes at *chunk* granularity,
-    applied by streaming sessions whose bounded in-flight buffer filled
-    up.  ``segments_retried`` / ``segments_timed_out`` /
-    ``jobs_partial`` / ``results_corrupted`` record the reliability
-    layer's recovery story: segment attempts re-dispatched by a
-    :class:`~repro.serve.retry.RetryPolicy`, attempts abandoned by a
-    deadline watchdog, jobs degraded to a ``PARTIAL`` result, and
-    payloads the merge-time integrity digest rejected.  These live here
-    so a service's aggregate profile carries its admission and recovery
-    story next to its work counters, but they are *load-dependent* —
-    two runs of the same stream need not agree on them — so they are
-    deliberately excluded from :meth:`counters`.
     """
 
     n_events: int = 0
@@ -58,14 +41,6 @@ class PipelineProfile:
     n_keyframes: int = 0
     votes_cast: int = 0
     dropped_events: int = 0
-    jobs_refused: int = 0
-    jobs_dropped: int = 0
-    chunks_refused: int = 0
-    chunks_dropped: int = 0
-    segments_retried: int = 0
-    segments_timed_out: int = 0
-    jobs_partial: int = 0
-    results_corrupted: int = 0
     stage_seconds: dict = field(default_factory=dict)
 
     def add_time(self, stage: str, seconds: float) -> None:
@@ -88,14 +63,6 @@ class PipelineProfile:
         self.n_keyframes += other.n_keyframes
         self.votes_cast += other.votes_cast
         self.dropped_events += other.dropped_events
-        self.jobs_refused += other.jobs_refused
-        self.jobs_dropped += other.jobs_dropped
-        self.chunks_refused += other.chunks_refused
-        self.chunks_dropped += other.chunks_dropped
-        self.segments_retried += other.segments_retried
-        self.segments_timed_out += other.segments_timed_out
-        self.jobs_partial += other.jobs_partial
-        self.results_corrupted += other.results_corrupted
         for stage, seconds in other.stage_seconds.items():
             self.add_time(stage, seconds)
 

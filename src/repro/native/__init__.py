@@ -2,14 +2,13 @@
 
 The package splits into three layers:
 
-* kernel providers — :mod:`repro.native.cext` (ctypes over the C library
-  ``_kernels.c``) and :mod:`repro.native.numba_provider` (JIT mirrors of
-  the same loops), both exposing the ABI documented in ``docs/NATIVE.md``;
-* provider selection — :mod:`repro.native.provider` probes/caches the
-  first loadable provider, honours ``REPRO_NATIVE_PROVIDER``, and reports
-  status for ``repro info``;
+* the kernels — :mod:`repro.native.cext`, ctypes bindings over the C
+  library ``_kernels.c``, exposing the ABI documented in
+  ``docs/NATIVE.md``;
+* the cached load — :mod:`repro.native.provider` loads the kernels once
+  per process and reports status for ``repro info``;
 * the backend — :mod:`repro.native.backend` registers ``native-batch``
-  in the engine registry when (and only when) a provider loads.
+  in the engine registry when (and only when) the kernels load.
 
 This ``__init__`` deliberately does *not* import the backend module:
 :mod:`repro.core.engine` imports ``repro.native.backend`` directly at
@@ -20,21 +19,15 @@ the cycle that arrangement avoids.
 from repro.native.provider import (
     CANONICAL_ATOL,
     CANONICAL_RTOL,
-    PROVIDERS,
-    active_provider,
     get_kernels,
     provider_status,
     reset,
-    validate_provider_name,
 )
 
 __all__ = [
     "CANONICAL_ATOL",
     "CANONICAL_RTOL",
-    "PROVIDERS",
-    "active_provider",
     "get_kernels",
     "provider_status",
     "reset",
-    "validate_provider_name",
 ]

@@ -4,7 +4,7 @@ Same segment-batched dataflow as ``numpy-batch`` — the engine buffers
 ``DataflowPolicy.batch_frames`` event frames and the backend executes
 each batch in fused passes — but the φ parameter stack and the fused
 proportional + vote scatter run in compiled code (see
-:mod:`repro.native.provider` for provider selection and
+:mod:`repro.native.provider` for the cached kernel load and
 ``docs/NATIVE.md`` for the kernel ABI).
 
 The bit-exactness contract mirrors the other software backends: every
@@ -16,10 +16,9 @@ the matmul in C would re-associate the accumulation (the one declared
 epsilon in the native package, exercised only by the standalone
 ``canonical_batch`` kernel).
 
-Importing this module registers the backend *iff* a kernel provider
-loads; :mod:`repro.core.engine` imports it under ``try/except`` so the
-registry simply omits ``native-batch`` on hosts with neither a C
-toolchain nor numba.
+Importing this module registers the backend *iff* the kernels load;
+:mod:`repro.core.engine` imports it under ``try/except`` so the
+registry simply omits ``native-batch`` on hosts without a C toolchain.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class NativeBatchBackend(_NumpyBackendBase):
         ``H_Z0`` follows
         :meth:`~repro.core.backprojection.BackProjector.frame_parameters_batch`
         verbatim (same LAPACK inverse, same normalization); the φ stack
-        comes from the provider's ``phi_batch`` kernel, which is
+        comes from the native ``phi_batch`` kernel, which is
         bit-exact with
         :func:`~repro.geometry.homography.proportional_coefficients_batch`.
         """
@@ -167,10 +166,10 @@ class NativeBatchBackend(_NumpyBackendBase):
 
 
 def register_native_backend(registry: dict | None = None) -> str | None:
-    """(Re-)register ``native-batch`` according to provider availability.
+    """(Re-)register ``native-batch`` according to kernel availability.
 
-    When a kernel provider loads, ``native-batch`` is installed in the
-    backend registry and the provider name is returned; otherwise the
+    When the kernels load, ``native-batch`` is installed in the backend
+    registry and the kernels' name (``"cext"``) is returned; otherwise the
     entry is removed (the registry "stays clean") and ``None`` is
     returned.  Called once at import; tests re-invoke it around
     :func:`repro.native.provider.reset` to exercise the fallback matrix.

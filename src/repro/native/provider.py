@@ -1,30 +1,16 @@
-"""Kernel-provider selection for the ``native-batch`` backend.
+"""The cached kernel load behind the ``native-batch`` backend.
 
-A *provider* is anything exposing the kernel ABI of docs/NATIVE.md as a
-Python object (``phi_batch`` / ``canonical_batch`` / ``vote_nearest_batch``
-/ ``vote_bilinear_batch`` plus ``name`` / ``origin``).  Two providers
-ship:
-
-``cext``
-    ctypes bindings over the compiled C library (installed extension
-    artifact or an on-demand ``cc`` build) — see :mod:`repro.native.cext`.
-``numba``
-    JIT-compiled mirrors of the same loops for hosts with numba but no C
-    toolchain — see :mod:`repro.native.numba_provider`.
-
-Selection probes ``cext`` then ``numba`` and caches the first that loads;
-``REPRO_NATIVE_PROVIDER`` forces one by name (an unknown name is a
-``SystemExit`` listing the known providers).  When nothing loads the
-probe records *why* — surfaced by ``repro info`` — and the backend
-registry simply omits ``native-batch``.
+The kernels are the ctypes bindings of :mod:`repro.native.cext` over
+the compiled C library (installed extension artifact or an on-demand
+``cc`` build), exposing the ABI documented in ``docs/NATIVE.md``.  The
+first :func:`get_kernels` call loads them and caches the result for the
+process.  When the load fails the status records *why* — surfaced by
+``repro info`` — and the backend registry simply omits ``native-batch``.
 """
 
 from __future__ import annotations
 
-import os
-
-#: Known provider names, in probe order.
-PROVIDERS = ("cext", "numba")
+from repro.native.cext import load_cext_kernels
 
 #: Declared relative tolerance of the ``canonical_batch`` kernel against
 #: the numpy reference: numpy routes the homography matmul through BLAS,
@@ -39,72 +25,32 @@ CANONICAL_ATOL = 1e-9
 _state: dict = {"probed": False, "kernels": None, "status": "unprobed"}
 
 
-def validate_provider_name(name: str) -> str:
-    """Reject unknown provider names with an actionable SystemExit."""
-    if name not in PROVIDERS:
-        raise SystemExit(
-            f"unknown native kernel provider {name!r} "
-            f"(REPRO_NATIVE_PROVIDER); known providers: {', '.join(PROVIDERS)}"
-        )
-    return name
-
-
-def _load(name: str):
-    """Instantiate one provider by name (exceptions mean unavailable)."""
-    if name == "cext":
-        from repro.native.cext import load_cext_kernels
-
-        return load_cext_kernels()
-    from repro.native.numba_provider import load_numba_kernels
-
-    return load_numba_kernels()
-
-
-def _probe() -> None:
-    forced = os.environ.get("REPRO_NATIVE_PROVIDER") or None
-    if forced is not None:
-        validate_provider_name(forced)
-    attempts = (forced,) if forced else PROVIDERS
-    errors = []
-    for name in attempts:
-        try:
-            kernels = _load(name)
-        except Exception as exc:
-            errors.append(f"{name}: {exc}")
-            continue
-        _state.update(
-            probed=True, kernels=kernels, status=f"{kernels.name} ({kernels.origin})"
-        )
-        return
-    _state.update(
-        probed=True, kernels=None, status="unavailable (" + "; ".join(errors) + ")"
-    )
-
-
 def get_kernels():
-    """The active kernel provider, or ``None`` when no provider loads.
+    """The loaded kernels, or ``None`` when the C library does not load.
 
-    The first call probes (honouring ``REPRO_NATIVE_PROVIDER``) and the
-    result is cached for the process; :func:`reset` clears the cache
-    (test seam).
+    The first call loads and the result is cached for the process;
+    :func:`reset` clears the cache (test seam).
     """
     if not _state["probed"]:
-        _probe()
+        try:
+            kernels = load_cext_kernels()
+        except Exception as exc:
+            _state.update(
+                probed=True, kernels=None, status=f"unavailable (cext: {exc})"
+            )
+        else:
+            _state.update(
+                probed=True, kernels=kernels, status=f"cext ({kernels.origin})"
+            )
     return _state["kernels"]
 
 
-def active_provider() -> str | None:
-    """Name of the active provider (``"cext"``/``"numba"``) or ``None``."""
-    kernels = get_kernels()
-    return None if kernels is None else kernels.name
-
-
 def provider_status() -> str:
-    """Human-readable provider line for ``repro info`` and error messages."""
+    """Human-readable kernel line for ``repro info`` and error messages."""
     get_kernels()
     return _state["status"]
 
 
 def reset() -> None:
-    """Forget the probe result so the next :func:`get_kernels` re-probes."""
+    """Forget the load result so the next :func:`get_kernels` reloads."""
     _state.update(probed=False, kernels=None, status="unprobed")

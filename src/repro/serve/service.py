@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import time
 import traceback as traceback_module
+from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -162,6 +163,8 @@ class ServiceStats:
     results_corrupted: int
     cache: CacheStats
     segments_dispatched: dict[str, int]
+    #: A copy of the service's aggregate engine work profile at
+    #: snapshot time (later jobs do not change it).
     profile: PipelineProfile
     #: Admitted, non-terminal jobs at snapshot time (gauge).
     active_jobs: int = 0
@@ -170,6 +173,26 @@ class ServiceStats:
     #: Pending (planned-but-unlanded) segments per session — the
     #: scheduler's queue depths (see ``RoundRobinScheduler.queue_depths``).
     queue_depths: dict[str, int] = field(default_factory=dict)
+
+
+#: The :class:`ServiceStats` fields a service counts itself (the keys of
+#: its one count store); every other field is read off its owner.
+_COUNTED_STATS = (
+    "jobs_submitted",
+    "jobs_done",
+    "jobs_failed",
+    "jobs_refused",
+    "jobs_dropped",
+    "jobs_coalesced",
+    "jobs_partial",
+    "streams_opened",
+    "updates_emitted",
+    "chunks_refused",
+    "chunks_dropped",
+    "segments_retried",
+    "segments_timed_out",
+    "results_corrupted",
+)
 
 
 @dataclass
@@ -217,8 +240,8 @@ class ReconstructionService:
         ``"refuse"`` (submission raises :class:`SessionBacklogFull`) or
         ``"drop-oldest"`` (the session's oldest undispatched job is
         dropped to admit the new one; with nothing droppable the
-        submission is refused).  Either way the outcome is recorded in
-        the aggregate profile.
+        submission is refused).  Either way the outcome is counted in
+        :meth:`stats`.
     clock:
         Monotonic time source for deadlines and backoff scheduling
         (default ``time.perf_counter``); injectable so deadline tests
@@ -302,6 +325,8 @@ class ReconstructionService:
             disk_mb=cache.disk_mb,
             cache_dir=cache.resolved_dir(),
         )
+        #: Aggregate engine work of every finalized job (the
+        #: ``repro_pipeline_counters_total`` series).
         self.profile = PipelineProfile()
         self._scheduler = RoundRobinScheduler(queue_limit)
         self._jobs: dict[str, Job] = {}
@@ -315,13 +340,9 @@ class ReconstructionService:
         self._probation = 0
         #: Active streaming jobs, pumped by ``_absorb_streams``.
         self._streams: list[Job] = []
-        self._jobs_submitted = 0
-        self._jobs_done = 0
-        self._jobs_failed = 0
-        self._jobs_partial = 0
-        self._jobs_coalesced = 0
-        self._streams_opened = 0
-        self._updates_emitted = 0
+        #: Admission, outcome and reliability counts, keyed by the
+        #: :class:`ServiceStats` field names (:data:`_COUNTED_STATS`).
+        self._counts: Counter[str] = Counter()
         #: Hang-gate ids this service registered (released on close).
         self._gates: list[str] = []
 
@@ -455,7 +476,7 @@ class ReconstructionService:
                 continue  # settled as an earlier job's follower
             job.error = reason
             job.finish(JobState.FAILED, at=self._clock())
-            self._jobs_failed += 1
+            self._counts["jobs_failed"] += 1
             self._scheduler.cancel_job(job)
             self._settle_followers(job)
             self._retire(job)
@@ -572,8 +593,8 @@ class ReconstructionService:
                 )
                 job.next_segment = job.n_segments  # nothing to dispatch
                 leader.followers.append(job)
-                self._jobs_submitted += 1
-                self._jobs_coalesced += 1
+                self._counts["jobs_submitted"] += 1
+                self._counts["jobs_coalesced"] += 1
                 self._scheduler.admit(job)
                 self._jobs[job.job_id] = job
                 return job.job_id
@@ -596,8 +617,8 @@ class ReconstructionService:
                 job.outcomes = {plan.index: None for plan in cached.segments}
                 job.next_segment = job.n_segments
                 job.finish(JobState.DONE, at=self._clock())
-                self._jobs_submitted += 1
-                self._jobs_done += 1
+                self._counts["jobs_submitted"] += 1
+                self._counts["jobs_done"] += 1
                 self._scheduler.admit(job)
                 self._jobs[job.job_id] = job
                 self._retire(job)
@@ -639,7 +660,7 @@ class ReconstructionService:
                         job.segments_cached += 1
         self._scheduler.admit(job)
         self._jobs[job.job_id] = job
-        self._jobs_submitted += 1
+        self._counts["jobs_submitted"] += 1
         if key is not None:
             self._leaders[key] = job
         if not plans:
@@ -665,7 +686,7 @@ class ReconstructionService:
                 target.oldest_queued() if self.overflow == "drop-oldest" else None
             )
             if victim is None:
-                self.profile.jobs_refused += 1
+                self._counts["jobs_refused"] += 1
                 raise SessionBacklogFull(
                     f"session {session!r} is at its queue limit "
                     f"({target.queue_limit} active jobs); overflow policy "
@@ -673,7 +694,7 @@ class ReconstructionService:
                 )
             victim.error = "dropped by overflow policy 'drop-oldest'"
             victim.finish(JobState.DROPPED, at=self._clock())
-            self.profile.jobs_dropped += 1
+            self._counts["jobs_dropped"] += 1
             self._settle_followers(victim)
             self._retire(victim)
         return target
@@ -768,8 +789,8 @@ class ReconstructionService:
         self._scheduler.admit(job)
         self._jobs[job.job_id] = job
         self._streams.append(job)
-        self._jobs_submitted += 1
-        self._streams_opened += 1
+        self._counts["jobs_submitted"] += 1
+        self._counts["streams_opened"] += 1
         return StreamingSession(self, job)
 
     def _feed_stream(self, job: Job, events: EventArray) -> None:
@@ -791,9 +812,9 @@ class ReconstructionService:
             if self.overflow == "drop-oldest":
                 stream.pending_chunks.popleft()
                 stream.chunks_dropped += 1
-                self.profile.chunks_dropped += 1
+                self._counts["chunks_dropped"] += 1
             else:
-                self.profile.chunks_refused += 1
+                self._counts["chunks_refused"] += 1
                 raise StreamBacklogFull(
                     f"stream {job.job_id!r} has {len(stream.pending_chunks)} "
                     f"pending chunks (bound {stream.max_pending_chunks}); "
@@ -951,7 +972,7 @@ class ReconstructionService:
                     )
                 )
                 stream.keyframes_emitted += 1
-                self._updates_emitted += 1
+                self._counts["updates_emitted"] += 1
             stream.feed_times.pop(index, None)
             stream.emit_cursor += 1
 
@@ -1099,7 +1120,7 @@ class ReconstructionService:
                 # The payload the worker digested is not the payload
                 # that arrived: treat the attempt as failed (retryable)
                 # rather than fusing a corrupted outcome.
-                self.profile.results_corrupted += 1
+                self._counts["results_corrupted"] += 1
                 self._segment_failed(
                     job,
                     index,
@@ -1148,7 +1169,7 @@ class ReconstructionService:
         failures = job.failures[index]
         if job.retry is not None and job.retry.retryable(failures):
             job.retries += 1
-            self.profile.segments_retried += 1
+            self._counts["segments_retried"] += 1
             delay = job.retry.delay(index, failures)
             if delay > 0:
                 job.retry_backlog.append((self._clock() + delay, index))
@@ -1170,7 +1191,7 @@ class ReconstructionService:
         )
         job.traceback = tb
         job.finish(JobState.FAILED, at=self._clock())
-        self._jobs_failed += 1
+        self._counts["jobs_failed"] += 1
         self._scheduler.cancel_job(job)
         self._settle_followers(job)
         self._retire(job)
@@ -1227,7 +1248,7 @@ class ReconstructionService:
             ):
                 continue
             del self._inflight[future]
-            self.profile.segments_timed_out += 1
+            self._counts["segments_timed_out"] += 1
             if self._abandon_attempt(future, flight):
                 needs_kill = True
             self._segment_failed(
@@ -1272,7 +1293,7 @@ class ReconstructionService:
             if flight.job is not job:
                 continue
             del self._inflight[future]
-            self.profile.segments_timed_out += 1
+            self._counts["segments_timed_out"] += 1
             if self._abandon_attempt(future, flight):
                 needs_kill = True
         if needs_kill:
@@ -1303,7 +1324,7 @@ class ReconstructionService:
             f"{len(unlanded)} of {job.n_segments} segments unfinished"
         )
         job.finish(JobState.FAILED, at=self._clock())
-        self._jobs_failed += 1
+        self._counts["jobs_failed"] += 1
         self._settle_followers(job)
         self._retire(job)
 
@@ -1379,11 +1400,10 @@ class ReconstructionService:
         )
         if missing:
             job.finish(JobState.PARTIAL, at=self._clock())
-            self._jobs_partial += 1
-            self.profile.jobs_partial += 1
+            self._counts["jobs_partial"] += 1
         else:
             job.finish(JobState.DONE, at=self._clock())
-            self._jobs_done += 1
+            self._counts["jobs_done"] += 1
         self.profile.merge(profile)
         if job.cache_key is not None and not missing:
             self.cache.put(job.cache_key, job.result)
@@ -1401,16 +1421,16 @@ class ReconstructionService:
                 follower.result = leader.result
                 follower.finish(leader.state, at=self._clock())
                 if leader.state is JobState.DONE:
-                    self._jobs_done += 1
+                    self._counts["jobs_done"] += 1
                 else:
-                    self._jobs_partial += 1
+                    self._counts["jobs_partial"] += 1
             else:
                 follower.error = (
                     f"coalesced leader {leader.job_id} "
                     f"{leader.state.value}: {leader.error}"
                 )
                 follower.finish(JobState.FAILED, at=self._clock())
-                self._jobs_failed += 1
+                self._counts["jobs_failed"] += 1
             self._retire(follower)
         leader.followers.clear()
 
@@ -1566,7 +1586,8 @@ class ReconstructionService:
                     raise TimeoutError(f"drain() incomplete after {timeout} s")
             self._wait_for_progress(remaining)
             self._pump()
-        return self._jobs_done + self._jobs_failed + self._jobs_partial
+        counts = self._counts
+        return counts["jobs_done"] + counts["jobs_failed"] + counts["jobs_partial"]
 
     def _has_deferred_work(self) -> bool:
         """Whether any active job holds backed-off retries awaiting release."""
@@ -1603,26 +1624,15 @@ class ReconstructionService:
             segment_disk_entries=segment.disk_entries,
         )
         return ServiceStats(
-            jobs_submitted=self._jobs_submitted,
-            jobs_done=self._jobs_done,
-            jobs_failed=self._jobs_failed,
-            jobs_refused=self.profile.jobs_refused,
-            jobs_dropped=self.profile.jobs_dropped,
-            jobs_coalesced=self._jobs_coalesced,
-            jobs_partial=self._jobs_partial,
-            streams_opened=self._streams_opened,
-            updates_emitted=self._updates_emitted,
-            chunks_refused=self.profile.chunks_refused,
-            chunks_dropped=self.profile.chunks_dropped,
-            segments_retried=self.profile.segments_retried,
-            segments_timed_out=self.profile.segments_timed_out,
-            results_corrupted=self.profile.results_corrupted,
+            **{name: self._counts[name] for name in _COUNTED_STATS},
             cache=cache_stats,
             segments_dispatched={
                 name: session.segments_dispatched
                 for name, session in self._scheduler.sessions.items()
             },
-            profile=self.profile,
+            profile=replace(
+                self.profile, stage_seconds=dict(self.profile.stage_seconds)
+            ),
             active_jobs=sum(1 for _ in self._active_jobs()),
             inflight_segments=len(self._inflight),
             queue_depths=self._scheduler.queue_depths(),

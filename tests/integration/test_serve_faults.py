@@ -195,20 +195,22 @@ class TestGracefulDegradation:
         with ReconstructionService(
             workers=2, executor="thread", cache=CacheConfig(job_entries=32)
         ) as service:
-            job = service.submit(
-                events,
-                spec,
-                options=JobOptions(faults=plan, allow_partial=True),
-            )
+            options = JobOptions(faults=plan, allow_partial=True)
+            job = service.submit(events, spec, options=options)
+            # An identical submission coalesces onto the in-flight leader
+            # and settles PARTIAL with it.
+            twin = service.submit(events, spec, options=options)
             result = service.result(job, timeout=300.0)
             status = service.poll(job)
             assert status.state is JobState.PARTIAL
             assert result.missing_segments == (1,)
             assert status.missing_segments == (1,)
             assert not result.complete
+            assert service.poll(twin).state is JobState.PARTIAL
+            assert service.result(twin) is result
             stats = service.stats()
-            assert stats.jobs_partial == 1 and stats.jobs_failed == 0
-            assert service.profile.jobs_partial == 1
+            assert stats.jobs_partial == 2 and stats.jobs_failed == 0
+            assert stats.jobs_coalesced == 1
             # Partial results are never cached: a later identical
             # submission must get the chance to compute the full map.
             assert stats.cache.size == 0

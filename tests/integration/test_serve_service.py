@@ -129,6 +129,14 @@ class TestServiceDeterminism:
             assert len(service.dispatch_log) == len(direct.segments)
             for job_id in ids:
                 assert_results_bit_identical(service.result(job_id), direct)
+            # stats() is a snapshot: a later job leaves it untouched.
+            counters = stats.profile.counters()
+            stage_seconds = dict(stats.profile.stage_seconds)
+            short = events.time_slice(events.t_start, events.t_start + 0.5)
+            service.result(service.submit(short, spec))
+            assert stats.profile.counters() == counters
+            assert stats.profile.stage_seconds == stage_seconds
+            assert service.stats().profile.n_events > counters["n_events"]
 
     def test_fuse_parameters_respected(self, served):
         """min_observations filters through the service exactly as direct."""
@@ -314,7 +322,6 @@ class TestFailurePaths:
             service.submit(events, spec, session="s")
             with pytest.raises(SessionBacklogFull, match="queue limit"):
                 service.submit(events, spec, session="s")
-            assert service.profile.jobs_refused == 1
             assert service.stats().jobs_refused == 1
             # Other sessions are unaffected by one session's backlog.
             other = service.submit(events, spec, session="t")
@@ -340,4 +347,4 @@ class TestFailurePaths:
                 service.result(first)
             service.drain()
             assert service.poll(second).state is JobState.DONE
-            assert service.profile.jobs_dropped == 1
+            assert service.stats().jobs_dropped == 1

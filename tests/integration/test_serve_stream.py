@@ -228,7 +228,6 @@ class TestStreamBackpressure:
                 # sustained feeding must overflow quickly.
                 for lo in range(0, len(events), 256):
                     stream.feed(events[lo : lo + 256])
-            assert service.profile.chunks_refused >= 1
             assert service.stats().chunks_refused >= 1
 
     def test_drop_oldest_sheds_chunks_but_completes(self, streamed, batch_result):

@@ -145,3 +145,44 @@ class TestMedianRejectRegression:
         mask = np.eye(5, dtype=bool)
         config = DetectionConfig(median_size=1)
         assert median_reject(depth, mask, config) is mask
+
+    def test_threads_emit_no_warnings(self):
+        """All-NaN windows stay silent under concurrent callers.
+
+        ``warnings.catch_warnings`` inside library code mutates
+        process-global state, so under a thread executor one thread's
+        exit restores filters another is relying on and the All-NaN
+        ``RuntimeWarning`` leaks; the median must not warn at all.
+        """
+        import sys
+        import threading
+        import warnings
+
+        rng = np.random.default_rng(5)
+        depth = rng.uniform(0.5, 5.0, (40, 52))
+        mask = rng.random((40, 52)) < 0.1  # sparse: many all-NaN windows
+        config = DetectionConfig(median_size=5)
+        expected = self._median_reject_reference(depth, mask, config)
+        results = []
+
+        def work():
+            for _ in range(50):
+                results.append(median_reject(depth, mask, config))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert caught == []
+        assert len(results) == 200
+        for result in results:
+            np.testing.assert_array_equal(result, expected)

@@ -317,15 +317,29 @@ class TestSegmentHelpers:
         assert [len(t.events) for t in tasks] == [200, 200]
         np.testing.assert_array_equal(tasks[1].events.t, events.t[200:400])
 
-    def test_profile_merge_carries_service_counters(self):
+    def test_profile_merge_adds_engine_work_only(self):
+        import dataclasses
+
         from repro.core.results import PipelineProfile
 
-        a = PipelineProfile(jobs_refused=2, jobs_dropped=1)
-        b = PipelineProfile(jobs_refused=1)
+        # Engine accounting only: the serve layer's admission, outcome
+        # and reliability counts live in ``ServiceStats``.
+        assert [f.name for f in dataclasses.fields(PipelineProfile)] == [
+            "n_events",
+            "n_frames",
+            "n_keyframes",
+            "votes_cast",
+            "dropped_events",
+            "stage_seconds",
+        ]
+        a = PipelineProfile(n_events=10, votes_cast=4, stage_seconds={"A": 1.0})
+        b = PipelineProfile(n_events=5, dropped_events=2, stage_seconds={"A": 0.5})
         a.merge(b)
-        assert a.jobs_refused == 3
-        assert a.jobs_dropped == 1
-        # Load-dependent admission counters stay out of the deterministic
-        # counter set the equivalence tests pin.
-        assert "jobs_refused" not in a.counters()
-        assert "jobs_dropped" not in a.counters()
+        assert a.counters() == {
+            "n_events": 15,
+            "n_frames": 0,
+            "n_keyframes": 0,
+            "votes_cast": 4,
+            "dropped_events": 2,
+        }
+        assert a.stage_seconds == {"A": 1.5}

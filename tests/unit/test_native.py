@@ -6,10 +6,10 @@ Three concerns, matching the package's three layers:
   bit-exact for φ and both voting kernels, epsilon-bounded (with the
   declared ``CANONICAL_RTOL``/``CANONICAL_ATOL``) for the standalone
   canonical projection;
-* **provider selection** — probe order, ``REPRO_NATIVE_PROVIDER``
-  forcing and validation, and the unavailable path;
-* **registry consistency** — ``native-batch`` registers iff a provider
-  loads, and the CLI surfaces the provider status.
+* **the cached load** — the ``cext`` status line and the unavailable
+  path;
+* **registry consistency** — ``native-batch`` registers iff the kernels
+  load, and the CLI surfaces the kernel status.
 """
 
 import numpy as np
@@ -26,10 +26,8 @@ from repro.geometry.homography import (
 from repro.native import (
     CANONICAL_ATOL,
     CANONICAL_RTOL,
-    PROVIDERS,
     get_kernels,
     provider_status,
-    validate_provider_name,
 )
 from repro.native import provider as provider_module
 from repro.native.backend import register_native_backend
@@ -180,50 +178,23 @@ class TestKernelExactness:
 
 
 # ----------------------------------------------------------------------
-# Provider selection
+# The cached kernel load
 # ----------------------------------------------------------------------
 class TestProviderSelection:
-    def test_known_provider_names(self):
-        assert PROVIDERS == ("cext", "numba")
-        for name in PROVIDERS:
-            assert validate_provider_name(name) == name
-
-    def test_unknown_provider_is_actionable_systemexit(self):
-        with pytest.raises(SystemExit) as excinfo:
-            validate_provider_name("rust")
-        message = str(excinfo.value)
-        assert "rust" in message
-        assert "cext" in message and "numba" in message
-
-    def test_unknown_provider_env_var_rejected(self, monkeypatch, restore_provider):
-        monkeypatch.setenv("REPRO_NATIVE_PROVIDER", "fortran")
-        provider_module.reset()
-        with pytest.raises(SystemExit, match="fortran"):
-            get_kernels()
-
     @needs_kernels
-    def test_forced_provider_honoured(self, monkeypatch, restore_provider):
-        name = get_kernels().name
-        monkeypatch.setenv("REPRO_NATIVE_PROVIDER", name)
-        provider_module.reset()
-        kernels = get_kernels()
-        assert kernels is not None and kernels.name == name
-        assert provider_status().startswith(f"{name} (")
+    def test_loaded_status_names_the_library(self):
+        assert provider_status() == f"cext ({get_kernels().origin})"
 
     def test_unavailable_status_names_every_provider(
         self, monkeypatch, restore_provider
     ):
-        monkeypatch.delenv("REPRO_NATIVE_PROVIDER", raising=False)
+        def boom():
+            raise RuntimeError("no C compiler for the test")
 
-        def boom(name):
-            raise ImportError(f"{name} unavailable for the test")
-
-        monkeypatch.setattr(provider_module, "_load", boom)
+        monkeypatch.setattr(provider_module, "load_cext_kernels", boom)
         provider_module.reset()
         assert get_kernels() is None
-        status = provider_status()
-        assert status.startswith("unavailable")
-        assert "cext" in status and "numba" in status
+        assert provider_status() == "unavailable (cext: no C compiler for the test)"
 
 
 # ----------------------------------------------------------------------
@@ -236,15 +207,14 @@ class TestRegistryConsistency:
     def test_registry_drops_backend_when_no_provider(
         self, monkeypatch, restore_provider
     ):
-        monkeypatch.delenv("REPRO_NATIVE_PROVIDER", raising=False)
-        monkeypatch.setattr(
-            provider_module,
-            "_load",
-            lambda name: (_ for _ in ()).throw(ImportError("stripped install")),
-        )
+        def boom():
+            raise RuntimeError("stripped install")
+
+        monkeypatch.setattr(provider_module, "load_cext_kernels", boom)
         provider_module.reset()
         assert register_native_backend() is None
         assert "native-batch" not in BACKENDS
+        assert provider_status().startswith("unavailable (cext: ")
 
     @needs_kernels
     def test_register_returns_provider_name(self):
