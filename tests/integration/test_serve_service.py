@@ -138,6 +138,21 @@ class TestServiceDeterminism:
             assert stats.profile.stage_seconds == stage_seconds
             assert service.stats().profile.n_events > counters["n_events"]
 
+    def test_stats_snapshot_does_not_alias_service_state(self, served):
+        """Editing a snapshot leaves the service's own accounts alone."""
+        _, events, _, spec = served
+        short = events.time_slice(events.t_start, events.t_start + 0.5)
+        with ReconstructionService(workers=1) as service:
+            service.result(service.submit(short, spec))
+            snapshot = service.stats()
+            live = service.stats()
+            snapshot.profile.stage_seconds.clear()
+            snapshot.profile.n_events = -1
+            snapshot.segments_dispatched.clear()
+            assert service.stats() == live
+            assert live.profile.stage_seconds
+            assert live.jobs_done == service.drain() == 1
+
     def test_fuse_parameters_respected(self, served):
         """min_observations filters through the service exactly as direct."""
         seq, events, config, spec = served

@@ -12,6 +12,8 @@ Three concerns, matching the package's three layers:
   load, and the CLI surfaces the kernel status.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,47 @@ class TestProviderSelection:
         provider_module.reset()
         assert get_kernels() is None
         assert provider_status() == "unavailable (cext: no C compiler for the test)"
+
+    def test_load_is_cached_until_reset(self, monkeypatch, restore_provider):
+        loads = []
+
+        def stub_loader():
+            loads.append(1)
+            return SimpleNamespace(name="cext", origin=f"stub #{len(loads)}")
+
+        monkeypatch.setattr(provider_module, "load_cext_kernels", stub_loader)
+        provider_module.reset()
+        first = get_kernels()
+        assert get_kernels() is first
+        assert provider_status() == "cext (stub #1)"
+        assert len(loads) == 1
+        provider_module.reset()
+        assert get_kernels() is not first
+        assert provider_status() == "cext (stub #2)"
+        assert len(loads) == 2
+
+    def test_failed_load_is_cached_until_reset(self, monkeypatch, restore_provider):
+        attempts = []
+
+        def failing_loader():
+            attempts.append(1)
+            raise OSError("library missing")
+
+        monkeypatch.setattr(provider_module, "load_cext_kernels", failing_loader)
+        provider_module.reset()
+        assert get_kernels() is None
+        assert get_kernels() is None
+        assert provider_status() == "unavailable (cext: library missing)"
+        assert len(attempts) == 1
+        monkeypatch.setattr(
+            provider_module,
+            "load_cext_kernels",
+            lambda: SimpleNamespace(name="cext", origin="rebuilt"),
+        )
+        assert get_kernels() is None  # still the cached failure
+        provider_module.reset()
+        assert get_kernels() is not None
+        assert provider_status() == "cext (rebuilt)"
 
 
 # ----------------------------------------------------------------------
