@@ -10,13 +10,9 @@ sequences; the reproduction targets that two-sided shape.
 
 import pytest
 
-from benchmarks.conftest import (
-    ACCURACY_CONFIG,
-    eval_events,
-    write_result,
-)
-from repro.core import EMVSPipeline, ReformulatedPipeline
-from repro.eval.metrics import evaluate_reconstruction
+from benchmarks.conftest import ACCURACY_CONFIG, run_variant, write_result
+from repro.core import ReconstructionEngine
+from repro.core.voting import VotingMethod
 from repro.eval.reporting import Table, bar_chart
 from repro.events.datasets import SEQUENCE_NAMES, SHORT_NAMES
 
@@ -31,16 +27,9 @@ def _compute(sequences):
     out = {}
     for name in SEQUENCE_NAMES:
         seq = sequences[name]
-        events = eval_events(seq)
-        original = EMVSPipeline(
-            seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        reformulated = ReformulatedPipeline(
-            seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
         out[name] = {
-            "original": evaluate_reconstruction(original, seq),
-            "reformulated": evaluate_reconstruction(reformulated, seq),
+            "original": run_variant(seq, VotingMethod.BILINEAR, quantized=False),
+            "reformulated": run_variant(seq, VotingMethod.NEAREST, quantized=True),
         }
     return out
 
@@ -109,10 +98,11 @@ def test_bench_reformulated_pipeline(benchmark, sequences):
     """Wall-clock of the full reformulated pipeline on a 100-frame slice."""
     seq = sequences["simulation_3planes"]
     events = seq.events.time_slice(0.95, 1.08)
-    pipe = ReformulatedPipeline(
-        seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
+        policy="reformulated",
     )
     result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
+        lambda: engine.run(events), rounds=1, iterations=1
     )
     assert result.n_points > 0

@@ -23,7 +23,7 @@ from benchmarks.conftest import (
     write_result,
 )
 from repro.baseline.profile import WorkloadProfile, stage_breakdown
-from repro.core import ReconstructionEngine, ReformulatedPipeline
+from repro.core import ReconstructionEngine
 from repro.core.engine import BACKENDS
 from repro.eval.reporting import Table, format_percent
 
@@ -122,11 +122,12 @@ def test_sec21_host_measured_breakdown(benchmark, sequences):
     """
     seq = sequences["simulation_3planes"]
     events = eval_events(seq)
-    pipe = ReformulatedPipeline(
-        seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
+        policy="reformulated",
     )
     result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
+        lambda: engine.run(events), rounds=1, iterations=1
     )
     stages = result.profile.stage_seconds
     total = result.profile.total_seconds()

@@ -119,14 +119,16 @@ def test_table3_measured_on_stream(benchmark, sequences):
 @pytest.mark.benchmark(group="table3")
 def test_bench_host_pipeline_rate(benchmark, sequences):
     """Host-python reference throughput (context for the model numbers)."""
-    from repro.core import ReformulatedPipeline
+    from repro.core import ReconstructionEngine
 
     seq = sequences["simulation_3planes"]
     events = seq.events.time_slice(0.95, 1.05)
     config = EMVSConfig(n_depth_planes=128, frame_size=1024)
-    pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range, policy="reformulated"
+    )
 
     result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
+        lambda: engine.run(events), rounds=1, iterations=1
     )
     assert result.profile.n_frames > 0

@@ -13,8 +13,9 @@ Packages
 :mod:`repro.fixedpoint`
     Q-format fixed point and the paper's Table 1 quantization schema.
 :mod:`repro.core`
-    The EMVS algorithm: original (bilinear, float) and reformulated
-    (rescheduled, nearest voting, quantized) pipelines.
+    The EMVS algorithm: one streaming reconstruction engine running the
+    original (bilinear, float) or reformulated (rescheduled, nearest
+    voting, quantized) dataflow policy.
 :mod:`repro.hardware`
     The Eventor accelerator model: bit-true PE datapaths, buffers, DRAM,
     the Fig. 6 frame scheduler, and timing/energy/resource models.
@@ -29,10 +30,13 @@ Packages
 Quick start
 -----------
 >>> from repro.events.datasets import load_sequence
->>> from repro.core import ReformulatedPipeline, EMVSConfig
+>>> from repro.core import EMVSConfig, ReconstructionEngine
 >>> seq = load_sequence("simulation_3planes", quality="fast")
->>> pipe = ReformulatedPipeline(seq.camera, EMVSConfig(), seq.depth_range)
->>> result = pipe.run(seq.events, seq.trajectory)
+>>> engine = ReconstructionEngine(
+...     seq.camera, seq.trajectory, EMVSConfig(), seq.depth_range,
+...     policy="reformulated",
+... )
+>>> result = engine.run(seq.events)
 >>> len(result.cloud) > 0
 True
 """

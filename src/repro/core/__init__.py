@@ -8,13 +8,15 @@ quantization, score storage, batch scheduling) and an execution backend
 from :data:`repro.core.engine.BACKENDS` (``numpy-reference``,
 ``numpy-batch``, ``native-batch``, ``hardware-model``).
 
-:class:`~repro.core.pipeline.EMVSPipeline` (original full-precision EMVS
-with bilinear voting, after Rebecq et al., IJCV 2018),
-:class:`~repro.core.reformulated.ReformulatedPipeline` (Eventor's
-hardware-friendly dataflow) and :class:`~repro.core.online.OnlineEMVS`
-(incremental SLAM front-end) are thin facades binding named policies to
-the engine.  The batch facades consume a :class:`repro.events.Sequence`-like
-bundle of events + trajectory + camera and produce an :class:`EMVSResult`.
+The paper's two dataflows (Fig. 3) are the policy presets
+:data:`~repro.core.policy.ORIGINAL_POLICY` (full-precision EMVS with
+bilinear voting, after Rebecq et al., IJCV 2018) and
+:data:`~repro.core.policy.REFORMULATED_POLICY` (Eventor's
+hardware-friendly dataflow); pass either, or its name, as the engine's
+``policy``.  :meth:`~repro.core.engine.ReconstructionEngine.run` consumes
+a whole event stream; ``push``/``finish`` with an ``on_keyframe``
+callback serve an incremental SLAM front-end.  Both produce an
+:class:`EMVSResult`.
 """
 
 from repro.core.config import EMVSConfig, DetectionConfig
@@ -62,9 +64,6 @@ from repro.core.rig import (
     RigMappingResult,
     RigOrchestrator,
 )
-from repro.core.pipeline import EMVSPipeline
-from repro.core.reformulated import ReformulatedPipeline
-from repro.core.online import OnlineEMVS
 
 __all__ = [
     "EMVSConfig",
@@ -110,7 +109,4 @@ __all__ = [
     "RigJobHandle",
     "RigMappingResult",
     "RigOrchestrator",
-    "EMVSPipeline",
-    "ReformulatedPipeline",
-    "OnlineEMVS",
 ]

@@ -1,7 +1,7 @@
 """The streaming reconstruction engine: one dataflow, pluggable substrates.
 
-Every EMVS variant in this repo — the original full-precision pipeline,
-Eventor's reformulated dataflow, the online SLAM front-end and the
+Every EMVS variant in this repo — the original full-precision dataflow,
+Eventor's reformulated dataflow, incremental (online) mapping and the
 cycle-accurate accelerator model — executes the same loop::
 
     packetize -> (undistort) -> back-project -> vote -> detect -> lift
@@ -18,8 +18,8 @@ is factored into two orthogonal parameters:
 Backends are selected by name from the :data:`BACKENDS` registry:
 
 ``numpy-reference``
-    Straightforward per-frame NumPy execution (the seed pipelines'
-    exact hot path, one scatter-add per frame).
+    Straightforward per-frame NumPy execution (one scatter-add per
+    frame).
 ``numpy-batch``
     Segment-batched execution: the engine buffers event frames (see
     ``DataflowPolicy.batch_frames``) and the backend executes each batch
@@ -39,7 +39,7 @@ Backends are selected by name from the :data:`BACKENDS` registry:
     run loops.
 
 The engine is *streaming* (push chunks, finish to close) and single-use:
-the batch pipelines construct a fresh engine per run and call
+a batch run constructs a fresh engine and calls
 :meth:`ReconstructionEngine.run` (= push-all + finish).
 """
 
@@ -226,7 +226,7 @@ class _NumpyBackendBase(ExecutionBackend):
 
 @register_backend("numpy-reference")
 class NumpyReferenceBackend(_NumpyBackendBase):
-    """Per-frame scatter-add voting — the seed pipelines' exact hot path."""
+    """Per-frame NumPy execution: one scatter-add vote pass per frame."""
 
     name = "numpy-reference"
 
@@ -270,8 +270,8 @@ class NumpyBatchBackend(_NumpyBackendBase):
        proportional scratch.
 
     Counts accumulate per segment and are materialized into the DSI once
-    per key frame (or preview).  With ``DataflowPolicy(batch_frames=1)``
-    the backend runs unbuffered, one frame per pass.
+    per key frame (or preview).  With a policy of ``batch_frames=1`` the
+    backend runs unbuffered, one frame per pass.
     """
 
     name = "numpy-batch"

@@ -4,8 +4,11 @@ The Eventor paper (Sec. 2.2) presents *one* algorithm whose execution is
 tuned along three axes — correction scheduling, voting approximation and
 quantization.  A :class:`DataflowPolicy` captures those axes as data, so a
 single :class:`~repro.core.engine.ReconstructionEngine` can execute any
-point of the design space and the pipeline classes reduce to named policy
-presets.
+point of the design space.  The paper's two dataflows are the presets
+:data:`ORIGINAL_POLICY` and :data:`REFORMULATED_POLICY`; variants (the
+Fig. 4 ablations, a custom quantization schema) are
+``dataclasses.replace`` of a preset, so every policy in the library is
+spelled out in this module.
 """
 
 from __future__ import annotations

@@ -13,14 +13,22 @@ Function              Paper artifact
 ``performance_summary``      Table 3 (CPU vs. Eventor models)
 ``resource_summary``         Table 2 (FPGA utilization)
 ====================  =====================================================
+
+:func:`run_variant` is the single home of the ``(voting, quantized)`` →
+dataflow-policy mapping the accuracy experiments share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.baseline.cpu_model import CPUTimingModel
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import (
+    EMVSConfig,
+    ORIGINAL_POLICY,
+    REFORMULATED_POLICY,
+    ReconstructionEngine,
+)
 from repro.core.voting import VotingMethod
 from repro.eval.metrics import DepthMetrics, evaluate_reconstruction
 from repro.fixedpoint.quantize import EVENTOR_SCHEMA, FLOAT_SCHEMA
@@ -44,20 +52,28 @@ class VariantComparison:
         return self.variant.absrel - self.baseline.absrel
 
 
-def _run(seq, events, voting: VotingMethod, quantized: bool, config: EMVSConfig):
-    """One pipeline variant; the fully-reformulated combination routes
-    through :class:`ReformulatedPipeline` (streaming undistortion)."""
+def run_variant(
+    seq, events, voting: VotingMethod, quantized: bool, config: EMVSConfig
+) -> DepthMetrics:
+    """Reconstruct ``events`` under one (voting, quantization) variant.
+
+    The fully-reformulated combination (nearest voting, quantized) runs
+    :data:`REFORMULATED_POLICY` — streaming undistortion and integer DSI
+    scores; every other combination is :data:`ORIGINAL_POLICY` with the
+    voting kernel and quantization schema swapped in.
+    """
     if quantized and voting is VotingMethod.NEAREST:
-        pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
+        policy = REFORMULATED_POLICY
     else:
-        pipe = EMVSPipeline(
-            seq.camera,
-            config,
-            depth_range=seq.depth_range,
+        policy = replace(
+            ORIGINAL_POLICY,
             voting=voting,
             schema=EVENTOR_SCHEMA if quantized else FLOAT_SCHEMA,
         )
-    return evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range, policy=policy
+    )
+    return evaluate_reconstruction(engine.run(events), seq)
 
 
 def voting_experiment(seq, events, config: EMVSConfig | None = None) -> VariantComparison:
@@ -65,8 +81,8 @@ def voting_experiment(seq, events, config: EMVSConfig | None = None) -> VariantC
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.NEAREST, False, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.NEAREST, False, config),
     )
 
 
@@ -75,8 +91,8 @@ def quantization_experiment(seq, events, config: EMVSConfig | None = None) -> Va
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.BILINEAR, True, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.BILINEAR, True, config),
     )
 
 
@@ -85,8 +101,8 @@ def reformulation_experiment(seq, events, config: EMVSConfig | None = None) -> V
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.NEAREST, True, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.NEAREST, True, config),
     )
 
 

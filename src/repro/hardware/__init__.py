@@ -2,9 +2,10 @@
 
 A transaction-level, cycle-approximate model of the Zynq XC7Z020 design:
 functional datapaths are *bit-true* (integer fixed-point arithmetic per
-Table 1, identical results to :class:`repro.core.ReformulatedPipeline`),
-and timing follows the pipelined execution model of Fig. 6 with constants
-calibrated to the published Table 3 runtimes.
+Table 1, identical results to a :class:`repro.core.ReconstructionEngine`
+run under the reformulated policy), and timing follows the pipelined
+execution model of Fig. 6 with constants calibrated to the published
+Table 3 runtimes.
 
 Top-level entry point: :class:`repro.hardware.accelerator.EventorSystem`.
 """

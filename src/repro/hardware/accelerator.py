@@ -16,22 +16,22 @@ DRAM, all driven through double-buffered BRAM buffers and the two FSM
 controllers, scheduled per Fig. 6.
 
 The functional output (DSI contents, depth maps, point cloud) is bit-exact
-with :class:`repro.core.ReformulatedPipeline`; on top of that the system
-produces a :class:`HardwareReport` with cycle-level timing, DRAM traffic,
-energy and utilization — the numbers behind Table 3.
+with a :class:`repro.core.ReconstructionEngine` run under the reformulated
+policy; on top of that the system produces a :class:`HardwareReport` with
+cycle-level timing, DRAM traffic, energy and utilization — the numbers
+behind Table 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.backprojection import BackProjector
 from repro.core.config import EMVSConfig
 from repro.core.dsi import DSI, depth_planes
 from repro.core.engine import ReconstructionEngine
 from repro.core.results import EMVSResult
-from repro.core.policy import DataflowPolicy
-from repro.core.voting import VotingMethod
+from repro.core.policy import REFORMULATED_POLICY
 from repro.events.containers import EventArray
 from repro.fixedpoint.quantize import EVENTOR_SCHEMA, QuantizationSchema, pack_event_word, unpack_event_word
 from repro.geometry.camera import PinholeCamera
@@ -282,12 +282,7 @@ class EventorSystem:
             trajectory,
             self.emvs_config,
             self.depth_range,
-            policy=DataflowPolicy(
-                voting=VotingMethod.NEAREST,
-                schema=self.schema,
-                integer_scores=True,
-                name="hardware-model",
-            ),
+            policy=replace(REFORMULATED_POLICY, schema=self.schema),
             backend=backend,
         )
         result = engine.run(events)

@@ -43,7 +43,17 @@ from repro.events.containers import EventArray
 #: entry layout.  Bumping it invalidates every previously written entry
 #: (old files simply stop matching any key and age out via eviction), so
 #: a change to the payload schema can never deserialize stale bytes.
-SEGMENT_CACHE_SCHEMA = 1
+SEGMENT_CACHE_SCHEMA = 2
+
+#: The :class:`~repro.core.policy.DataflowPolicy` fields that change a
+#: result.  ``name`` is a label and ``batch_frames`` a scheduling knob
+#: (bit-identical for any value), so neither is part of a cache key.
+_RESULT_POLICY_FIELDS = ("correction", "voting", "schema", "integer_scores")
+
+
+def _policy_token(policy) -> tuple:
+    """The result-relevant fields of ``policy`` (see above), as pairs."""
+    return tuple((name, getattr(policy, name)) for name in _RESULT_POLICY_FIELDS)
 
 
 def _token(obj) -> object:
@@ -105,7 +115,7 @@ def job_key(
             ("trajectory", spec.trajectory),
             ("config", spec.config),
             ("depth_range", spec.depth_range),
-            ("policy", spec.policy),
+            ("policy", _policy_token(spec.policy)),
             ("backend", spec.backend),
             ("voxel_size", float(voxel_size)),
             ("min_observations", int(min_observations)),
@@ -145,7 +155,10 @@ def segment_key(spec: EngineSpec, events_digest: str) -> str:
       even when the slice sits at different positions;
     * the **fuse parameters** (``voxel_size``, ``min_observations``) —
       fusion happens after the per-segment stage, so one cached segment
-      serves jobs that fuse differently.
+      serves jobs that fuse differently;
+    * the policy's ``name`` and ``batch_frames`` — a label and a
+      scheduling knob, so a relabelled or re-batched policy shares the
+      entry.
 
     The derivation is stamped with :data:`SEGMENT_CACHE_SCHEMA` so a
     schema bump orphans (rather than misreads) old on-disk entries.
@@ -158,7 +171,7 @@ def segment_key(spec: EngineSpec, events_digest: str) -> str:
             ("trajectory", spec.trajectory),
             ("config", spec.config),
             ("depth_range", spec.depth_range),
-            ("policy", spec.policy),
+            ("policy", _policy_token(spec.policy)),
             ("backend", spec.backend),
         )
     )

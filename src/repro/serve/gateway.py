@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.serve.metrics import (
     Histogram,
-    format_status,
     histogram_family,
     make_family,
     render_metrics,
@@ -871,8 +870,3 @@ async def http_request(
             await writer.wait_closed()
         except ConnectionError:  # pragma: no cover - platform dependent
             pass
-
-
-def format_gateway_status(stats_by_shard: dict[int, ServiceStats]) -> str:
-    """Human status block of a sharded run (the CLI's summary printer)."""
-    return format_status(stats_by_shard)

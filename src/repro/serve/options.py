@@ -22,7 +22,7 @@ three frozen value objects:
 
 ``options=JobOptions(...)`` is the only spelling of the per-job knobs:
 ``ReconstructionService.__init__`` / ``submit`` / ``open_stream`` take
-no loose reliability kwargs.
+no loose reliability or fuse kwargs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class JobOptions:
     a service resolves the effective options with :meth:`merged`.  The
     reliability fields carry PR 7's exact semantics (see
     ``docs/RELIABILITY.md``); ``voxel_size`` / ``min_observations`` are
-    the fuse parameters previously passed as loose ``submit`` kwargs;
+    the job's fuse parameters;
     ``cache`` selects this job's cache mode (:data:`CACHE_MODES`).
     """
 

@@ -496,22 +496,13 @@ class ReconstructionService:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _resolve_job_options(
-        self,
-        options: JobOptions | None,
-        *,
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
-    ) -> JobOptions:
+    def _resolve_job_options(self, options: JobOptions | None) -> JobOptions:
         """Resolve one call's effective :class:`JobOptions`.
 
-        The single merge rule of the options redesign: the first-class
-        fuse kwargs (``voxel_size``/``min_observations``) layer over
-        ``options``, which layers over the service defaults —
-        ``fuse.merged(options).merged(self.defaults)``.
+        The single merge rule: per-call ``options`` layer over the
+        service defaults — ``options.merged(self.defaults)``.
         """
-        fuse = JobOptions(voxel_size=voxel_size, min_observations=min_observations)
-        resolved = fuse.merged(options or JobOptions()).merged(self.defaults)
+        resolved = (options or JobOptions()).merged(self.defaults)
         self._check_options(resolved)
         return resolved
 
@@ -533,8 +524,6 @@ class ReconstructionService:
         spec: EngineSpec,
         *,
         session: str = "default",
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
         options: JobOptions | None = None,
     ) -> str:
         """Admit one reconstruction job; returns its job id.
@@ -556,9 +545,7 @@ class ReconstructionService:
         self._prune_terminal()
         if not isinstance(spec, EngineSpec):
             raise TypeError("submit() takes an EngineSpec (see EngineSpec.build)")
-        resolved = self._resolve_job_options(
-            options, voxel_size=voxel_size, min_observations=min_observations
-        )
+        resolved = self._resolve_job_options(options)
         voxel_size = resolved.voxel_size
         if voxel_size is None:
             voxel_size = default_voxel_size(spec.depth_range)
@@ -731,8 +718,6 @@ class ReconstructionService:
         spec: EngineSpec,
         *,
         session: str = "default",
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
         max_pending_chunks: int = 64,
         options: JobOptions | None = None,
     ) -> StreamingSession:
@@ -761,9 +746,7 @@ class ReconstructionService:
             raise TypeError("open_stream() takes an EngineSpec (see EngineSpec.build)")
         if max_pending_chunks < 1:
             raise ValueError("max_pending_chunks must be >= 1")
-        resolved = self._resolve_job_options(
-            options, voxel_size=voxel_size, min_observations=min_observations
-        )
+        resolved = self._resolve_job_options(options)
         voxel_size = resolved.voxel_size
         if voxel_size is None:
             voxel_size = default_voxel_size(spec.depth_range)

@@ -13,23 +13,14 @@ the *differences* between algorithm variants are the reproduction target:
 
 import pytest
 
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import EMVSConfig
 from repro.core.voting import VotingMethod
-from repro.eval.metrics import evaluate_reconstruction
-from repro.fixedpoint.quantize import EVENTOR_SCHEMA
+from repro.eval import experiments
 
 
-def run_variant(seq, events, voting, schema_enabled, n_planes=64):
+def run_variant(seq, events, voting, quantized, n_planes=64):
     config = EMVSConfig(n_depth_planes=n_planes, frame_size=1024)
-    if schema_enabled and voting is VotingMethod.NEAREST:
-        pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
-    else:
-        schema = EVENTOR_SCHEMA if schema_enabled else None
-        kwargs = {"voting": voting}
-        if schema is not None:
-            kwargs["schema"] = schema
-        pipe = EMVSPipeline(seq.camera, config, depth_range=seq.depth_range, **kwargs)
-    return evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+    return experiments.run_variant(seq, events, voting, quantized, config)
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,8 @@ The contract under test (see ``docs/CACHING.md``):
 * faulted (potentially tampered) attempts never populate the cache.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from repro.serve import (
     ReconstructionService,
     RetryPolicy,
     ServiceConfig,
+    job_key,
+    segment_key,
 )
 
 
@@ -79,6 +83,28 @@ class TestWarmEquivalence:
             assert stats.segment_misses == len(cold.segments)  # the cold sweep
             jobs = sorted(service.jobs.values(), key=lambda j: j.submitted_at)
             assert jobs[-1].segments_cached == len(cold.segments)
+
+    @pytest.mark.parametrize(
+        "change", [{"name": "relabelled"}, {"batch_frames": 4}],
+        ids=["name", "batch_frames"],
+    )
+    def test_result_neutral_policy_fields_share_entries(self, workload, change):
+        """A policy's label and batch size never split a cache entry."""
+        events, spec = workload
+        other = replace(spec, policy=replace(spec.policy, **change))
+        digest = events.content_digest(0, 1024)
+        assert segment_key(other, digest) == segment_key(spec, digest)
+        assert job_key(other, events, 0.05) == job_key(spec, events, 0.05)
+        with service_with(
+            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+        ) as service:
+            cold = service.result(service.submit(events, spec))
+            warm = service.result(service.submit(events, other))
+            stats = service.stats().cache
+            assert stats.segment_hits == len(cold.segments)
+            assert stats.segment_misses == len(cold.segments)  # the cold sweep
+            assert len(service.dispatch_log) == len(cold.segments)
+            assert_bit_identical(warm, cold)
 
     def test_disk_tier_survives_a_service_restart(self, workload, tmp_path):
         events, spec = workload

@@ -7,7 +7,7 @@ reconstruct to the same result — validating the IO layer end to end.
 import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, ReconstructionEngine
 from repro.events.davis_io import load_dataset_dir, save_dataset_dir
 
 
@@ -24,12 +24,13 @@ class TestRoundTrip:
         save_dataset_dir(root, events, seq.trajectory, seq.camera)
         ev2, traj2, cam2 = load_dataset_dir(root)
 
-        direct = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        loaded = ReformulatedPipeline(
-            cam2, config, depth_range=seq.depth_range
-        ).run(ev2, traj2)
+        direct = ReconstructionEngine(
+            seq.camera, seq.trajectory, config, seq.depth_range,
+            policy="reformulated",
+        ).run(events)
+        loaded = ReconstructionEngine(
+            cam2, traj2, config, seq.depth_range, policy="reformulated"
+        ).run(ev2)
 
         # The text format stores coordinates at millipixels and poses at
         # nanometre precision; the reconstruction must agree to within a

@@ -1,15 +1,23 @@
-"""End-to-end integration tests for both EMVS pipelines.
+"""End-to-end integration tests for both EMVS dataflow policies.
 
 Runs on a time slice of the fast ``simulation_3planes`` replica: large
 enough for a meaningful reconstruction, small enough for CI.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import EMVSConfig, ORIGINAL_POLICY, ReconstructionEngine
 from repro.core.voting import VotingMethod
 from repro.eval.metrics import evaluate_reconstruction
+
+
+def run(seq, events, config, policy):
+    return ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range, policy=policy
+    ).run(events)
 
 
 @pytest.fixture(scope="module")
@@ -24,18 +32,12 @@ def config():
 
 @pytest.fixture(scope="module")
 def original_result(seq_3planes_fast, subset, config):
-    pipe = EMVSPipeline(
-        seq_3planes_fast.camera, config, depth_range=seq_3planes_fast.depth_range
-    )
-    return pipe.run(subset, seq_3planes_fast.trajectory)
+    return run(seq_3planes_fast, subset, config, "original")
 
 
 @pytest.fixture(scope="module")
 def reformulated_result(seq_3planes_fast, subset, config):
-    pipe = ReformulatedPipeline(
-        seq_3planes_fast.camera, config, depth_range=seq_3planes_fast.depth_range
-    )
-    return pipe.run(subset, seq_3planes_fast.trajectory)
+    return run(seq_3planes_fast, subset, config, "reformulated")
 
 
 class TestOriginalPipeline:
@@ -70,7 +72,7 @@ class TestOriginalPipeline:
         assert hi[2] < 4.0
 
 
-class TestReformulatedPipeline:
+class TestReformulatedPolicy:
     def test_produces_reconstruction(self, reformulated_result):
         assert reformulated_result.n_points > 500
 
@@ -89,11 +91,8 @@ class TestReformulatedPipeline:
         )
 
     def test_deterministic(self, seq_3planes_fast, subset, config):
-        pipe = ReformulatedPipeline(
-            seq_3planes_fast.camera, config, depth_range=seq_3planes_fast.depth_range
-        )
-        a = pipe.run(subset, seq_3planes_fast.trajectory)
-        b = pipe.run(subset, seq_3planes_fast.trajectory)
+        a = run(seq_3planes_fast, subset, config, "reformulated")
+        b = run(seq_3planes_fast, subset, config, "reformulated")
         assert a.n_points == b.n_points
         np.testing.assert_array_equal(
             a.keyframes[0].depth_map.mask, b.keyframes[0].depth_map.mask
@@ -106,10 +105,7 @@ class TestKeyframing:
         cfg = EMVSConfig(
             n_depth_planes=64, frame_size=1024, keyframe_distance=0.12
         )
-        pipe = ReformulatedPipeline(
-            seq_3planes_fast.camera, cfg, depth_range=seq_3planes_fast.depth_range
-        )
-        result = pipe.run(events, seq_3planes_fast.trajectory)
+        result = run(seq_3planes_fast, events, cfg, "reformulated")
         assert len(result.keyframes) >= 2
         assert result.profile.n_keyframes >= 2
         # Each keyframe carries its own reference pose.
@@ -119,10 +115,7 @@ class TestKeyframing:
     def test_merged_cloud_grows_with_keyframes(self, seq_3planes_fast):
         events = seq_3planes_fast.events.time_slice(0.3, 1.7)
         cfg = EMVSConfig(n_depth_planes=64, frame_size=1024, keyframe_distance=0.12)
-        pipe = ReformulatedPipeline(
-            seq_3planes_fast.camera, cfg, depth_range=seq_3planes_fast.depth_range
-        )
-        result = pipe.run(events, seq_3planes_fast.trajectory)
+        result = run(seq_3planes_fast, events, cfg, "reformulated")
         total = sum(kf.depth_map.n_points for kf in result.keyframes)
         assert result.n_points == total
 
@@ -130,18 +123,14 @@ class TestKeyframing:
 class TestVotingAblation:
     def test_nearest_close_to_bilinear(self, seq_3planes_fast, subset, config):
         """The Fig. 4a claim: nearest voting costs ~1 % AbsRel."""
-        bil = EMVSPipeline(
-            seq_3planes_fast.camera,
-            config,
-            depth_range=seq_3planes_fast.depth_range,
-            voting=VotingMethod.BILINEAR,
-        ).run(subset, seq_3planes_fast.trajectory)
-        near = EMVSPipeline(
-            seq_3planes_fast.camera,
-            config,
-            depth_range=seq_3planes_fast.depth_range,
-            voting=VotingMethod.NEAREST,
-        ).run(subset, seq_3planes_fast.trajectory)
+        bil = run(
+            seq_3planes_fast, subset, config,
+            replace(ORIGINAL_POLICY, voting=VotingMethod.BILINEAR),
+        )
+        near = run(
+            seq_3planes_fast, subset, config,
+            replace(ORIGINAL_POLICY, voting=VotingMethod.NEAREST),
+        )
         m_b = evaluate_reconstruction(bil, seq_3planes_fast)
         m_n = evaluate_reconstruction(near, seq_3planes_fast)
         # The paper's gap is ~1.2 % on real data; at this test's coarse

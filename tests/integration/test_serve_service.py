@@ -18,6 +18,7 @@ from repro.core.engine import BACKENDS, ExecutionBackend, register_backend
 from repro.serve import (
     CacheConfig,
     JobFailed,
+    JobOptions,
     JobState,
     ReconstructionService,
     SessionBacklogFull,
@@ -159,7 +160,9 @@ class TestServiceDeterminism:
         with ReconstructionService(
             workers=1, cache=CacheConfig(job_entries=0)
         ) as service:
-            job_id = service.submit(events, spec, min_observations=2)
+            job_id = service.submit(
+                events, spec, options=JobOptions(min_observations=2)
+            )
             result = service.result(job_id)
         assert result.n_points == len(
             result.global_map.fused_cloud(min_observations=2)

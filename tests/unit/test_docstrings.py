@@ -4,10 +4,13 @@ The docs satellite of the streaming PR enables ruff's ``D`` rules for
 these two packages in CI; this test enforces the same D1xx invariant
 (every public module, class, function and method carries a docstring)
 inside tier-1, so the guarantee holds even where ruff is unavailable —
-and names the offenders precisely when it breaks.
+and names the offenders precisely when it breaks.  It also runs the
+``repro`` package quick start, so the first example a reader sees stays
+executable.
 """
 
 import ast
+import doctest
 import pathlib
 
 import pytest
@@ -77,3 +80,12 @@ def test_key_entry_points_have_substantial_docs():
     ):
         doc = entry_point.__doc__
         assert doc is not None and len(doc.strip()) > 120, entry_point
+
+
+def test_package_quick_start_runs():
+    """The ``repro`` package docstring's quick start executes as written."""
+    import repro
+
+    outcome = doctest.testmod(repro)
+    assert outcome.attempted > 0
+    assert outcome.failed == 0

@@ -6,12 +6,9 @@ import pytest
 from repro.core import (
     BACKENDS,
     EMVSConfig,
-    EMVSPipeline,
-    OnlineEMVS,
     ORIGINAL_POLICY,
     REFORMULATED_POLICY,
     ReconstructionEngine,
-    ReformulatedPipeline,
 )
 from repro.core.engine import ExecutionBackend, create_backend, register_backend
 from repro.core.policy import resolve_policy
@@ -171,49 +168,6 @@ class TestEngineLifecycle:
         np.testing.assert_allclose(
             result.cloud.points, batch.cloud.points, atol=1e-12
         )
-
-
-class TestFacadesDelegate:
-    """The three public pipeline classes are engine facades."""
-
-    def test_reformulated_matches_engine(self, scene, config):
-        seq, events = scene
-        facade = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        direct = make_engine(seq, config, policy=REFORMULATED_POLICY).run(events)
-        np.testing.assert_allclose(
-            facade.cloud.points, direct.cloud.points, atol=1e-12
-        )
-        assert facade.profile.votes_cast == direct.profile.votes_cast
-
-    def test_original_matches_engine(self, scene, config):
-        seq, events = scene
-        facade = EMVSPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        direct = make_engine(seq, config, policy=ORIGINAL_POLICY).run(events)
-        np.testing.assert_allclose(
-            facade.cloud.points, direct.cloud.points, atol=1e-12
-        )
-
-    def test_online_exposes_engine(self, scene, config):
-        seq, _ = scene
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        assert isinstance(online.engine, ReconstructionEngine)
-
-    def test_online_reports_dropped_tail(self, scene, config):
-        seq, events = scene
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        online.push(events)
-        misses = online.profile.dropped_events
-        online.finish()
-        tail = len(events) % config.frame_size
-        assert online.profile.dropped_events == misses + tail
 
 
 class TestNumpyBatchBackend:

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core import ReconstructionEngine
+from repro.core.policy import CorrectionScheduling
+from repro.core.voting import VotingMethod
+from repro.eval import experiments
 from repro.eval.experiments import (
     efficiency_gain,
     performance_summary,
@@ -60,6 +64,43 @@ class TestResourceSummary:
 
 class TestVariantExperiments:
     """End-to-end variant runners on a tiny slice (smoke-level)."""
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quant"])
+    @pytest.mark.parametrize(
+        "voting", [VotingMethod.BILINEAR, VotingMethod.NEAREST],
+        ids=["bilinear", "nearest"],
+    )
+    def test_run_variant_policy(
+        self, seq_3planes_fast, monkeypatch, voting, quantized
+    ):
+        """Only nearest + quantized is the fully reformulated dataflow;
+        every other variant keeps the original per-frame correction."""
+        from repro.core import EMVSConfig
+
+        seen = []
+
+        class RecordingEngine(ReconstructionEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.policy)
+
+        monkeypatch.setattr(experiments, "ReconstructionEngine", RecordingEngine)
+        events = seq_3planes_fast.events.time_slice(0.95, 1.1)
+        metrics = experiments.run_variant(
+            seq_3planes_fast, events, voting, quantized,
+            EMVSConfig(n_depth_planes=32),
+        )
+        (policy,) = seen
+        reformulated = quantized and voting is VotingMethod.NEAREST
+        assert policy.voting is voting
+        assert policy.schema.enabled is quantized
+        assert policy.integer_scores is reformulated
+        assert policy.correction is (
+            CorrectionScheduling.PER_EVENT
+            if reformulated
+            else CorrectionScheduling.PER_FRAME
+        )
+        assert metrics.n_points > 0
 
     def test_voting_experiment(self, seq_3planes_fast):
         from repro.core import EMVSConfig

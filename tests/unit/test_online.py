@@ -1,10 +1,8 @@
-"""Unit tests for the online (streaming) EMVS front-end."""
+"""Unit tests for online (incremental) mapping on the streaming engine."""
 
-import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, ReformulatedPipeline
-from repro.core.online import OnlineEMVS
+from repro.core import EMVSConfig, ReconstructionEngine
 
 
 @pytest.fixture
@@ -12,87 +10,39 @@ def config():
     return EMVSConfig(n_depth_planes=48, frame_size=1024, keyframe_distance=0.15)
 
 
-class TestOnlineEMVS:
-    def test_matches_batch_pipeline(self, seq_3planes_fast, config):
-        """Chunked pushes reproduce the batch pipeline exactly."""
-        seq = seq_3planes_fast
-        events = seq.events.time_slice(0.6, 1.4)
+def online_engine(seq, config):
+    return ReconstructionEngine(
+        seq.camera,
+        seq.trajectory,
+        config,
+        depth_range=seq.depth_range,
+        policy="reformulated",
+    )
 
-        batch = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
 
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        # Push in awkward uneven chunks.
-        boundaries = np.linspace(0, len(events), 17).astype(int)
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            online.push(events[int(a):int(b)])
-        cloud = online.finish()
-
-        assert len(online.keyframes) == len(batch.keyframes)
-        assert len(cloud) == batch.n_points
-        np.testing.assert_allclose(cloud.points, batch.cloud.points, atol=1e-12)
-
-    def test_keyframe_callback_fires(self, seq_3planes_fast, config):
-        seq = seq_3planes_fast
-        events = seq.events.time_slice(0.6, 1.4)
-        seen = []
-        online = OnlineEMVS(
-            seq.camera,
-            seq.trajectory,
-            config,
-            depth_range=seq.depth_range,
-            on_keyframe=seen.append,
-        )
-        online.push(events)
-        online.finish()
-        assert len(seen) == len(online.keyframes)
-        assert all(k.depth_map.n_points >= 0 for k in seen)
-
+class TestOnlineMapping:
     def test_keyframe_callback_can_be_assigned_late(self, seq_3planes_fast, config):
         """Reassigning on_keyframe after construction must take effect."""
         seq = seq_3planes_fast
         events = seq.events.time_slice(0.6, 1.4)
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
+        engine = online_engine(seq, config)
         seen = []
-        online.on_keyframe = seen.append
-        online.push(events)
-        online.finish()
-        assert len(seen) == len(online.keyframes) > 0
+        engine.on_keyframe = seen.append
+        engine.push(events)
+        engine.finish()
+        assert len(seen) == len(engine.keyframes) > 0
 
-    def test_current_depth_map_preview(self, seq_3planes_fast, config):
+    def test_preview_does_not_close_the_segment(self, seq_3planes_fast, config):
         seq = seq_3planes_fast
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        assert online.current_depth_map() is None
-        online.push(seq.events.time_slice(0.9, 1.05))
-        preview = online.current_depth_map()
-        assert preview is not None
-        # Preview does not finalize the segment.
-        assert len(online.keyframes) == 0
-
-    def test_empty_push(self, seq_3planes_fast, config):
-        from repro.events.containers import EventArray
-
-        online = OnlineEMVS(
-            seq_3planes_fast.camera,
-            seq_3planes_fast.trajectory,
-            config,
-            depth_range=seq_3planes_fast.depth_range,
-        )
-        assert online.push(EventArray.empty()) == 0
-        assert len(online.finish()) == 0
+        engine = online_engine(seq, config)
+        assert engine.preview_depth_map() is None
+        engine.push(seq.events.time_slice(0.9, 1.05))
+        assert engine.preview_depth_map() is not None
+        assert len(engine.keyframes) == 0
 
     def test_events_pushed_counter(self, seq_3planes_fast, config):
         seq = seq_3planes_fast
         events = seq.events.time_slice(0.9, 1.0)
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        online.push(events)
-        assert online.events_pushed == len(events)
+        engine = online_engine(seq, config)
+        engine.push(events)
+        assert engine.events_pushed == len(events)

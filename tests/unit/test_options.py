@@ -138,6 +138,10 @@ class TestServiceShims:
                 service.submit(None, None, retry=retry)
             with pytest.raises(TypeError):
                 service.open_stream(None, faults=None)
+            with pytest.raises(TypeError):
+                service.submit(None, None, voxel_size=0.05)
+            with pytest.raises(TypeError):
+                service.open_stream(None, min_observations=2)
 
     def test_hang_faults_rejected_on_inline_executor(self):
         plan = FaultPlan(FaultKind.HANG, seed=0, rate=1.0)

@@ -13,6 +13,7 @@ from repro.core.engine import SegmentPlan
 from repro.serve import (
     CacheConfig,
     OVERFLOW_POLICIES,
+    JobOptions,
     JobState,
     ReconstructionService,
     ResultCache,
@@ -293,9 +294,11 @@ class TestServiceValidation:
     def test_submit_validates_fuse_params(self, spec, events):
         with ReconstructionService(workers=1) as service:
             with pytest.raises(ValueError, match="voxel_size"):
-                service.submit(events, spec, voxel_size=0.0)
+                service.submit(events, spec, options=JobOptions(voxel_size=0.0))
             with pytest.raises(ValueError, match="min_observations"):
-                service.submit(events, spec, min_observations=0)
+                service.submit(
+                    events, spec, options=JobOptions(min_observations=0)
+                )
 
     def test_unknown_job_id(self):
         with ReconstructionService(workers=1) as service:
