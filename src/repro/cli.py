@@ -6,7 +6,7 @@ Eight subcommands cover the common workflows end to end::
     python -m repro simulate -s slider_close -o out/   # write a dataset dir
     python -m repro reconstruct -s simulation_3planes -o cloud.ply
     python -m repro serve --job slider_long --job corridor_sweep --status
-    python -m repro gateway --shards 4 --port 8080
+    python -m repro gateway --workers 4 --port 8080
     python -m repro submit -s corridor_sweep --repeat 3
     python -m repro stream -s corridor_sweep --chunk-ms 20
     python -m repro models                       # Tables 2/3 from the models
@@ -536,19 +536,19 @@ def _cmd_serve(args) -> int:
             from repro.serve import format_status
 
             print()
-            print(format_status({0: service.stats()}))
+            print(format_status(service.stats()))
     return 0
 
 
 def _cmd_gateway(args) -> int:
-    """Run demo jobs through the sharded async gateway and report.
+    """Run demo jobs through the async gateway and report.
 
     The async twin of ``_cmd_serve``: the same ``--job`` tokens are
-    submitted through a :class:`~repro.serve.Gateway` (sessions
-    consistent-hashed across ``--shards`` services) with the HTTP
-    surface live — the final ``/metrics`` and ``/status`` documents
-    are scraped over the wire through the gateway's own HTTP server
-    rather than read in-process, so the run exercises the full stack.
+    submitted through a :class:`~repro.serve.Gateway` (one service,
+    ``--workers`` wide) with the HTTP surface live — the final
+    ``/metrics`` and ``/status`` documents are scraped over the wire
+    through the gateway's own HTTP server rather than read in-process,
+    so the run exercises the full stack.
     """
     import asyncio
 
@@ -564,11 +564,8 @@ def _cmd_gateway(args) -> int:
     _resolve_backend(args.backend)
     policy = _resolve_policy(args.policy)
     _validate_serve_limits(args)
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
     job_tokens = args.job or ["slider_long", "corridor_sweep"]
     config = GatewayConfig(
-        shards=args.shards,
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
         max_inflight=args.max_inflight,
@@ -579,10 +576,7 @@ def _cmd_gateway(args) -> int:
     async def run() -> int:
         async with Gateway(config) as gateway:
             async with GatewayServer(gateway) as server:
-                print(
-                    f"gateway: {config.shards} shard(s), HTTP on "
-                    f"{server.host}:{server.port}"
-                )
+                print(f"gateway: HTTP on {server.host}:{server.port}")
                 submitted = []
                 for token in job_tokens:
                     name, _, session = token.partition(":")
@@ -590,17 +584,11 @@ def _cmd_gateway(args) -> int:
                     _, events, spec = _sequence_job(args, name, policy)
                     for _ in range(args.repeat):
                         try:
-                            job_id = await gateway.submit(
+                            submitted.append(await gateway.submit(
                                 events, spec, session=session
-                            )
+                            ))
                         except GatewayRefused as e:
                             print(f"refused {name!r}: {e}")
-                            continue
-                        submitted.append(job_id)
-                        print(
-                            f"  {job_id} -> shard "
-                            f"{gateway.shard_index(session)}"
-                        )
                 completed = await gateway.drain()
                 for job_id in submitted:
                     status = await gateway.poll(job_id)
@@ -609,7 +597,7 @@ def _cmd_gateway(args) -> int:
                         f"{status.segments_done}/{status.segments_total} "
                         "segments"
                     )
-                print(f"drained {completed} job(s) across the shards")
+                print(f"drained {completed} job(s)")
                 _, metrics = await http_request(
                     server.host, server.port, "GET", "/metrics"
                 )
@@ -620,7 +608,7 @@ def _cmd_gateway(args) -> int:
                     print()
                     print(metrics.decode("utf-8"))
                 print()
-                print(format_status(await gateway.stats()))
+                print(format_status((await gateway.stats())[0]))
                 totals = json.loads(status_doc)["gateway"]
                 print(
                     f"gateway: {totals['requests']['submit']} submit(s), "
@@ -931,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--status", action="store_true",
-        help="print the operational status block (per-shard counters, "
+        help="print the operational status block (counters, "
              "retry/partial/cache-hit rates) after the run",
     )
     add_serve_options(p_srv)
@@ -939,17 +927,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gw = sub.add_parser(
         "gateway",
-        help="run demo jobs through the sharded async gateway (with HTTP "
+        help="run demo jobs through the async gateway (with HTTP "
              "/metrics and /status live)",
     )
     p_gw.add_argument(
         "--job", action="append", default=None, metavar="SEQUENCE[:SESSION]",
         help="submit this sequence as a job (repeatable; session defaults "
              "to the sequence name; default jobs: slider_long, corridor_sweep)",
-    )
-    p_gw.add_argument(
-        "--shards", type=int, default=2,
-        help="reconstruction-service shards behind the gateway",
     )
     p_gw.add_argument(
         "--port", type=int, default=0,
@@ -966,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gw.add_argument(
         "--max-inflight", type=int, default=0,
-        help="global cap on jobs in flight across all shards (0 = unbounded)",
+        help="global cap on jobs in flight (0 = unbounded)",
     )
     p_gw.add_argument(
         "--metrics", action="store_true",

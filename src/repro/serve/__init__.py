@@ -24,9 +24,9 @@ testing), and the service's deadline/watchdog/``allow_partial`` knobs;
 ``docs/RELIABILITY.md`` documents the full contract and
 ``docs/CACHING.md`` the caching one.
 
-Horizontal scale lives in :mod:`repro.serve.gateway`: an asyncio
-:class:`Gateway` consistent-hashes sessions across N service shards
-behind token-bucket admission control, with a stdlib-HTTP
+The async front door lives in :mod:`repro.serve.gateway`: an asyncio
+:class:`Gateway` runs one service (capacity is its worker pool) behind
+token-bucket admission control, with a stdlib-HTTP
 :class:`GatewayServer` exposing ``/metrics`` (Prometheus text built by
 :mod:`repro.serve.metrics`), ``/status`` and job submission; ``repro
 gateway`` is the CLI driver and ``docs/OBSERVABILITY.md`` the metrics
@@ -55,7 +55,6 @@ from repro.serve.gateway import (
     GatewayRefused,
     GatewayServer,
     GatewayStream,
-    HashRing,
     TokenBucket,
     http_request,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "GatewayRefused",
     "GatewayServer",
     "GatewayStream",
-    "HashRing",
     "TokenBucket",
     "http_request",
     "Histogram",

@@ -6,8 +6,8 @@ names and shapes:
 * :class:`Histogram` — fixed-bucket latency histogram (cumulative
   bucket counts, ``sum``/``count``), the classic Prometheus shape.
 * :class:`MetricFamily` — one named metric with typed samples; built
-  from :class:`~repro.serve.service.ServiceStats` snapshots by
-  :func:`service_families` (per-shard labels) and rendered to the
+  from a :class:`~repro.serve.service.ServiceStats` snapshot by
+  :func:`service_families` and rendered to the
   text exposition format by :func:`render_metrics`.
 * :func:`parse_metrics` — the inverse of :func:`render_metrics`, so
   tests (and the reconcile invariant in ``docs/OBSERVABILITY.md``) can
@@ -238,7 +238,8 @@ def sum_series(
     """Sum every sample of ``series`` whose labels include ``match``.
 
     The reconcile helper: ``sum_series(parsed, "repro_serve_jobs_total",
-    state="done")`` totals the done-job counter across shards.
+    state="done")`` reads the done-job counter; series that split a
+    family by another label (``session``, ``tier``) sum across it.
     """
     wanted = set((k, str(v)) for k, v in match.items())
     return sum(
@@ -251,109 +252,108 @@ def sum_series(
 # ----------------------------------------------------------------------
 # ServiceStats -> families
 # ----------------------------------------------------------------------
-def service_families(
-    stats_by_shard: Mapping[int | str, "ServiceStats"],
-) -> list[MetricFamily]:
-    """Metric families of N service shards (single service: ``{0: stats}``).
+def service_families(stats: "ServiceStats") -> list[MetricFamily]:
+    """Metric families of one service's :class:`ServiceStats` snapshot.
 
     The catalog (documented in ``docs/OBSERVABILITY.md``): job outcome
     counters, stream/chunk counters, reliability counters, cache events
-    and entry gauges per tier, queue-depth gauges per (shard, session),
-    and the deterministic ``PipelineProfile`` counters — everything
-    labeled by shard so cross-shard sums reconcile with the per-shard
-    ``ServiceStats`` exactly.
+    and entry gauges per tier, queue-depth gauges per session, and the
+    deterministic ``PipelineProfile`` counters — every value read off
+    the one snapshot, so the scrape reconciles with it exactly.
     """
-    jobs, streams, chunks, reliability = [], [], [], []
-    cache_events, cache_entries, depths = [], [], []
-    dispatched, inflight, active, profile_counters = [], [], [], []
-    for shard, stats in stats_by_shard.items():
-        s = {"shard": str(shard)}
-        for state in (
-            "submitted", "done", "failed", "refused",
-            "dropped", "coalesced", "partial",
-        ):
-            jobs.append(({**s, "state": state}, getattr(stats, f"jobs_{state}")))
-        streams.append(({**s, "event": "opened"}, stats.streams_opened))
-        streams.append(({**s, "event": "update"}, stats.updates_emitted))
-        chunks.append(({**s, "outcome": "refused"}, stats.chunks_refused))
-        chunks.append(({**s, "outcome": "dropped"}, stats.chunks_dropped))
-        reliability.append(({**s, "event": "retried"}, stats.segments_retried))
-        reliability.append(({**s, "event": "timed_out"}, stats.segments_timed_out))
-        reliability.append(({**s, "event": "corrupted"}, stats.results_corrupted))
-        cache = stats.cache
-        cache_events.append(({**s, "tier": "job", "event": "hit"}, cache.hits))
-        cache_events.append(({**s, "tier": "job", "event": "miss"}, cache.misses))
-        cache_events.append(
-            ({**s, "tier": "segment", "event": "hit"}, cache.segment_hits)
-        )
-        cache_events.append(
-            ({**s, "tier": "segment", "event": "miss"}, cache.segment_misses)
-        )
-        cache_events.append(
-            ({**s, "tier": "segment_disk", "event": "hit"}, cache.segment_disk_hits)
-        )
-        cache_entries.append(({**s, "tier": "job"}, cache.size))
-        cache_entries.append(({**s, "tier": "segment"}, cache.segment_entries))
-        cache_entries.append(
-            ({**s, "tier": "segment_disk"}, cache.segment_disk_entries)
-        )
-        for session, depth in sorted(stats.queue_depths.items()):
-            depths.append(({**s, "session": session}, depth))
-        for session, count in sorted(stats.segments_dispatched.items()):
-            dispatched.append(({**s, "session": session}, count))
-        inflight.append((s, stats.inflight_segments))
-        active.append((s, stats.active_jobs))
-        for counter, value in stats.profile.counters().items():
-            profile_counters.append(({**s, "counter": counter}, value))
+    cache = stats.cache
     return [
         make_family(
             "repro_serve_jobs_total", "counter",
-            "Job admission/outcome counters by state.", jobs,
+            "Job admission/outcome counters by state.",
+            [
+                ({"state": state}, getattr(stats, f"jobs_{state}"))
+                for state in (
+                    "submitted", "done", "failed", "refused",
+                    "dropped", "coalesced", "partial",
+                )
+            ],
         ),
         make_family(
             "repro_serve_stream_events_total", "counter",
-            "Streams opened and stream updates emitted.", streams,
+            "Streams opened and stream updates emitted.",
+            [
+                ({"event": "opened"}, stats.streams_opened),
+                ({"event": "update"}, stats.updates_emitted),
+            ],
         ),
         make_family(
             "repro_serve_chunks_total", "counter",
-            "Stream chunks shed by the overflow policy, by outcome.", chunks,
+            "Stream chunks shed by the overflow policy, by outcome.",
+            [
+                ({"outcome": "refused"}, stats.chunks_refused),
+                ({"outcome": "dropped"}, stats.chunks_dropped),
+            ],
         ),
         make_family(
             "repro_serve_segment_events_total", "counter",
             "Reliability events: retries, watchdog timeouts, integrity "
-            "rejections.", reliability,
+            "rejections.",
+            [
+                ({"event": "retried"}, stats.segments_retried),
+                ({"event": "timed_out"}, stats.segments_timed_out),
+                ({"event": "corrupted"}, stats.results_corrupted),
+            ],
         ),
         make_family(
             "repro_serve_cache_events_total", "counter",
             "Cache probes by tier (job LRU, segment memory, segment disk).",
-            cache_events,
+            [
+                ({"tier": "job", "event": "hit"}, cache.hits),
+                ({"tier": "job", "event": "miss"}, cache.misses),
+                ({"tier": "segment", "event": "hit"}, cache.segment_hits),
+                ({"tier": "segment", "event": "miss"}, cache.segment_misses),
+                ({"tier": "segment_disk", "event": "hit"}, cache.segment_disk_hits),
+            ],
         ),
         make_family(
             "repro_serve_cache_entries", "gauge",
-            "Live cache entries by tier.", cache_entries,
+            "Live cache entries by tier.",
+            [
+                ({"tier": "job"}, cache.size),
+                ({"tier": "segment"}, cache.segment_entries),
+                ({"tier": "segment_disk"}, cache.segment_disk_entries),
+            ],
         ),
         make_family(
             "repro_serve_queue_depth", "gauge",
-            "Pending (planned-but-unlanded) segments per shard and session.",
-            depths,
+            "Pending (planned-but-unlanded) segments per session.",
+            [
+                ({"session": session}, depth)
+                for session, depth in sorted(stats.queue_depths.items())
+            ],
         ),
         make_family(
             "repro_serve_segments_dispatched_total", "counter",
-            "Segments dispatched onto the pool per shard and session.",
-            dispatched,
+            "Segments dispatched onto the pool per session.",
+            [
+                ({"session": session}, count)
+                for session, count in sorted(stats.segments_dispatched.items())
+            ],
         ),
         make_family(
             "repro_serve_inflight_segments", "gauge",
-            "Segment attempts on the pool right now.", inflight,
+            "Segment attempts on the pool right now.",
+            [({}, stats.inflight_segments)],
         ),
         make_family(
             "repro_serve_active_jobs", "gauge",
-            "Admitted, non-terminal jobs right now.", active,
+            "Admitted, non-terminal jobs right now.",
+            [({}, stats.active_jobs)],
         ),
         make_family(
             "repro_pipeline_counters_total", "counter",
             "Deterministic PipelineProfile counters (events, frames, "
-            "keyframes, votes, drops).", profile_counters,
+            "keyframes, votes, drops).",
+            [
+                ({"counter": counter}, value)
+                for counter, value in stats.profile.counters().items()
+            ],
         ),
     ]
 
@@ -365,94 +365,64 @@ def _rate(numerator: float, denominator: float) -> str:
     return f"{100.0 * numerator / denominator:.1f}%"
 
 
-def status_snapshot(
-    stats_by_shard: Mapping[int | str, "ServiceStats"],
-) -> dict:
+def status_snapshot(stats: "ServiceStats") -> dict:
     """JSON-ready status document (the ``GET /status`` body).
 
-    Per-shard counter dicts plus cross-shard totals and derived rates;
-    every number also appears in ``/metrics``, this is the same data
-    grouped for humans and dashboards.
+    One ``service`` record: the counters, gauges and deterministic
+    profile counters of the snapshot plus derived rates.  Every number
+    also appears in ``/metrics``; this is the same data grouped for
+    humans and dashboards.
     """
-    shards = {}
-    totals = {
-        "jobs_submitted": 0, "jobs_done": 0, "jobs_failed": 0,
-        "jobs_refused": 0, "jobs_dropped": 0, "jobs_coalesced": 0,
-        "jobs_partial": 0, "segments_retried": 0, "segments_timed_out": 0,
-        "active_jobs": 0, "inflight_segments": 0, "queue_depth": 0,
-        "cache_hits": 0, "cache_misses": 0,
-        "segment_cache_hits": 0, "segment_cache_misses": 0,
-        "segment_disk_hits": 0, "updates_emitted": 0,
+    cache = stats.cache
+    record = {
+        "jobs_submitted": stats.jobs_submitted,
+        "jobs_done": stats.jobs_done,
+        "jobs_failed": stats.jobs_failed,
+        "jobs_refused": stats.jobs_refused,
+        "jobs_dropped": stats.jobs_dropped,
+        "jobs_coalesced": stats.jobs_coalesced,
+        "jobs_partial": stats.jobs_partial,
+        "segments_retried": stats.segments_retried,
+        "segments_timed_out": stats.segments_timed_out,
+        "active_jobs": stats.active_jobs,
+        "inflight_segments": stats.inflight_segments,
+        "queue_depth": sum(stats.queue_depths.values()),
+        "queue_depths": dict(sorted(stats.queue_depths.items())),
+        "cache_hits": cache.hits,
+        "cache_misses": cache.misses,
+        "segment_cache_hits": cache.segment_hits,
+        "segment_cache_misses": cache.segment_misses,
+        "segment_disk_hits": cache.segment_disk_hits,
+        "updates_emitted": stats.updates_emitted,
+        "profile": stats.profile.counters(),
     }
-    for shard, stats in stats_by_shard.items():
-        cache = stats.cache
-        depth = sum(stats.queue_depths.values())
-        record = {
-            "jobs_submitted": stats.jobs_submitted,
-            "jobs_done": stats.jobs_done,
-            "jobs_failed": stats.jobs_failed,
-            "jobs_refused": stats.jobs_refused,
-            "jobs_dropped": stats.jobs_dropped,
-            "jobs_coalesced": stats.jobs_coalesced,
-            "jobs_partial": stats.jobs_partial,
-            "segments_retried": stats.segments_retried,
-            "segments_timed_out": stats.segments_timed_out,
-            "active_jobs": stats.active_jobs,
-            "inflight_segments": stats.inflight_segments,
-            "queue_depth": depth,
-            "queue_depths": dict(sorted(stats.queue_depths.items())),
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-            "segment_cache_hits": cache.segment_hits,
-            "segment_cache_misses": cache.segment_misses,
-            "segment_disk_hits": cache.segment_disk_hits,
-            "updates_emitted": stats.updates_emitted,
-            "profile": stats.profile.counters(),
-        }
-        shards[str(shard)] = record
-        for key in totals:
-            totals[key] += record[key]
-    done_or_partial = totals["jobs_done"] + totals["jobs_partial"]
-    finished = done_or_partial + totals["jobs_failed"]
-    totals["retry_rate"] = _rate(totals["segments_retried"], finished)
-    totals["partial_rate"] = _rate(totals["jobs_partial"], finished)
-    totals["job_cache_hit_rate"] = _rate(
-        totals["cache_hits"], totals["cache_hits"] + totals["cache_misses"]
+    finished = stats.jobs_done + stats.jobs_partial + stats.jobs_failed
+    record["retry_rate"] = _rate(stats.segments_retried, finished)
+    record["partial_rate"] = _rate(stats.jobs_partial, finished)
+    record["job_cache_hit_rate"] = _rate(cache.hits, cache.hits + cache.misses)
+    record["segment_cache_hit_rate"] = _rate(
+        cache.segment_hits, cache.segment_hits + cache.segment_misses
     )
-    totals["segment_cache_hit_rate"] = _rate(
-        totals["segment_cache_hits"],
-        totals["segment_cache_hits"] + totals["segment_cache_misses"],
-    )
-    return {"shards": shards, "totals": totals}
+    return {"service": record}
 
 
-def format_status(stats_by_shard: Mapping[int | str, "ServiceStats"]) -> str:
+def format_status(stats: "ServiceStats") -> str:
     """Human-readable status block (``repro serve --status``)."""
-    snap = status_snapshot(stats_by_shard)
-    totals = snap["totals"]
-    lines = [
-        f"shards: {len(snap['shards'])}",
+    record = status_snapshot(stats)["service"]
+    return "\n".join([
         "jobs: {jobs_submitted} submitted, {jobs_done} done, "
         "{jobs_partial} partial, {jobs_failed} failed, "
         "{jobs_refused} refused, {jobs_dropped} dropped, "
-        "{jobs_coalesced} coalesced".format(**totals),
-        f"in flight: {totals['active_jobs']} jobs, "
-        f"{totals['inflight_segments']} segments "
-        f"(queue depth {totals['queue_depth']})",
-        f"reliability: {totals['segments_retried']} retries "
-        f"(rate {totals['retry_rate']}), "
-        f"{totals['segments_timed_out']} timeouts, "
-        f"partial rate {totals['partial_rate']}",
-        f"cache: job hit rate {totals['job_cache_hit_rate']}, "
-        f"segment hit rate {totals['segment_cache_hit_rate']} "
-        f"({totals['segment_disk_hits']} from disk)",
-    ]
-    for shard, record in sorted(snap["shards"].items()):
-        depth = record["queue_depth"]
-        lines.append(
-            f"  shard {shard}: {record['jobs_submitted']} submitted, "
-            f"{record['jobs_done']} done, {record['jobs_failed']} failed, "
-            f"queue depth {depth}, "
-            f"{record['updates_emitted']} stream updates"
-        )
-    return "\n".join(lines)
+        "{jobs_coalesced} coalesced".format(**record),
+        f"in flight: {record['active_jobs']} jobs, "
+        f"{record['inflight_segments']} segments "
+        f"(queue depth {record['queue_depth']})",
+        f"reliability: {record['segments_retried']} retries "
+        f"(rate {record['retry_rate']}), "
+        f"{record['segments_timed_out']} timeouts, "
+        f"partial rate {record['partial_rate']}",
+        f"cache: job hit rate {record['job_cache_hit_rate']}, "
+        f"segment hit rate {record['segment_cache_hit_rate']} "
+        f"({record['segment_disk_hits']} from disk)",
+        f"streams: {record['updates_emitted']} updates emitted",
+    ])

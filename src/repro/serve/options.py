@@ -192,14 +192,16 @@ class ServiceConfig:
 class GatewayConfig:
     """Everything a :class:`~repro.serve.gateway.Gateway` is built from.
 
-    The gateway-level twin of :class:`ServiceConfig`: shard count and
-    fan-out policy, the admission-control knobs layered *above* the
-    per-shard ``refuse``/``drop-oldest`` policies, the HTTP bind
-    address, and the :class:`ServiceConfig` every shard is constructed
-    from (shards are homogeneous — one config, N services).
+    The gateway-level twin of :class:`ServiceConfig`: the
+    admission-control knobs layered *above* the service's
+    ``refuse``/``drop-oldest`` policies, the HTTP bind address, and the
+    :class:`ServiceConfig` of the one service behind the gateway.
+    Capacity is that service's pool width, ``service.workers``.
     """
 
-    #: Number of :class:`ReconstructionService` shards.
+    #: Vestige of the retired sharded gateway: only ``1`` is accepted
+    #: and no code reads it.  It stays so the frozen ``perfbench``
+    #: harness's ``GatewayConfig(shards=1, ...)`` still constructs.
     shards: int = 1
     #: Per-tenant token-bucket refill rate in requests/second
     #: (``0`` disables per-tenant throttling).
@@ -213,13 +215,16 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     #: HTTP bind port (``0`` = ephemeral, reported after ``start``).
     port: int = 0
-    #: The :class:`ServiceConfig` every shard is constructed from.
+    #: The :class:`ServiceConfig` the gateway's service is built from.
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
-        """Validate the shard and admission knobs."""
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        """Validate the admission knobs (and the ``shards`` vestige)."""
+        if self.shards != 1:
+            raise ValueError(
+                "shards must be 1: the gateway runs one service; widen its "
+                "pool with service.workers instead"
+            )
         if self.tenant_rate < 0:
             raise ValueError("tenant_rate must be >= 0 (0 disables)")
         if self.tenant_burst < 1:

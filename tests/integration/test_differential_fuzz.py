@@ -328,22 +328,22 @@ def test_chaos_transient_faults_are_invisible(seed, executor):
     assert chaotic.missing_segments == ()
 
 
-#: Fuzz-case seeds of the gateway leg (each runs a 3-shard routed pass).
+#: Fuzz-case seeds of the gateway leg (each runs 3 tenants through the gateway).
 GATEWAY_CASE_SEEDS = [2, 5]
 
 
 @pytest.mark.parametrize("seed", GATEWAY_CASE_SEEDS)
 def test_gateway_routing_is_invisible(seed):
-    """A gateway-routed run is bit-identical to a direct single-service run.
+    """A gateway run is bit-identical to a direct single-service run.
 
-    Three shards, three tenants chosen to cover every shard: whatever
-    shard the consistent-hash ring picks, the fused map and the
-    deterministic counters match the direct submission exactly — the
-    scaling layer changes *where* work runs, never *what* it computes.
+    Three tenant sessions submit the same case through the gateway's one
+    service: every tenant's fused map, key frames and deterministic
+    counters match the direct submission exactly — the gateway changes
+    *how* work is admitted, never *what* it computes.
     """
     import asyncio
 
-    from repro.serve import Gateway, GatewayConfig, HashRing, ServiceConfig
+    from repro.serve import Gateway, GatewayConfig, ServiceConfig
 
     case = draw_case(seed)
     spec = case.spec("numpy-batch")
@@ -352,17 +352,8 @@ def test_gateway_routing_is_invisible(seed):
     ) as service:
         direct = service.result(service.submit(case.events, spec), timeout=300.0)
 
-    ring = HashRing(3)
-    tenants: dict[int, str] = {}
-    i = 0
-    while len(tenants) < 3:
-        name = f"tenant-{i}"
-        tenants.setdefault(ring.shard_for(name), name)
-        i += 1
-
     async def routed():
         config = GatewayConfig(
-            shards=3,
             service=ServiceConfig(
                 workers=1,
                 executor="inline",
@@ -371,8 +362,8 @@ def test_gateway_routing_is_invisible(seed):
         )
         async with Gateway(config) as gateway:
             jobs = [
-                await gateway.submit(case.events, spec, session=tenants[shard])
-                for shard in sorted(tenants)
+                await gateway.submit(case.events, spec, session=f"tenant-{i}")
+                for i in range(3)
             ]
             return [
                 await gateway.result(job_id, timeout=300.0) for job_id in jobs

@@ -1,41 +1,44 @@
-"""End-to-end gateway integration: routing, admission, HTTP, shutdown.
+"""End-to-end gateway integration: tenants, admission, HTTP, shutdown.
 
-Each test drives a real :class:`~repro.serve.Gateway` (real services,
-real shard threads) from a private event loop via ``asyncio.run`` — no
+Each test drives a real :class:`~repro.serve.Gateway` (a real service on
+its call thread) from a private event loop via ``asyncio.run`` — no
 external HTTP client library, the in-process
 :func:`~repro.serve.http_request` speaks to the stdlib
 :class:`~repro.serve.GatewayServer` over a loopback socket.
 
 The invariants pinned here:
 
-* **routing** — a session's jobs always land on the shard the hash
-  ring names, the mapping survives a gateway restart with an equal
-  shard count, and streams stay pinned for their whole life;
-* **equivalence** — a gateway-routed job's result is bit-identical to
-  a direct single-service run (the scaling layer changes *where*, not
-  *what*);
+* **equivalence** — every tenant's job through the gateway is
+  bit-identical to a direct single-service run, streams included (the
+  gateway changes *how* work is admitted, not *what* it computes);
 * **admission** — the token bucket and the global in-flight cap refuse
   with structured 429s (and real HTTP 429 responses), on a fake clock;
 * **observability** — ``/metrics`` parses back to numbers that
-  reconcile exactly with the per-shard ``ServiceStats``;
+  reconcile exactly with the service's ``ServiceStats``;
+* **HTTP contract** — a malformed request gets a 400 with a JSON
+  ``error``, never a dropped connection, and the server keeps serving;
 * **shutdown** — ``stop()`` leaves every admitted job terminal, open
   streams included.
+
+An autouse fixture fails any test during which asyncio logged an error,
+so a crashed request handler cannot pass as a client-side failure.
 """
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from repro.core import EngineSpec
+from repro.core import EMVSConfig, EngineSpec
+from repro.events.datasets import load_sequence
 from repro.serve import (
     CacheConfig,
     Gateway,
     GatewayConfig,
     GatewayRefused,
     GatewayServer,
-    HashRing,
     JobState,
     ReconstructionService,
     ServiceConfig,
@@ -43,6 +46,27 @@ from repro.serve import (
     parse_metrics,
     sum_series,
 )
+
+#: Tenant sessions sharing the gateway's one service.
+TENANTS = ("tenant-a", "tenant-b", "tenant-c")
+
+
+@pytest.fixture(autouse=True)
+def no_asyncio_errors(caplog):
+    """Fail the test if the ``asyncio`` logger recorded an error.
+
+    An exception escaping ``GatewayServer._handle`` is only logged by
+    asyncio ("Unhandled exception in client_connected_cb") while the
+    client sees an empty reply; this turns that log into a failure.
+    """
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    yield
+    errors = [
+        record.getMessage()
+        for record in caplog.get_records("call")
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert not errors, f"asyncio logged errors: {errors}"
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +84,7 @@ def served(mapping_workload):
 
 
 def service_config() -> ServiceConfig:
-    """One inline worker, caches off — determinism-friendly shards."""
+    """One inline worker, caches off — a determinism-friendly service."""
     return ServiceConfig(
         workers=1,
         executor="inline",
@@ -68,16 +92,26 @@ def service_config() -> ServiceConfig:
     )
 
 
-def sessions_covering_all_shards(shards: int) -> list[str]:
-    """Deterministic session names that hit every shard once."""
-    ring = HashRing(shards)
-    found: dict[int, str] = {}
-    i = 0
-    while len(found) < shards:
-        name = f"tenant-{i}"
-        found.setdefault(ring.shard_for(name), name)
-        i += 1
-    return [found[shard] for shard in sorted(found)]
+def gateway_config(**kwargs) -> GatewayConfig:
+    """A gateway over :func:`service_config`."""
+    return GatewayConfig(service=service_config(), **kwargs)
+
+
+def direct_result(events, spec):
+    """The reference: one job through a direct single service."""
+    with ReconstructionService(
+        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+    ) as service:
+        return service.result(service.submit(events, spec), timeout=300.0)
+
+
+def assert_bit_equal(result, direct) -> None:
+    """Fused map, cloud and deterministic counters match bit for bit."""
+    assert result.profile.counters() == direct.profile.counters()
+    np.testing.assert_array_equal(result.cloud.points, direct.cloud.points)
+    np.testing.assert_array_equal(
+        result.global_map.fused_points(), direct.global_map.fused_points()
+    )
 
 
 class FakeClock:
@@ -94,90 +128,74 @@ class FakeClock:
 
 
 class TestRouting:
-    def test_sessions_route_to_ring_shard_and_survive_restart(self, served):
-        """Jobs land on the shard the ring names; an equal-shard-count
-        "restarted" gateway routes every session identically.
+    def test_tenant_sessions_share_one_service(self, served):
+        """Three tenants' jobs run on the one service, each counted under
+        its own session, each bit-identical to a direct run.
         """
         events, spec = served
-        names = sessions_covering_all_shards(3)
+        direct = direct_result(events, spec)
 
-        async def run_once():
-            config = GatewayConfig(shards=3, service=service_config())
-            placements = {}
-            async with Gateway(config) as gateway:
-                for session in names:
-                    job_id = await gateway.submit(events, spec, session=session)
-                    expected = gateway.shard_index(session)
-                    # The job is registered on exactly the ring's shard.
-                    stats = await gateway.stats()
-                    assert stats[expected].jobs_submitted >= 1
-                    placements[session] = expected
+        async def run():
+            async with Gateway(gateway_config()) as gateway:
+                jobs = [
+                    await gateway.submit(events, spec, session=tenant)
+                    for tenant in TENANTS
+                ]
+                results = [
                     await gateway.result(job_id, timeout=300.0)
-            return placements
+                    for job_id in jobs
+                ]
+                return jobs, results, (await gateway.stats())[0]
 
-        first = asyncio.run(run_once())
-        second = asyncio.run(run_once())  # the "restart"
-        assert first == second
-        assert sorted(first.values()) == [0, 1, 2]  # all shards exercised
+        jobs, results, stats = asyncio.run(run())
+        assert [job_id.split("@", 1)[1] for job_id in jobs] == list(TENANTS)
+        assert stats.jobs_submitted == stats.jobs_done == len(TENANTS)
+        assert set(stats.segments_dispatched) == set(TENANTS)
+        for result in results:
+            assert_bit_equal(result, direct)
 
     def test_routed_result_bit_identical_to_direct(self, served):
-        """One session, three shards: the routed result equals a direct
-        single-service run bit-for-bit.
+        """One session: the gateway result equals a direct single-service
+        run bit-for-bit.
         """
         events, spec = served
-        with ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
-        ) as service:
-            direct = service.result(service.submit(events, spec), timeout=300.0)
+        direct = direct_result(events, spec)
 
         async def routed():
-            config = GatewayConfig(shards=3, service=service_config())
-            async with Gateway(config) as gateway:
+            async with Gateway(gateway_config()) as gateway:
                 job_id = await gateway.submit(events, spec, session="tenant-7")
                 return await gateway.result(job_id, timeout=300.0)
 
-        result = asyncio.run(routed())
-        assert result.profile.counters() == direct.profile.counters()
-        np.testing.assert_array_equal(result.cloud.points, direct.cloud.points)
-        np.testing.assert_array_equal(
-            result.global_map.fused_points(), direct.global_map.fused_points()
-        )
+        assert_bit_equal(asyncio.run(routed()), direct)
 
-    def test_stream_pinned_to_its_shard(self, served):
-        """A stream's feeds, polls and result all run on the shard that
-        admitted it, interleaved feeds from two sessions included.
+    def test_interleaved_streams_bit_exact(self, served):
+        """Two tenants' streams fed in interleaved chunks on the one
+        service: each closed stream equals a one-shot direct submit.
         """
         events, spec = served
+        direct = direct_result(events, spec)
 
         async def run():
-            config = GatewayConfig(shards=3, service=service_config())
-            a_name, b_name = sessions_covering_all_shards(3)[:2]
-            async with Gateway(config) as gateway:
-                stream_a = await gateway.open_stream(spec, session=a_name)
-                stream_b = await gateway.open_stream(spec, session=b_name)
-                assert stream_a.shard_index == gateway.shard_index(a_name)
-                assert stream_b.shard_index == gateway.shard_index(b_name)
-                assert stream_a.shard_index != stream_b.shard_index
-                half = events.t_start + events.duration / 2
-                for stream in (stream_a, stream_b):
-                    await stream.feed(events.time_slice(events.t_start, half))
-                    await stream.feed(events.time_slice(half, events.t_end))
+            async with Gateway(gateway_config()) as gateway:
+                streams = [
+                    await gateway.open_stream(spec, session=tenant)
+                    for tenant in TENANTS[:2]
+                ]
+                half = len(events) // 2
+                for chunk in (events[:half], events[half:]):
+                    for stream in streams:
+                        await stream.feed(chunk)
+                for stream in streams:
                     await stream.close()
                 results = [
-                    await stream.result(timeout=300.0)
-                    for stream in (stream_a, stream_b)
+                    await stream.result(timeout=300.0) for stream in streams
                 ]
-                stats = await gateway.stats()
-                for stream in (stream_a, stream_b):
-                    assert stats[stream.shard_index].streams_opened == 1
-                return results
+                return results, (await gateway.stats())[0]
 
-        result_a, result_b = asyncio.run(run())
-        # Same workload on two shards: identical output, shard-independent.
-        assert result_a.profile.counters() == result_b.profile.counters()
-        np.testing.assert_array_equal(
-            result_a.cloud.points, result_b.cloud.points
-        )
+        results, stats = asyncio.run(run())
+        assert stats.streams_opened == 2
+        for result in results:
+            assert_bit_equal(result, direct)
 
 
 class TestAdmission:
@@ -186,10 +204,7 @@ class TestAdmission:
         clock = FakeClock()
 
         async def run():
-            config = GatewayConfig(
-                shards=2, tenant_rate=1.0, tenant_burst=2,
-                service=service_config(),
-            )
+            config = gateway_config(tenant_rate=1.0, tenant_burst=2)
             async with Gateway(config, clock=clock) as gateway:
                 jobs = [
                     await gateway.submit(events, spec, session="greedy")
@@ -212,7 +227,7 @@ class TestAdmission:
                 await gateway.drain()
                 status = await gateway.status()
                 assert status["gateway"]["refusals"]["throttled"] == 1
-                assert status["totals"]["jobs_submitted"] == len(jobs)
+                assert status["service"]["jobs_submitted"] == len(jobs)
 
         asyncio.run(run())
 
@@ -220,11 +235,8 @@ class TestAdmission:
         events, spec = served
 
         async def run():
-            config = GatewayConfig(
-                shards=2, max_inflight=2, service=service_config()
-            )
-            async with Gateway(config) as gateway:
-                names = sessions_covering_all_shards(2)
+            async with Gateway(gateway_config(max_inflight=2)) as gateway:
+                names = TENANTS[:2]
                 jobs = [
                     await gateway.submit(events, spec, session=name)
                     for name in names
@@ -242,60 +254,51 @@ class TestAdmission:
 
 class TestObservability:
     def test_metrics_reconcile_with_service_stats(self, served):
-        """The scraped /metrics document sums back to the per-shard
-        ``ServiceStats`` exactly — the reconcile bar of the ISSUE.
+        """The scraped /metrics document reads back to the service's
+        ``ServiceStats`` exactly, per tenant session included.
         """
         events, spec = served
 
         async def run():
-            config = GatewayConfig(shards=3, service=service_config())
-            async with Gateway(config) as gateway:
+            async with Gateway(gateway_config()) as gateway:
                 async with GatewayServer(gateway) as server:
-                    for session in sessions_covering_all_shards(3):
+                    for session in TENANTS:
                         await gateway.submit(events, spec, session=session)
                     await gateway.drain()
                     status_code, text = await http_request(
                         server.host, server.port, "GET", "/metrics"
                     )
-                    stats = await gateway.stats()
+                    stats = (await gateway.stats())[0]
                     return status_code, text.decode("utf-8"), stats
 
         status_code, text, stats = asyncio.run(run())
         assert status_code == 200
         parsed = parse_metrics(text)
-        totals = {
-            "submitted": sum(s.jobs_submitted for s in stats.values()),
-            "done": sum(s.jobs_done for s in stats.values()),
-            "failed": sum(s.jobs_failed for s in stats.values()),
-        }
-        for state, expected in totals.items():
-            assert (
-                sum_series(parsed, "repro_serve_jobs_total", state=state)
-                == expected
-            )
-        # Per-shard series reconcile shard by shard, not just in total.
-        for shard, shard_stats in stats.items():
-            assert (
-                sum_series(
-                    parsed,
-                    "repro_serve_jobs_total",
-                    state="done",
-                    shard=str(shard),
-                )
-                == shard_stats.jobs_done
-            )
+        for state in ("submitted", "done", "failed"):
+            assert sum_series(
+                parsed, "repro_serve_jobs_total", state=state
+            ) == getattr(stats, f"jobs_{state}")
+        assert stats.jobs_done == len(TENANTS)
+        # Per-session series reconcile session by session.
+        assert set(stats.segments_dispatched) == set(TENANTS)
+        for session, count in stats.segments_dispatched.items():
+            assert sum_series(
+                parsed, "repro_serve_segments_dispatched_total",
+                session=session,
+            ) == count
         # Deterministic pipeline counters are exported and reconcile.
-        votes = sum(s.profile.counters()["votes_cast"] for s in stats.values())
         assert (
             sum_series(parsed, "repro_pipeline_counters_total",
                        counter="votes_cast")
-            == votes
+            == stats.profile.counters()["votes_cast"]
         )
+        # One service: no series carries a shard label.
+        assert not any(key == "shard" for _, labels in parsed for key, _ in labels)
         # Gateway-level series: every submit was counted, latency filed.
         assert sum_series(parsed, "repro_gateway_requests_total",
-                          kind="submit") == 3
+                          kind="submit") == len(TENANTS)
         assert sum_series(parsed, "repro_gateway_request_latency_seconds_count"
-                          ) == 3
+                          ) == len(TENANTS)
         assert sum_series(parsed, "repro_gateway_inflight_jobs") == 0
 
     def test_http_surface(self, served):
@@ -303,8 +306,7 @@ class TestObservability:
         events, spec = served
 
         async def run():
-            config = GatewayConfig(shards=2, service=service_config())
-            async with Gateway(config) as gateway:
+            async with Gateway(gateway_config()) as gateway:
                 async with GatewayServer(gateway) as server:
                     job_id = await gateway.submit(events, spec, session="web")
                     await gateway.result(job_id, timeout=300.0)
@@ -334,11 +336,12 @@ class TestObservability:
             asyncio.run(run())
         )
         assert health[0] == 200
-        assert json.loads(health[1]) == {"status": "ok", "shards": 2}
+        assert json.loads(health[1]) == {"status": "ok"}
         assert status[0] == 200
         doc = json.loads(status[1])
-        assert doc["totals"]["jobs_done"] == 1
-        assert doc["gateway"]["shards"] == 2
+        assert set(doc) == {"service", "gateway"}
+        assert doc["service"]["jobs_done"] == 1
+        assert doc["gateway"]["requests"]["submit"] == 1
         assert job[0] == 200
         record = json.loads(job[1])
         assert record["state"] == "done"
@@ -354,10 +357,7 @@ class TestObservability:
         clock = FakeClock()
 
         async def run():
-            config = GatewayConfig(
-                shards=1, tenant_rate=0.5, tenant_burst=1,
-                service=service_config(),
-            )
+            config = gateway_config(tenant_rate=0.5, tenant_burst=1)
             async with Gateway(config, clock=clock) as gateway:
                 async with GatewayServer(gateway) as server:
                     body = {"sequence": "slider_long", "quality": "fast",
@@ -381,6 +381,126 @@ class TestObservability:
         assert refusal["retry_after_s"] == pytest.approx(2.0)
 
 
+async def raw_request(host: str, port: int, head: str) -> tuple[int, bytes]:
+    """Send a hand-written, body-less request; return ``(status, body)``.
+
+    For requests :func:`http_request` cannot produce (a bad
+    ``Content-Length`` header).  Raises ``ConnectionError`` on an empty
+    reply, like :func:`http_request`.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(head.encode("latin-1"))
+        await writer.drain()
+        reply = await reader.read()
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    if not reply:
+        raise ConnectionError("empty reply")
+    status_line, _, rest = reply.partition(b"\r\n")
+    return int(status_line.split(b" ", 2)[1]), rest.partition(b"\r\n\r\n")[2]
+
+
+#: A valid ``POST /jobs`` body the malformed cases perturb (an explicit
+#: ``keyframe_distance``, so each case fails on its own field alone).
+GOOD_JOB = {"sequence": "simulation_3planes", "quality": "fast",
+            "keyframe_distance": 0.1}
+
+
+class TestHttpContract:
+    def test_paper_sequence_submits_over_http(self):
+        """``POST /jobs`` for a paper sequence (``keyframe_distance`` is
+        ``None``: one key frame) is accepted, and the job's fused cloud
+        equals a direct submit of the same slice.
+        """
+        seq = load_sequence("simulation_3planes", quality="fast")
+        assert seq.keyframe_distance is None
+        body = {"sequence": "simulation_3planes", "t_start": 0.95, "t_end": 1.1,
+                "planes": 24, "frame_size": 512, "session": "paper"}
+        events = seq.events.time_slice(0.95, 1.1)
+        spec = EngineSpec(
+            seq.camera, seq.trajectory,
+            EMVSConfig(n_depth_planes=24, frame_size=512),
+            depth_range=seq.depth_range, backend="numpy-batch",
+        )
+        direct = direct_result(events, spec)
+
+        async def run():
+            async with Gateway(gateway_config()) as gateway:
+                async with GatewayServer(gateway) as server:
+                    code, data = await http_request(
+                        server.host, server.port, "POST", "/jobs", body=body
+                    )
+                    assert code == 202, data
+                    reply = json.loads(data)
+                    assert reply == {"job_id": reply["job_id"], "session": "paper"}
+                    return await gateway.result(reply["job_id"], timeout=300.0)
+
+        assert_bit_equal(asyncio.run(run()), direct)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {**GOOD_JOB, "t_start": "soon"},
+            {**GOOD_JOB, "t_end": [1.0]},
+            {**GOOD_JOB, "sequence": ["simulation_3planes"]},
+            {**GOOD_JOB, "session": {"tenant": 1}},
+            {**GOOD_JOB, "quality": 3},
+            {**GOOD_JOB, "quality": "bogus"},
+            "POST /jobs HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+            "POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        ],
+        ids=[
+            "t_start-not-numeric", "t_end-not-numeric", "sequence-not-string",
+            "session-not-string", "quality-not-string", "quality-unknown",
+            "content-length-not-numeric", "content-length-negative",
+        ],
+    )
+    def test_malformed_request_gets_400(self, request_):
+        """Each malformed request — a ``POST /jobs`` body, or raw request
+        bytes — gets a 400 with a JSON ``error`` (not a dropped
+        connection), and the server answers ``/healthz`` after.
+        """
+
+        async def run():
+            async with Gateway(gateway_config()) as gateway:
+                async with GatewayServer(gateway) as server:
+                    host, port = server.host, server.port
+                    if isinstance(request_, dict):
+                        reply = await http_request(
+                            host, port, "POST", "/jobs", body=request_
+                        )
+                    else:
+                        reply = await raw_request(host, port, request_)
+                    health = await http_request(host, port, "GET", "/healthz")
+                    return reply, health
+
+        (code, data), health = asyncio.run(run())
+        assert code == 400
+        assert isinstance(json.loads(data)["error"], str)
+        assert health == (200, b'{"status": "ok"}')
+
+    def test_http_request_raises_on_empty_reply(self):
+        """A server that closes without answering is a ``ConnectionError``."""
+
+        async def run():
+            async def hang_up(reader, writer):
+                await reader.readline()
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(ConnectionError):
+                    await http_request("127.0.0.1", port, "GET", "/healthz")
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
+
+
 class TestShutdown:
     def test_stop_leaves_everything_terminal(self, served):
         """``stop()`` with an open stream and queued work: every job
@@ -389,19 +509,16 @@ class TestShutdown:
         events, spec = served
 
         async def run():
-            config = GatewayConfig(shards=2, service=service_config())
-            gateway = await Gateway(config).start()
-            names = sessions_covering_all_shards(2)
-            job_id = await gateway.submit(events, spec, session=names[0])
-            stream = await gateway.open_stream(spec, session=names[1])
+            gateway = await Gateway(gateway_config()).start()
+            job_id = await gateway.submit(events, spec, session=TENANTS[0])
+            stream = await gateway.open_stream(spec, session=TENANTS[1])
             half = events.t_start + events.duration / 2
             await stream.feed(events.time_slice(events.t_start, half))
             await gateway.stop(wait=True)
-            # Post-stop: both jobs are terminal on their shards.
-            states = {}
-            for shard in gateway._shards:
-                for jid, job in shard.service.jobs.items():
-                    states[jid] = job.state
+            # Post-stop: both jobs are terminal on the service.
+            states = {
+                jid: job.state for jid, job in gateway._service.jobs.items()
+            }
             assert states[job_id] is JobState.DONE
             assert states[stream.job_id] in (JobState.DONE, JobState.PARTIAL)
 
@@ -411,14 +528,16 @@ class TestShutdown:
         events, spec = served
 
         async def run():
-            gateway = Gateway(
-                GatewayConfig(shards=1, service=service_config())
-            )
+            gateway = Gateway(gateway_config())
             await gateway.start()
             await gateway.start()  # idempotent
             job_id = await gateway.submit(events, spec, session="only")
             await gateway.result(job_id, timeout=300.0)
             await gateway.stop()
             await gateway.stop()  # idempotent
+            await gateway.start()  # restart: a fresh service
+            job_id = await gateway.submit(events, spec, session="only")
+            await gateway.result(job_id, timeout=300.0)
+            await gateway.stop()
 
         asyncio.run(run())

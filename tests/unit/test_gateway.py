@@ -1,12 +1,13 @@
 """Unit tests of the gateway building blocks and the metrics surface.
 
-Covers the pieces that must be deterministic in isolation: the
-consistent-hash ring (same session -> same shard, across "restarts"
-and independent of ``PYTHONHASHSEED``), the token bucket on a fake
-clock, the latency histogram, the Prometheus render/parse round trip,
-and the admission controller's structured refusals.  The end-to-end
-gateway behaviour lives in ``tests/integration/test_gateway.py``.
+Covers the pieces that must be deterministic in isolation: the token
+bucket on a fake clock, the latency histogram, the Prometheus
+render/parse round trip, the status document, and the admission
+controller's structured refusals.  The end-to-end gateway behaviour
+lives in ``tests/integration/test_serve_gateway.py``.
 """
+
+import asyncio
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.serve import (
     Gateway,
     GatewayConfig,
     GatewayRefused,
-    HashRing,
+    ServeError,
     Histogram,
     ServiceStats,
     TokenBucket,
@@ -54,49 +55,6 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
-
-
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        """Two rings with equal parameters agree on every session.
-
-        This is the restart invariant: a rebuilt gateway with the same
-        shard count routes every session to the same shard, so warm
-        per-shard disk caches stay reachable.
-        """
-        a = HashRing(4)
-        b = HashRing(4)
-        for i in range(200):
-            session = f"tenant-{i}"
-            assert a.shard_for(session) == b.shard_for(session)
-
-    def test_pinned_mapping(self):
-        """The mapping is a pure function of the inputs — pin a sample.
-
-        SHA-256 based, so these values cannot drift with the process's
-        hash seed; a change here is a routing break, not noise.
-        """
-        ring = HashRing(3)
-        observed = {s: ring.shard_for(s) for s in ["alpha", "beta", "gamma"]}
-        assert observed == {s: HashRing(3).shard_for(s) for s in observed}
-        # All shards are reachable over a modest tenant population.
-        hit = {ring.shard_for(f"tenant-{i}") for i in range(100)}
-        assert hit == {0, 1, 2}
-
-    def test_reasonable_balance(self):
-        ring = HashRing(4)
-        counts = [0, 0, 0, 0]
-        for i in range(1000):
-            counts[ring.shard_for(f"session-{i}")] += 1
-        assert min(counts) > 100  # no shard starves
-
-    def test_single_shard_takes_everything(self):
-        ring = HashRing(1)
-        assert {ring.shard_for(f"s{i}") for i in range(20)} == {0}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
 
 
 class TestTokenBucket:
@@ -222,33 +180,36 @@ class TestHistogram:
 
 class TestServiceFamilies:
     def test_families_reconcile_with_stats(self):
-        """The exported text reconciles with the stats objects it came from."""
-        stats = {
-            0: make_stats(jobs_submitted=5, jobs_done=4, jobs_failed=1),
-            1: make_stats(jobs_submitted=2, jobs_done=2),
-        }
+        """The exported text reconciles with the stats object it came from."""
+        stats = make_stats(
+            jobs_submitted=5, jobs_done=4, jobs_failed=1,
+            segments_dispatched={"a": 3, "b": 2}, queue_depths={"a": 1},
+        )
         parsed = parse_metrics(render_metrics(service_families(stats)))
-        assert sum_series(parsed, "repro_serve_jobs_total", state="submitted") == 7
-        assert sum_series(parsed, "repro_serve_jobs_total", state="done") == 6
+        assert sum_series(parsed, "repro_serve_jobs_total", state="submitted") == 5
+        assert sum_series(parsed, "repro_serve_jobs_total", state="done") == 4
+        assert sum_series(parsed, "repro_serve_jobs_total", state="failed") == 1
         assert (
-            sum_series(
-                parsed, "repro_serve_jobs_total", state="failed", shard="0"
-            )
-            == 1
+            sum_series(parsed, "repro_serve_segments_dispatched_total") == 5
+        )
+        assert parsed[("repro_serve_queue_depth", (("session", "a"),))] == 1
+        # One service: no series carries a shard label.
+        assert not any(
+            key == "shard" for _, labels in parsed for key, _ in labels
         )
 
-    def test_status_snapshot_totals(self):
-        stats = {
-            0: make_stats(jobs_submitted=4, jobs_done=3, jobs_partial=1,
-                          segments_retried=2),
-            1: make_stats(jobs_submitted=1, jobs_done=1),
-        }
+    def test_status_snapshot_record(self):
+        stats = make_stats(jobs_submitted=5, jobs_done=4, jobs_partial=1,
+                           segments_retried=2, queue_depths={"a": 2, "b": 1})
         snap = status_snapshot(stats)
-        assert snap["totals"]["jobs_submitted"] == 5
-        assert snap["totals"]["jobs_done"] == 4
-        assert snap["shards"]["0"]["jobs_partial"] == 1
+        assert set(snap) == {"service"}
+        record = snap["service"]
+        assert record["jobs_submitted"] == 5
+        assert record["jobs_partial"] == 1
+        assert record["queue_depth"] == 3
         # retry_rate = retried / (done + partial + failed) = 2 / 5
-        assert snap["totals"]["retry_rate"] == "40.0%"
+        assert record["retry_rate"] == "40.0%"
+        assert record["job_cache_hit_rate"] == "-"
 
 
 class TestGatewayConfig:
@@ -261,6 +222,7 @@ class TestGatewayConfig:
         "kwargs",
         [
             {"shards": 0},
+            {"shards": 2},
             {"port": -1},
             {"tenant_rate": -0.1},
             {"tenant_burst": 0},
@@ -274,4 +236,11 @@ class TestGatewayConfig:
 
     def test_gateway_requires_start(self):
         gateway = Gateway(GatewayConfig())
-        assert gateway.shard_index("any") == 0
+
+        async def calls():
+            with pytest.raises(ServeError, match="not started"):
+                await gateway.submit(None, None, session="any")
+            with pytest.raises(ServeError, match="not started"):
+                await gateway.poll("job-1@any")
+
+        asyncio.run(calls())
