@@ -3,8 +3,9 @@
 The engine-level benches measure end-to-end backends; this file times the
 individual kernels of the ``P(Z0->Zi)+R`` hot path in isolation — the
 proportional map (allocating vs. ``out=`` scratch), the nearest/bilinear
-voting kernels, and the batched stages behind ``numpy-batch`` — so future
-kernel changes have a per-component baseline to diff against instead of a
+voting kernels, and the batched stages behind ``numpy-batch`` — plus the
+detection stage ``D`` against its whole-volume oracle, so future kernel
+changes have a per-component baseline to diff against instead of a
 single end-to-end number.
 
 Timings are recorded (``benchmarks/results/hotpath_kernels.txt``); the
@@ -21,6 +22,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import update_bench_json, write_result
+from repro.core.config import DetectionConfig
+from repro.core.detection import detect_structure
+from repro.core.dsi import DSI, depth_planes
 from repro.core.voting import (
     BatchedNearestVoter,
     vote_bilinear_into,
@@ -33,11 +37,14 @@ from repro.geometry.homography import (
 )
 from repro.geometry.se3 import SE3, Quaternion, stack_poses
 from repro.native import get_kernels
+from tests.detection_oracles import detect_structure_reference
 
 #: Workload shape: one 1024-event frame against a paper-sized DSI.
 N_EVENTS = 1024
 SHAPE = (100, 180, 240)
 N_FRAMES = 64
+#: Stage-``D`` workload: one key-frame DSI as the perfbench workloads vote it.
+DETECT_SHAPE = (48, 180, 240)
 
 
 def best_of(fn, repeats: int = 5) -> float:
@@ -325,3 +332,87 @@ def test_batched_parameter_stage_baseline(benchmark):
         np.testing.assert_array_equal(batch.phi[k], params.phi)
     assert t_batch < t_scalar
     assert t_sample_batch < t_sample_scalar
+
+
+def synthetic_keyframe_dsi(seed: int = 2022) -> DSI:
+    """A seeded paper-sized int64 DSI shaped like a voted key frame.
+
+    Poisson ray clutter everywhere, plus edge pixels (scattered points and
+    broken vertical stripes, about a tenth of the image) whose votes peak
+    on a depth plane that varies smoothly across the image, half as strong
+    on the neighbouring planes; a few edges peak at a random plane, so the
+    median rejection has outliers to remove.
+    """
+    from repro.geometry.camera import PinholeCamera
+
+    rng = np.random.default_rng(seed)
+    nz, h, w = DETECT_SHAPE
+    scores = rng.poisson(0.5, DETECT_SHAPE).astype(np.int64)
+    yy, xx = np.mgrid[0:h, 0:w]
+    plane = (8 + 28 * xx / w + 4 * np.sin(yy / 17.0)).astype(int)
+    stripes = (xx % 23 < 2) & (rng.random((h, w)) < 0.7)
+    ys, xs = np.nonzero(stripes | (rng.random((h, w)) < 0.04))
+    planes = plane[ys, xs]
+    outliers = rng.random(ys.size) < 0.05
+    planes[outliers] = rng.integers(1, nz - 1, outliers.sum())
+    peaks = rng.integers(15, 60, ys.size)
+    scores[planes, ys, xs] += peaks
+    scores[planes - 1, ys, xs] += peaks // 2
+    scores[planes + 1, ys, xs] += peaks // 2
+    dsi = DSI(
+        PinholeCamera.davis240c(),
+        SE3.identity(),
+        depth_planes(0.5, 5.0, nz),
+        integer_scores=True,
+        score_limit=65535,
+    )
+    dsi.scores[...] = scores
+    return dsi
+
+
+@pytest.mark.benchmark(group="hotpath")
+def test_detection_stage_baseline(benchmark):
+    """Stage ``D`` vs its oracle on one paper-sized key-frame DSI.
+
+    The oracle (``tests/detection_oracles.py``) is the copy-everything
+    formulation: a saturated int64 copy of the volume for two argmax
+    passes, and a whole-image stack of NaN-filled shifts for the median.
+    The library must produce the identical depth map at least 2x faster.
+    """
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    dsi = synthetic_keyframe_dsi()
+    config = DetectionConfig()
+    t_library = best_of(lambda: detect_structure(dsi, config)) * 1e3
+    t_oracle = best_of(lambda: detect_structure_reference(dsi, config), repeats=3) * 1e3
+
+    depth_map = detect_structure(dsi, config)
+    oracle = detect_structure_reference(dsi, config)
+    np.testing.assert_array_equal(depth_map.mask, oracle.mask)
+    np.testing.assert_array_equal(depth_map.confidence, oracle.confidence)
+    np.testing.assert_array_equal(depth_map.depth, oracle.depth)
+
+    speedup = t_oracle / t_library
+    table = Table(
+        "Detection stage D (one 48x180x240 int64 key-frame DSI)",
+        ["path", "ms"],
+    )
+    table.add_row("oracle (saturated copy + shift stack)", f"{t_oracle:.3f}")
+    table.add_row("detect_structure", f"{t_library:.3f}")
+    table.add_note(
+        f"{depth_map.density:.1%} of pixels detected; speedup {speedup:.2f}x, "
+        "identical depth maps"
+    )
+    write_result("hotpath_detection", table.render())
+    update_bench_json(
+        "BENCH_backends.json",
+        {
+            "detection": {
+                "shape": list(DETECT_SHAPE),
+                "detected_fraction": depth_map.density,
+                "oracle_ms": t_oracle,
+                "library_ms": t_library,
+                "speedup": speedup,
+            }
+        },
+    )
+    assert speedup >= 2.0

@@ -54,29 +54,20 @@ def median_reject(
     if config.median_size <= 1:
         return mask
     k = config.median_size // 2
-    h, w = depth.shape
-    sparse = np.where(mask, depth, np.nan)
-    # One preallocated NaN-padded stack of every in-window shift, filled
-    # layer by layer in place (the per-shift ``np.full`` copies plus the
-    # final ``np.stack`` re-copy would double the allocations).
-    stack = np.full((config.median_size**2, h, w), np.nan)
-    for i, (dy, dx) in enumerate(
-        (dy, dx) for dy in range(-k, k + 1) for dx in range(-k, k + 1)
-    ):
-        ys_src = slice(max(0, -dy), min(h, h - dy))
-        xs_src = slice(max(0, -dx), min(w, w - dx))
-        ys_dst = slice(max(0, dy), min(h, h + dy))
-        xs_dst = slice(max(0, dx), min(w, w + dx))
-        stack[i, ys_dst, xs_dst] = sparse[ys_src, xs_src]
-    # Median only the windows holding a detected pixel: an all-NaN window
-    # stays NaN without tripping numpy's All-NaN RuntimeWarning (and
-    # without ``warnings.catch_warnings``, which is process-global state
-    # and so unsafe under thread executors).
-    occupied = np.isfinite(stack).any(axis=0)
-    local_median = np.full((h, w), np.nan)
-    local_median[occupied] = np.nanmedian(stack[:, occupied], axis=0)
-    good = np.abs(depth - local_median) <= 0.15 * np.abs(local_median)
-    return mask & np.where(np.isfinite(local_median), good, True)
+    ys, xs = np.nonzero(mask)
+    # Gather the window of every detected pixel from the NaN-padded
+    # sparse map: one ``(median_size**2, n_detected)`` matrix instead of a
+    # whole-image shift stack.  Each window holds its own (finite) pixel,
+    # so no window is all-NaN and ``nanmedian`` never warns.
+    padded = np.pad(np.where(mask, depth, np.nan), k, constant_values=np.nan)
+    pw = padded.shape[1]
+    span = np.arange(config.median_size)
+    offsets = (span[:, None] * pw + span[None, :]).ravel()
+    windows = padded.ravel()[(ys * pw + xs)[None, :] + offsets[:, None]]
+    local_median = np.nanmedian(windows, axis=0)
+    out = np.zeros_like(mask)
+    out[ys, xs] = np.abs(depth[ys, xs] - local_median) <= 0.15 * np.abs(local_median)
+    return out
 
 
 def refine_subvoxel(dsi: DSI, indices: np.ndarray) -> np.ndarray:
@@ -88,14 +79,15 @@ def refine_subvoxel(dsi: DSI, indices: np.ndarray) -> np.ndarray:
     clamped to half a plane spacing.  Boundary planes and degenerate
     (non-concave) triplets fall back to the plane centre.
     """
-    scores = dsi.effective_scores().astype(float)
-    nz = scores.shape[0]
+    nz = dsi.n_planes
     inv_depths = 1.0 / dsi.depths
 
     idx = np.clip(indices, 1, nz - 2)
-    s_prev = np.take_along_axis(scores, (idx - 1)[None], axis=0)[0]
-    s_mid = np.take_along_axis(scores, idx[None], axis=0)[0]
-    s_next = np.take_along_axis(scores, (idx + 1)[None], axis=0)[0]
+    # Gather the three planes around each maximum from the raw volume,
+    # then saturate and cast only the gathered (3, H, W) scores.
+    planes = np.stack([idx - 1, idx, idx + 1])
+    gathered = np.take_along_axis(dsi.scores, planes, axis=0)
+    s_prev, s_mid, s_next = dsi.saturate(gathered).astype(float)
     denom = s_prev - 2.0 * s_mid + s_next
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 0.5 * (s_prev - s_next) / denom

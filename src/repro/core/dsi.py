@@ -125,11 +125,11 @@ class DSI:
             raise ValueError("vote volume shape mismatch")
         self.scores += counts.astype(self.scores.dtype, copy=False)
 
-    def effective_scores(self) -> np.ndarray:
-        """Scores with register saturation applied (see ``score_limit``)."""
+    def saturate(self, values: np.ndarray) -> np.ndarray:
+        """Raw ``values`` (any gathered subset) as read out (``score_limit``)."""
         if self.score_limit is None:
-            return self.scores
-        return np.minimum(self.scores, self.score_limit)
+            return values
+        return np.minimum(values, self.score_limit)
 
     def max_projection(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel (confidence, depth) of the ray-density maximum.
@@ -152,10 +152,13 @@ class DSI:
 
     def argmax_projection(self) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`max_projection` but returning plane *indices*."""
-        scores = self.effective_scores()
-        first = np.argmax(scores, axis=0)
-        last = scores.shape[0] - 1 - np.argmax(scores[::-1], axis=0)
-        confidence = np.take_along_axis(scores, first[None], axis=0)[0]
+        # Saturation is monotone, so the saturated maximum is the saturated
+        # raw maximum, and a plane ties it exactly when its raw score
+        # reaches it: no saturated copy of the volume is needed.
+        confidence = self.saturate(self.scores.max(axis=0))
+        at_max = self.scores >= confidence[None]
+        first = np.argmax(at_max, axis=0)
+        last = self.n_planes - 1 - np.argmax(at_max[::-1], axis=0)
         # Centre of the maximal run.  When the run is not contiguous this
         # still lands inside the tied span, which is all the detection
         # stage needs.

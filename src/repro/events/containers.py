@@ -22,8 +22,8 @@ EVENT_DTYPE = np.dtype(
 class EventArray:
     """Immutable time-sorted array of events.
 
-    Construction validates monotonic timestamps and polarity values; all
-    accessors return views where possible.
+    Construction validates finite monotonic timestamps and polarities;
+    all accessors return views where possible.
     """
 
     __slots__ = ("_data",)
@@ -35,6 +35,9 @@ class EventArray:
                 f"EventArray requires dtype {EVENT_DTYPE}, got {data.dtype}; "
                 "use EventArray.from_arrays to build from columns"
             )
+        if validate and not np.all(np.isfinite(data["t"])):
+            # NaN compares False, so the monotonicity check cannot see it.
+            raise ValueError("event timestamps must be finite")
         if sort and len(data) > 1 and np.any(np.diff(data["t"]) < 0):
             data = data[np.argsort(data["t"], kind="stable")]
         if validate and len(data) > 1 and np.any(np.diff(data["t"]) < 0):

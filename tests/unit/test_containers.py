@@ -27,6 +27,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EventArray.from_arrays([1.0, 0.5], [0, 0], [0, 0], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_rejects_non_finite_timestamps(self, bad, sort):
+        # NaN passes the np.diff monotonicity check (comparisons are False).
+        with pytest.raises(ValueError, match="finite"):
+            EventArray.from_arrays([0.0, bad, 0.5], [0] * 3, [0] * 3, [1] * 3, sort=sort)
+
+    def test_unvalidated_construction_skips_finite_check(self):
+        data = EventArray.from_arrays([0.0, 0.5], [0, 0], [0, 0], [1, 1]).data.copy()
+        data["t"][1] = np.nan
+        assert len(EventArray(data, validate=False)) == 2
+
     def test_sort_flag_sorts(self):
         ev = EventArray.from_arrays([1.0, 0.5], [1, 2], [3, 4], [1, -1], sort=True)
         assert ev.t[0] == pytest.approx(0.5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from detection_oracles import median_reject_reference
 from repro.core.config import DetectionConfig
 from repro.core.detection import adaptive_threshold_mask, detect_structure, median_reject
 from repro.core.dsi import DSI, depth_planes
@@ -65,6 +66,16 @@ class TestMedianReject:
         out = median_reject(depth, mask, config)
         assert out[5, 5]
 
+    def test_window_wider_than_image(self):
+        """A 7x7 window on a 1x2 image medians the pixels that exist."""
+        depth = np.array([[2.0, 9.0]])
+        mask = np.ones((1, 2), dtype=bool)
+        config = DetectionConfig(median_size=7)
+        out = median_reject(depth, mask, config)
+        # The window median is 5.5: both points are > 15 % away from it.
+        np.testing.assert_array_equal(out, [[False, False]])
+        np.testing.assert_array_equal(out, median_reject_reference(depth, mask, config))
+
     def test_size_one_is_identity(self):
         config = DetectionConfig(median_size=1)
         mask = np.random.default_rng(0).random((5, 5)) > 0.5
@@ -96,34 +107,12 @@ class TestDetectStructure:
 
 
 class TestMedianRejectRegression:
-    """The in-place-filled shift stack reproduces the old implementation."""
+    """The masked-pixel window gather reproduces the whole-image shift stack.
 
-    @staticmethod
-    def _median_reject_reference(depth, mask, config):
-        """The pre-optimization algorithm: per-shift NaN copies + np.stack."""
-        import warnings
-
-        if config.median_size <= 1:
-            return mask
-        k = config.median_size // 2
-        h, w = depth.shape
-        sparse = np.where(mask, depth, np.nan)
-        shifts = []
-        for dy in range(-k, k + 1):
-            for dx in range(-k, k + 1):
-                shifted = np.full((h, w), np.nan)
-                ys_src = slice(max(0, -dy), min(h, h - dy))
-                xs_src = slice(max(0, -dx), min(w, w - dx))
-                ys_dst = slice(max(0, dy), min(h, h + dy))
-                xs_dst = slice(max(0, dx), min(w, w + dx))
-                shifted[ys_dst, xs_dst] = sparse[ys_src, xs_src]
-                shifts.append(shifted)
-        stack = np.stack(shifts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            local_median = np.nanmedian(stack, axis=0)
-        good = np.abs(depth - local_median) <= 0.15 * np.abs(local_median)
-        return mask & np.where(np.isfinite(local_median), good, True)
+    The oracle (``detection_oracles.median_reject_reference``) medians a
+    NaN-filled shift of the whole image per window offset; the library
+    gathers windows at detected pixels only.
+    """
 
     @pytest.mark.parametrize("median_size", [3, 5, 7])
     def test_masked_fixture_equality(self, median_size):
@@ -136,7 +125,7 @@ class TestMedianRejectRegression:
         depth[22, 15] = 50.0  # a gross outlier the median must reject
         config = DetectionConfig(median_size=median_size)
         new = median_reject(depth, mask, config)
-        old = self._median_reject_reference(depth, mask, config)
+        old = median_reject_reference(depth, mask, config)
         np.testing.assert_array_equal(new, old)
         assert new.sum() < mask.sum()  # the outlier (at least) was rejected
 
@@ -160,9 +149,9 @@ class TestMedianRejectRegression:
 
         rng = np.random.default_rng(5)
         depth = rng.uniform(0.5, 5.0, (40, 52))
-        mask = rng.random((40, 52)) < 0.1  # sparse: many all-NaN windows
+        mask = rng.random((40, 52)) < 0.1  # sparse: many empty windows
         config = DetectionConfig(median_size=5)
-        expected = self._median_reject_reference(depth, mask, config)
+        expected = median_reject_reference(depth, mask, config)
         results = []
 
         def work():

@@ -89,7 +89,7 @@ class TestDSI:
         dsi.flat_scores[0] = 500
         confidence, _ = dsi.max_projection()
         assert confidence[0, 0] == pytest.approx(100.0)
-        assert dsi.effective_scores().max() == 100
+        assert dsi.saturate(dsi.scores).max() == 100
 
     def test_reset_zeroes_and_reseats(self, dsi):
         dsi.flat_scores[5] = 3
@@ -174,7 +174,7 @@ class TestArgmaxProjection:
         assert confidence[2, 3] == 1.0
         # Ties between planes 1 and 5 centre at 3 (inside the tied span).
         assert mid[2, 3] == (1 + 5) // 2
-        assert dsi.effective_scores().max() == 1
+        assert dsi.saturate(dsi.scores).max() == 1
 
     def test_max_projection_depths_follow_centre(self, small_camera):
         dsi = self.make_dsi(small_camera, nz=8)
