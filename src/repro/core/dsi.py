@@ -165,10 +165,6 @@ class DSI:
         mid = (first + last) // 2
         return confidence.astype(float), mid
 
-    def slice_image(self, i: int) -> np.ndarray:
-        """Score image of depth plane ``i`` (view)."""
-        return self.scores[i]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DSI(Nz={self.n_planes}, {self.camera.height}x{self.camera.width}, "

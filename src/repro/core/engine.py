@@ -535,8 +535,12 @@ def plan_segments(
     frame mid-span timestamps, and those only on event timestamps and
     ``frame_size`` — none of which the voting dataflow touches.  So one
     cheap pose-only pass (no back-projection, no DSI) predicts the exact
-    segment boundaries of :meth:`ReconstructionEngine.run`, using the same
-    scalar pose sampling and the same :class:`KeyframeSelector` arithmetic.
+    segment boundaries of :meth:`ReconstructionEngine.run`.  The selector
+    reads only positions, so the pass interpolates every frame's position
+    in one vectorized lerp (:meth:`Trajectory.positions`, bit-identical to
+    the translation of the engine's scalar ``trajectory.sample``) and runs
+    the same :class:`KeyframeSelector` arithmetic over them; no rotation
+    is ever interpolated.
     Per-keyframe segments are embarrassingly parallel; this plan is what a
     :class:`repro.core.mapping.MappingOrchestrator` shards across workers.
 
@@ -551,12 +555,9 @@ def plan_segments(
     if n_frames == 0:
         return [], dropped
     midtimes = frame_midtimes(events, config.frame_size)
+    positions = trajectory.positions(midtimes)
     selector = KeyframeSelector(config.keyframe_distance)
-    starts = [
-        i
-        for i in range(n_frames)
-        if selector.is_new_keyframe(trajectory.sample(float(midtimes[i])))
-    ]
+    starts = [i for i in range(n_frames) if selector.is_new_keyframe(positions[i])]
     bounds = starts + [n_frames]
     plans = [
         SegmentPlan(
@@ -575,8 +576,8 @@ class StreamSegmentPlanner:
     """Incremental :func:`plan_segments`: feed chunks, harvest closed segments.
 
     Segment planning is a pose-only pass — key-frame boundaries depend
-    only on frame mid-span timestamps and scalar ``trajectory.sample``
-    poses — so it needs no look-ahead beyond the frame that *crosses* a
+    only on frame mid-span timestamps and the trajectory positions there
+    — so it needs no look-ahead beyond the frame that *crosses* a
     boundary.  This class exploits that to plan a stream while it is
     still flowing: :meth:`push` accepts event chunks of any size and
     returns every key-frame segment whose end became known (the boundary
@@ -677,12 +678,14 @@ class StreamSegmentPlanner:
             raise RuntimeError("planner already finished; build a new one")
         self._buffer.push(events)
         closed: list[tuple[SegmentPlan, EventArray]] = []
-        while True:
-            n_full = len(self._buffer) // self._frame_size
-            if self._checked >= n_full:
-                break
-            t_mid = self._frame_midtime(self._checked)
-            if self._selector.is_new_keyframe(self._trajectory.sample(t_mid)):
+        n_full = len(self._buffer) // self._frame_size
+        # Cuts only drop whole frames ahead of the unchecked ones, so every
+        # new frame's mid-time can be read (and its position interpolated)
+        # before the loop cuts anything.
+        midtimes = [self._frame_midtime(i) for i in range(self._checked, n_full)]
+        positions = self._trajectory.positions(np.asarray(midtimes, dtype=float))
+        for t_mid, position in zip(midtimes, positions):
+            if self._selector.is_new_keyframe(position):
                 if self._checked > 0:
                     closed.append(self._cut(self._checked))
                 self._open_t_ref = t_mid
@@ -844,7 +847,7 @@ class ReconstructionEngine:
     def _process(self, frame: EventFrame) -> None:
         if self.policy.correction is CorrectionScheduling.PER_FRAME:
             self._correct_frame(frame)
-        if self._selector.is_new_keyframe(frame.T_wc):
+        if self._selector.is_new_keyframe(frame.T_wc.translation):
             frame.is_keyframe = True
             self._finalize_segment()
             self.backend.start_reference(frame.T_wc)

@@ -9,11 +9,18 @@ the scene depth so that key-frame density tracks parallax.
 
 from __future__ import annotations
 
-from repro.geometry.se3 import SE3
+import numpy as np
 
 
 class KeyframeSelector:
     """Distance-threshold key-frame policy.
+
+    The decision reads only camera *positions* (pose translations): the
+    streaming engine feeds its frames' ``T_wc.translation``, and segment
+    planning feeds :meth:`~repro.geometry.trajectory.Trajectory.positions`
+    without ever building a rotation.  One arithmetic,
+    ``float(np.linalg.norm(reference - position))``, decides key frames
+    everywhere, so a plan predicts the engine's boundaries bit for bit.
 
     Parameters
     ----------
@@ -26,29 +33,30 @@ class KeyframeSelector:
         if distance_threshold is not None and distance_threshold <= 0:
             raise ValueError("distance_threshold must be positive (or None)")
         self.distance_threshold = distance_threshold
-        self._reference: SE3 | None = None
+        self._reference: np.ndarray | None = None
 
     @property
-    def reference(self) -> SE3 | None:
-        """Pose of the current key reference view (``None`` before the first)."""
+    def reference(self) -> np.ndarray | None:
+        """Position of the current key reference view (``None`` before the first)."""
         return self._reference
 
     def reset(self) -> None:
         """Forget the reference; the next pose becomes a key frame."""
         self._reference = None
 
-    def is_new_keyframe(self, T_wc: SE3) -> bool:
-        """True when ``T_wc`` should become a new key reference view.
+    def is_new_keyframe(self, position: np.ndarray) -> bool:
+        """True when a camera at ``position`` should become a new key view.
 
-        The first pose observed is always a key frame.
+        ``position`` is the camera's world translation (``T_wc.translation``).
+        The first position observed is always a key frame.
         """
         if self._reference is None:
-            self._reference = T_wc
+            self._reference = position
             return True
         if self.distance_threshold is None:
             return False
-        if self._reference.distance_to(T_wc) > self.distance_threshold:
-            self._reference = T_wc
+        if float(np.linalg.norm(self._reference - position)) > self.distance_threshold:
+            self._reference = position
             return True
         return False
 

@@ -34,6 +34,7 @@ pool owners (both orchestrators and the service).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import (
@@ -56,6 +57,28 @@ from repro.geometry.camera import PinholeCamera
 from repro.geometry.trajectory import Trajectory
 
 
+def _row_inverse(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys, axis=0, return_inverse=True)[1]``, sorted as one key.
+
+    Each row of the ``(N, K)`` int64 ``keys`` is packed into one int64,
+    first column major, after subtracting the per-column minimum.  The
+    packing preserves lexicographic row order, so sorting the packed 1-D
+    keys yields the identical inverse — without the structured-row sort
+    that ``axis=0`` costs.  When the product of the column extents would
+    overflow int64, the rows are sorted as rows.
+    """
+    lo = keys.min(axis=0)
+    extents = [int(h) - int(l) + 1 for l, h in zip(lo, keys.max(axis=0))]
+    if math.prod(extents) > np.iinfo(np.int64).max:
+        return np.unique(keys, axis=0, return_inverse=True)[1]
+    shifted = keys - lo
+    packed = shifted[:, 0].copy()
+    for column, extent in zip(shifted.T[1:], extents[1:]):
+        packed *= extent
+        packed += column
+    return np.unique(packed, return_inverse=True)[1]
+
+
 class GlobalMap:
     """Voxel-hash fused world map with confidence-weighted merging.
 
@@ -69,7 +92,11 @@ class GlobalMap:
     All reductions are order-fixed numpy passes over the concatenated
     observations, so for a given insertion order the fused arrays are
     bit-reproducible (the property parallel mapping's determinism tests
-    pin).
+    pin).  Voxels are grouped by sorting one packed int64 key per
+    observation — the integer voxel coordinates offset by their per-axis
+    minimum, x-major — which orders voxels exactly as sorting the
+    ``(x, y, z)`` rows would; maps whose extents would overflow the packed
+    key fall back to the row sort, with identical output.
 
     Every insertion optionally carries a ``source`` label — the camera
     index of a multi-camera rig.  The fused map tracks how many
@@ -164,7 +191,7 @@ class GlobalMap:
             weights = np.concatenate(self._weights)
             sources = np.concatenate(self._sources)
             keys = np.floor(points / self.voxel_size).astype(np.int64)
-            _, inverse = np.unique(keys, axis=0, return_inverse=True)
+            inverse = _row_inverse(keys)
             n_vox = int(inverse.max()) + 1
             weight_sum = np.zeros(n_vox)
             np.add.at(weight_sum, inverse, weights)
@@ -175,10 +202,10 @@ class GlobalMap:
             # Distinct-source support per voxel: unique (voxel, source)
             # pairs, then one count per voxel — an order-fixed pass like
             # everything else here (np.unique sorts).
-            pairs = np.unique(
-                np.stack([inverse, sources], axis=1), axis=0
-            )
-            camera_counts = np.bincount(pairs[:, 0], minlength=n_vox)
+            pair_inverse = _row_inverse(np.stack([inverse, sources], axis=1))
+            pair_voxel = np.empty(int(pair_inverse.max()) + 1, dtype=np.int64)
+            pair_voxel[pair_inverse] = inverse
+            camera_counts = np.bincount(pair_voxel, minlength=n_vox)
             self._fused = (centers, weight_sum, counts, camera_counts)
         return self._fused
 

@@ -8,6 +8,7 @@ timestamps are interpolated (lerp on translation, slerp on rotation).
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +22,9 @@ class Trajectory:
     Timestamps must be strictly increasing.  Sampling outside the time range
     clamps to the first/last pose (events slightly outside the ground-truth
     span are common in the real sequences).
+
+    A trajectory is immutable after construction, which is what lets
+    :meth:`content_digest` be computed once per instance.
     """
 
     def __init__(self, timestamps: Sequence[float], poses: Sequence[SE3]):
@@ -45,6 +49,7 @@ class Trajectory:
             if np.dot(self._quats[i], self._quats[i - 1]) < 0.0:
                 self._quats[i] = -self._quats[i]
         self._trans = np.array([p.translation for p in poses])
+        self._digest: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -69,6 +74,23 @@ class Trajectory:
     def __iter__(self) -> Iterable[tuple[float, SE3]]:
         return iter(zip(self._timestamps, self._poses))
 
+    def content_digest(self) -> str:
+        """SHA-256 hex digest of the timestamps and every pose.
+
+        Covers the timestamps and the stacked pose rotations and
+        translations bit for bit, so trajectories built from identical
+        timestamps and poses share a digest and a one-ulp change to any
+        of them changes it.  Computed on first use and kept: the cache
+        keys of every job and segment on this trajectory reuse it
+        instead of re-walking the poses.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(self._timestamps.tobytes())
+            h.update(np.stack([p.rotation for p in self._poses]).tobytes())
+            h.update(self._trans.tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
+
     # ------------------------------------------------------------------
     def sample(self, t: float) -> SE3:
         """Interpolated pose at time ``t`` (clamped to the trajectory span)."""
@@ -80,6 +102,30 @@ class Trajectory:
         i = int(np.searchsorted(ts, t, side="right")) - 1
         alpha = (t - ts[i]) / (ts[i + 1] - ts[i])
         return self._poses[i].interpolate(self._poses[i + 1], float(alpha))
+
+    def positions(self, times: np.ndarray) -> np.ndarray:
+        """``(N, 3)`` interpolated camera positions at many timestamps.
+
+        Bit-identical to ``[self.sample(t).translation for t in times]``:
+        the same clamping at both ends of the span and the same lerp
+        arithmetic, ``(1 - alpha) * t_i + alpha * t_{i+1}``, in one
+        vectorized pass with no rotation work.  Key-frame selection reads
+        only positions, so segment planning runs on this.
+        """
+        times = np.asarray(times, dtype=float)
+        ts = self._timestamps
+        out = np.empty((len(times), 3))
+        before = times <= ts[0]
+        after = ~before & (times >= ts[-1])
+        inside = ~(before | after)
+        out[before] = self._trans[0]
+        out[after] = self._trans[-1]
+        if inside.any():
+            t = times[inside]
+            i = np.searchsorted(ts, t, side="right") - 1
+            alpha = ((t - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
+            out[inside] = (1.0 - alpha) * self._trans[i] + alpha * self._trans[i + 1]
+        return out
 
     def sample_many(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized pose interpolation.

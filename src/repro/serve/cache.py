@@ -18,9 +18,11 @@ content-addressed on-disk store (atomic write-then-rename, versioned
 schema, size-bounded eviction) whose entries survive process restarts.
 
 Keys are content-addressed: the event stream contributes its
-:meth:`~repro.events.containers.EventArray.content_digest`, and every
-configuration object (camera, trajectory, config, policy) is normalized
-into a stable token tree and hashed.  Two submissions hit the same entry
+:meth:`~repro.events.containers.EventArray.content_digest`, the
+trajectory its :meth:`~repro.geometry.trajectory.Trajectory.content_digest`
+(computed once per trajectory, not once per key), and every other
+configuration object (camera, config, policy) is normalized into a
+stable token tree and hashed.  Two submissions hit the same entry
 iff they would produce bit-identical results.
 """
 
@@ -38,12 +40,13 @@ import numpy as np
 
 from repro.core.engine import EngineSpec
 from repro.events.containers import EventArray
+from repro.geometry.trajectory import Trajectory
 
 #: Version stamp of the segment-cache key derivation *and* the on-disk
 #: entry layout.  Bumping it invalidates every previously written entry
 #: (old files simply stop matching any key and age out via eviction), so
 #: a change to the payload schema can never deserialize stale bytes.
-SEGMENT_CACHE_SCHEMA = 2
+SEGMENT_CACHE_SCHEMA = 3
 
 #: The :class:`~repro.core.policy.DataflowPolicy` fields that change a
 #: result.  ``name`` is a label and ``batch_frames`` a scheduling knob
@@ -72,6 +75,8 @@ def _token(obj) -> object:
         return _token(obj.item())
     if isinstance(obj, EventArray):
         return ("events", obj.content_digest())
+    if isinstance(obj, Trajectory):
+        return ("trajectory", obj.content_digest())
     if isinstance(obj, (tuple, list)):
         return (type(obj).__name__, tuple(_token(item) for item in obj))
     if isinstance(obj, dict):

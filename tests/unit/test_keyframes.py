@@ -1,13 +1,14 @@
 """Unit tests for key-frame selection."""
 
+import numpy as np
 import pytest
 
 from repro.core.keyframes import KeyframeSelector
-from repro.geometry.se3 import SE3
 
 
 def pose(x):
-    return SE3(translation=[x, 0.0, 0.0])
+    """Camera position ``x`` metres along the x axis."""
+    return np.array([x, 0.0, 0.0])
 
 
 class TestKeyframeSelector:

@@ -94,7 +94,7 @@ class TestPlanSegments:
         frames = aggregate_frames(events, simple_trajectory, frame_size=100)
         selector = KeyframeSelector(config.keyframe_distance)
         expected_starts = [
-            i for i, f in enumerate(frames) if selector.is_new_keyframe(f.T_wc)
+            i for i, f in enumerate(frames) if selector.is_new_keyframe(f.T_wc.translation)
         ]
         assert [p.start_frame for p in plans] == expected_starts
         # The reference timestamp is the key frame's mid-span timestamp.

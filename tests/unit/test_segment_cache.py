@@ -232,6 +232,104 @@ class TestKeys:
             ), (a, b)
 
 
+class TestTrajectoryDigestKeys:
+    """Schema 3: the trajectory enters keys as its once-computed digest."""
+
+    @staticmethod
+    def spec_on(seq, config, timestamps, poses):
+        """A spec on a freshly constructed trajectory."""
+        from repro.core import EngineSpec
+        from repro.geometry.trajectory import Trajectory
+
+        return EngineSpec(
+            seq.camera,
+            Trajectory(timestamps, poses),
+            config,
+            depth_range=seq.depth_range,
+            backend="numpy-batch",
+        )
+
+    @staticmethod
+    def pose_arrays(seq):
+        """Copies of every pose's rotation and translation."""
+        return [
+            (pose.rotation.copy(), pose.translation.copy())
+            for pose in seq.trajectory.poses
+        ]
+
+    def test_equal_specs_built_separately_share_keys(self, mapping_workload):
+        from repro.geometry.se3 import SE3
+
+        seq, events, config = mapping_workload
+        digest = events.content_digest(0, 1024)
+        specs = [
+            self.spec_on(
+                seq,
+                config,
+                seq.trajectory.timestamps.copy(),
+                [SE3(R, t) for R, t in self.pose_arrays(seq)],
+            )
+            for _ in range(2)
+        ]
+        assert specs[0].trajectory is not specs[1].trajectory
+        assert segment_key(specs[0], digest) == segment_key(specs[1], digest)
+        assert segment_key(specs[0], digest) == segment_key(
+            self.spec_on(seq, config, seq.trajectory.timestamps, seq.trajectory.poses),
+            digest,
+        )
+
+    @pytest.mark.parametrize("part", ["translation", "rotation"])
+    def test_one_ulp_pose_change_changes_the_key(self, mapping_workload, part):
+        import numpy as np
+
+        from repro.geometry.se3 import SE3
+
+        seq, events, config = mapping_workload
+        digest = events.content_digest(0, 1024)
+        base = self.spec_on(seq, config, seq.trajectory.timestamps, seq.trajectory.poses)
+        arrays = self.pose_arrays(seq)
+        R, t = arrays[len(arrays) // 2]
+        target = t if part == "translation" else R
+        flat = target.reshape(-1)
+        flat[1] = np.nextafter(flat[1], np.inf)
+        nudged = self.spec_on(
+            seq, config, seq.trajectory.timestamps, [SE3(R, t) for R, t in arrays]
+        )
+        assert segment_key(nudged, digest) != segment_key(base, digest)
+
+    def test_schema_2_disk_entries_are_never_read(
+        self, mapping_workload, tmp_path, monkeypatch
+    ):
+        """An entry written under schema 2 is invisible to a schema-3 cache."""
+        from repro.core import EngineSpec
+        from repro.serve import cache as cache_module
+
+        seq, events, config = mapping_workload
+        spec = EngineSpec(
+            seq.camera,
+            seq.trajectory,
+            config,
+            depth_range=seq.depth_range,
+            backend="numpy-batch",
+        )
+        digest = events.content_digest(0, 1024)
+        key = segment_key(spec, digest)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "SEGMENT_CACHE_SCHEMA", 2)
+            old_key = segment_key(spec, digest)
+            old = SegmentCache(cache_dir=str(tmp_path))
+            old.put(old_key, make_payload("v2"))
+            old.put(key, make_payload("v2 under the v3 key"))
+        assert SEGMENT_CACHE_SCHEMA == 3
+        assert old_key != key
+        assert (tmp_path / "seg-v2").is_dir()
+        cache = SegmentCache(cache_dir=str(tmp_path))
+        assert cache.disk_entries == 0
+        assert cache.get(key) is None
+        assert cache.get(old_key) is None
+        assert cache.disk_hits == 0
+
+
 class TestRigCacheKeys:
     """Rig workloads must share segment-cache entries with monocular runs."""
 

@@ -103,3 +103,27 @@ class TestSampleBatch:
 
     def test_empty_times(self, simple_trajectory):
         assert simple_trajectory.sample_batch(np.empty(0)) == []
+
+
+class TestContentDigest:
+    def test_equal_content_equal_digest(self, simple_trajectory):
+        rebuilt = Trajectory(simple_trajectory.timestamps.copy(), simple_trajectory.poses)
+        assert rebuilt.content_digest() == simple_trajectory.content_digest()
+        identity = simple_trajectory.transformed(SE3.identity())
+        assert identity.content_digest() == simple_trajectory.content_digest()
+
+    def test_timestamps_and_poses_enter_the_digest(self, simple_trajectory):
+        digest = simple_trajectory.content_digest()
+        shifted = Trajectory(simple_trajectory.timestamps + 1.0, simple_trajectory.poses)
+        assert shifted.content_digest() != digest
+        turned = simple_trajectory.transformed(
+            SE3(Quaternion.from_axis_angle([0, 0, 1], 1e-6).to_matrix())
+        )
+        assert turned.content_digest() != digest
+
+    def test_computed_once(self, simple_trajectory, monkeypatch):
+        first = simple_trajectory.content_digest()
+        monkeypatch.setattr(
+            np, "stack", lambda *a, **k: pytest.fail("re-hashed the poses")
+        )
+        assert simple_trajectory.content_digest() is first
