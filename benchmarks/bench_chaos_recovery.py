@@ -61,7 +61,7 @@ def _workload():
 def _timed_run(events, spec, workers, options=None):
     """One served job under ``options`` -> (result, stats, seconds)."""
     with ReconstructionService(
-        workers=workers, executor="thread", cache=CacheConfig(job_entries=0)
+        workers=workers, executor="thread", cache=CacheConfig(mem_mb=0)
     ) as service:
         t0 = time.perf_counter()
         job_id = service.submit(events, spec, options=options)

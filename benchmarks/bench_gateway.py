@@ -51,7 +51,7 @@ WORKER_LEVELS = (1, 2, 4)
 #: Alternating repetitions per level (medians are reported).
 REPS = 5
 
-#: Jobs per run (distinct slices -> no coalescing, no cache collapse).
+#: Jobs per run (distinct slices -> no cache collapse).
 N_JOBS = 12
 
 #: Tenant sessions the jobs are spread over.
@@ -88,7 +88,7 @@ def _gateway_config(workers: int) -> GatewayConfig:
             workers=workers,
             executor="process",
             queue_limit=N_JOBS,
-            cache=CacheConfig(job_entries=0, mem_mb=0.0, cache_dir=""),
+            cache=CacheConfig(mem_mb=0.0, cache_dir=""),
         ),
     )
 
@@ -165,7 +165,7 @@ def test_gateway_saturation(benchmark):
 
     # Determinism through the gateway: gateway == direct, bit for bit.
     with ReconstructionService(
-        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+        workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
     ) as service:
         direct = service.result(service.submit(jobs[0], spec), timeout=600.0)
 

@@ -101,14 +101,14 @@ def test_segment_cache_sliding_windows(benchmark, tmp_path):
     with ReconstructionService(
         workers=1,
         executor="inline",
-        cache=CacheConfig(job_entries=0, mem_mb=0, disk_mb=0, cache_dir=""),
+        cache=CacheConfig(mem_mb=0, disk_mb=0, cache_dir=""),
     ) as service:
         cold_results, cold_wall = _replay(service, windows, spec)
         assert len(service.dispatch_log) == submitted_segments
 
     # Warm: populate once (overlap already collapses half of each
     # consecutive window), then a timed dispatch-free replay.
-    tiers = CacheConfig(job_entries=0, mem_mb=256, cache_dir=str(tmp_path))
+    tiers = CacheConfig(mem_mb=256, cache_dir=str(tmp_path))
     with ReconstructionService(
         workers=1, executor="inline", cache=tiers
     ) as service:

@@ -38,7 +38,7 @@ CHUNK_MS_LEVELS = (10.0, 50.0)
 def _run_stream(events, spec, chunk_ms, workers):
     chunk = chunk_ms * 1e-3
     with ReconstructionService(
-        workers=workers, cache=CacheConfig(job_entries=0)
+        workers=workers, cache=CacheConfig(mem_mb=0)
     ) as service:
         t0 = time.perf_counter()
         with service.open_stream(spec) as stream:
@@ -94,7 +94,7 @@ def test_stream_latency(benchmark):
 
     # Ground truth: one-shot batch submission of the same events.
     with ReconstructionService(
-        workers=1, cache=CacheConfig(job_entries=0)
+        workers=1, cache=CacheConfig(mem_mb=0)
     ) as service:
         batch = service.result(service.submit(events, spec))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core import EMVSConfig, EngineSpec
 from repro.events.datasets import load_sequence
-from repro.serve import ReconstructionService
+from repro.serve import CacheConfig, ReconstructionService
 
 #: Smoke-test knob (set by tests/integration/test_examples.py): trims the
 #: workload so every example finishes in seconds.
@@ -46,7 +46,9 @@ def main():
     chunk = 0.02  # 20 ms of events per feed
     print(f"corridor_sweep: {len(events)} events, streaming in 20 ms chunks")
 
-    with ReconstructionService(workers=1) as service:
+    # Segment cache off, so the one-shot check below recomputes
+    # instead of reusing the stream's segments.
+    with ReconstructionService(workers=1, cache=CacheConfig(mem_mb=0)) as service:
         with service.open_stream(spec, session="demo") as stream:
             # Adjacent chunks share the same float bound (last one to
             # +inf) so every event is fed exactly once.

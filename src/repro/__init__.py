@@ -25,7 +25,7 @@ Packages
     AbsRel metrics, experiment runners, table rendering.
 :mod:`repro.serve`
     Multi-session reconstruction serving: shared worker pool, fair
-    round-robin scheduling, backpressure, LRU result caching.
+    round-robin scheduling, backpressure, segment-level result caching.
 
 Quick start
 -----------

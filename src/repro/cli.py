@@ -63,9 +63,8 @@ def _cmd_info(args) -> int:
     defaults = CacheConfig()
     env_dir = os.environ.get("REPRO_CACHE_DIR") or None
     print(
-        f"serve cache tiers: job LRU {defaults.job_entries} entries; "
-        f"segment memory {defaults.mem_mb:.0f} MiB (0 = off), "
-        f"segment disk {defaults.disk_mb:.0f} MiB"
+        f"serve segment cache tiers: memory {defaults.mem_mb:.0f} MiB (0 = off), "
+        f"disk {defaults.disk_mb:.0f} MiB"
     )
     print(
         "segment disk tier directory: "
@@ -350,8 +349,6 @@ def _validate_serve_limits(args) -> None:
         raise SystemExit("--workers must be >= 1")
     if args.queue_limit < 1:
         raise SystemExit("--queue-limit must be >= 1")
-    if args.cache_entries < 0:
-        raise SystemExit("--cache-size must be >= 0 (0 disables the cache)")
     if args.overflow not in OVERFLOW_POLICIES:
         raise SystemExit(
             f"unknown overflow policy {args.overflow!r}; "
@@ -367,7 +364,7 @@ def _validate_serve_limits(args) -> None:
         raise SystemExit("--retries must be >= 0")
     if args.retry_backoff_ms < 0:
         raise SystemExit("--retry-backoff-ms must be >= 0")
-    if args.cache_mem_mb < 0:
+    if args.cache_mem_mb is not None and args.cache_mem_mb < 0:
         raise SystemExit("--cache-mem-mb must be >= 0 (0 disables the tier)")
     if args.cache_disk_mb < 0:
         raise SystemExit("--cache-disk-mb must be >= 0 (0 disables the tier)")
@@ -400,8 +397,7 @@ def _service_config(args):
         allow_partial=args.allow_partial or None,
     )
     cache = CacheConfig(
-        job_entries=args.cache_entries,
-        mem_mb=args.cache_mem_mb,
+        mem_mb=CacheConfig.mem_mb if args.cache_mem_mb is None else args.cache_mem_mb,
         disk_mb=args.cache_disk_mb,
         cache_dir=args.cache_dir,
     )
@@ -457,9 +453,7 @@ def _print_service_report(service, job_ids) -> None:
         job = service.jobs[job_id]
         points = job.result.n_points if job.result is not None else 0
         ms = (status.latency_seconds or 0.0) * 1e3
-        via = "hit" if status.cache_hit else (
-            "coalesced" if status.coalesced else "-"
-        )
+        via = "hit" if status.cache_hit else "-"
         print(
             f"{job_id:<22} {status.session:<12} {status.state.value:<8} "
             f"{status.segments_done:>2}/{status.segments_total:<2} "
@@ -474,19 +468,13 @@ def _print_service_report(service, job_ids) -> None:
             )
     stats = service.stats()
     print(
-        f"cache: {stats.cache.hits} hit(s) / {stats.cache.misses} miss(es), "
-        f"{stats.cache.size}/{stats.cache.capacity} entries, "
-        f"{stats.jobs_coalesced} coalesced; "
+        f"segment cache: {stats.cache.segment_hits} hit(s) "
+        f"({stats.cache.segment_disk_hits} from disk) / "
+        f"{stats.cache.segment_misses} miss(es); "
+        f"{stats.cache.segment_entries} in memory, "
+        f"{stats.cache.segment_disk_entries} on disk; "
         f"refused {stats.jobs_refused}, dropped {stats.jobs_dropped}"
     )
-    if service.segment_cache.enabled:
-        print(
-            f"segment cache: {stats.cache.segment_hits} hit(s) "
-            f"({stats.cache.segment_disk_hits} from disk) / "
-            f"{stats.cache.segment_misses} miss(es); "
-            f"{stats.cache.segment_entries} in memory, "
-            f"{stats.cache.segment_disk_entries} on disk"
-        )
     if (
         stats.jobs_partial
         or stats.segments_retried
@@ -852,19 +840,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="max active jobs per session before backpressure applies",
         )
         p.add_argument(
-            "--cache-size", type=int, default=32, dest="cache_entries",
-            help="job-level LRU result-cache capacity in entries (0 disables)",
-        )
-        p.add_argument(
             "--cache-dir", default=None,
             help="segment-cache disk-tier directory (persistent across "
                  "restarts; default: the REPRO_CACHE_DIR environment "
                  "variable, unset = disk tier off)",
         )
         p.add_argument(
-            "--cache-mem-mb", type=float, default=0.0,
-            help="segment-cache memory-tier bound in MiB (0 disables the "
-                 "segment memory tier)",
+            "--cache-mem-mb", type=float, default=None,
+            help="segment-cache memory-tier bound in MiB (default: "
+                 "CacheConfig.mem_mb; 0 disables the memory tier)",
         )
         p.add_argument(
             "--cache-disk-mb", type=float, default=256.0,
@@ -904,8 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
         if repeat:
             p.add_argument(
                 "--repeat", type=int, default=1,
-                help="submit each job this many times (repeats hit the result "
-                     "cache)",
+                help="submit each job this many times (repeats are served "
+                     "from the segment cache)",
             )
 
     p_srv = sub.add_parser(

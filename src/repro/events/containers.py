@@ -22,7 +22,8 @@ EVENT_DTYPE = np.dtype(
 class EventArray:
     """Immutable time-sorted array of events.
 
-    Construction validates finite monotonic timestamps and polarities;
+    Construction validates finite monotonic timestamps, finite
+    coordinates and polarities;
     all accessors return views where possible.
     """
 
@@ -35,9 +36,12 @@ class EventArray:
                 f"EventArray requires dtype {EVENT_DTYPE}, got {data.dtype}; "
                 "use EventArray.from_arrays to build from columns"
             )
-        if validate and not np.all(np.isfinite(data["t"])):
+        if validate:
             # NaN compares False, so the monotonicity check cannot see it.
-            raise ValueError("event timestamps must be finite")
+            if not np.all(np.isfinite(data["t"])):
+                raise ValueError("event timestamps must be finite")
+            if not (np.all(np.isfinite(data["x"])) and np.all(np.isfinite(data["y"]))):
+                raise ValueError("event coordinates must be finite")
         if sort and len(data) > 1 and np.any(np.diff(data["t"]) < 0):
             data = data[np.argsort(data["t"], kind="stable")]
         if validate and len(data) > 1 and np.any(np.diff(data["t"]) < 0):

@@ -2,10 +2,10 @@
 
 The scaling layer above :mod:`repro.core.mapping`: many independent
 event-stream jobs, one shared bounded worker pool, fair round-robin
-segment scheduling across sessions, explicit backpressure, and tiered
-result caching — a job-level LRU plus a segment-level memo (in-memory
-LRU over a persistent on-disk store) that lets overlapping jobs and
-warm-started streams skip already-computed segments.  See
+segment scheduling across sessions, explicit backpressure, and one
+result cache — a segment-level memo (in-memory LRU over a persistent
+on-disk store) that lets repeated and overlapping jobs and warm-started
+streams skip already-computed segments.  See
 :class:`ReconstructionService` for the batch API
 (``submit`` / ``poll`` / ``result`` / ``drain``),
 :class:`StreamingSession` for the incremental one (``open_stream`` /
@@ -14,7 +14,7 @@ warm-started streams skip already-computed segments.  See
 
 Configuration is consolidated in :mod:`repro.serve.options`:
 :class:`JobOptions` (per-job knobs, mergeable over service defaults),
-:class:`CacheConfig` (cache-tier capacities and placement) and
+:class:`CacheConfig` (segment-cache tier capacities and placement) and
 :class:`ServiceConfig` (the whole service;
 :meth:`ReconstructionService.from_config` consumes one).
 
@@ -36,9 +36,7 @@ catalog.
 from repro.serve.cache import (
     SEGMENT_CACHE_SCHEMA,
     CacheStats,
-    ResultCache,
     SegmentCache,
-    job_key,
     outcome_digest,
     payload_digest,
     segment_key,
@@ -92,9 +90,7 @@ from repro.serve.stream import StreamingSession, StreamUpdate
 __all__ = [
     "SEGMENT_CACHE_SCHEMA",
     "CacheStats",
-    "ResultCache",
     "SegmentCache",
-    "job_key",
     "outcome_digest",
     "payload_digest",
     "segment_key",

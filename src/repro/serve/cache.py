@@ -1,29 +1,25 @@
-"""Tiered result caches for the reconstruction service.
+"""The reconstruction service's result cache: memoized segment outcomes.
 
-Reconstruction is a pure function of ``(events, engine spec, fuse
-parameters)`` — the engine is deterministic by construction and the
-fusion is an order-fixed reduction — so repeated requests for the same
-job are served from a bounded LRU cache instead of recomputed
-(:class:`ResultCache`, keyed by :func:`job_key`).
+Eventor's unit of reuse is the key-frame segment: a segment's outcome
+is fully determined by its frame-aligned event slice plus the engine
+spec, and the segment index plays no part in the computation.  The
+serving layer therefore memoizes at *segment* granularity
+(:class:`SegmentCache`, keyed by :func:`segment_key`): overlapping jobs
+— sliding windows, warm-started streams, resubmissions after a partial
+failure, identical repeats — reuse every segment they share with
+anything computed before, across two tiers: an in-memory LRU bounded by
+bytes, in front of an optional content-addressed on-disk store (atomic
+write-then-rename, versioned schema, size-bounded eviction) whose
+entries survive process restarts.  A job whose every segment is cached
+completes at admission and only pays for its fusion.
 
-The same purity holds one level down: a segment's outcome is fully
-determined by its frame-aligned event slice plus the engine spec, and
-the segment index plays no part in the computation.  The serving layer
-therefore also memoizes at *segment* granularity (:class:`SegmentCache`,
-keyed by :func:`segment_key`): overlapping jobs — sliding windows,
-warm-started streams, resubmissions after a partial failure — reuse
-every segment they share with anything computed before, across two
-tiers: an in-memory LRU bounded by bytes, in front of an optional
-content-addressed on-disk store (atomic write-then-rename, versioned
-schema, size-bounded eviction) whose entries survive process restarts.
-
-Keys are content-addressed: the event stream contributes its
+Keys are content-addressed: the event slice contributes its
 :meth:`~repro.events.containers.EventArray.content_digest`, the
 trajectory its :meth:`~repro.geometry.trajectory.Trajectory.content_digest`
 (computed once per trajectory, not once per key), and every other
 configuration object (camera, config, policy) is normalized into a
-stable token tree and hashed.  Two submissions hit the same entry
-iff they would produce bit-identical results.
+stable token tree and hashed.  Two segments hit the same entry iff
+they would produce bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -106,29 +102,6 @@ def _token(obj) -> object:
     return ("pickle", type(obj).__name__, pickle.dumps(obj, protocol=5))
 
 
-def job_key(
-    spec: EngineSpec,
-    events: EventArray,
-    voxel_size: float,
-    min_observations: int = 1,
-) -> str:
-    """Content hash identifying one reconstruction job (hex digest)."""
-    token = _token(
-        (
-            ("events", events),
-            ("camera", spec.camera),
-            ("trajectory", spec.trajectory),
-            ("config", spec.config),
-            ("depth_range", spec.depth_range),
-            ("policy", _policy_token(spec.policy)),
-            ("backend", spec.backend),
-            ("voxel_size", float(voxel_size)),
-            ("min_observations", int(min_observations)),
-        )
-    )
-    return hashlib.sha256(pickle.dumps(token, protocol=5)).hexdigest()
-
-
 def outcome_digest(outcome) -> str:
     """Content hash of one segment outcome (hex digest).
 
@@ -200,22 +173,14 @@ def payload_digest(payload: tuple) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of the serving layer's caches.
+    """Hit/miss/eviction counters of the service's :class:`SegmentCache`.
 
-    ``hits``/``misses``/``evictions``/``size``/``capacity`` describe the
-    job-level :class:`ResultCache` (their meaning is unchanged from
-    before the segment tier existed); the ``segment_*`` fields describe
-    the :class:`SegmentCache` and stay zero while it is disabled.  All
-    counters are observability only — none of them feed the
-    deterministic :meth:`~repro.core.results.PipelineProfile.counters`
-    the equivalence tests compare.
+    Every field stays zero while the cache is disabled.  All counters
+    are observability only — none of them feed the deterministic
+    :meth:`~repro.core.results.PipelineProfile.counters` the
+    equivalence tests compare.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    capacity: int = 0
     #: Segment-tier probes answered from memory or disk.
     segment_hits: int = 0
     #: Segment-tier probes that found nothing in either tier.
@@ -232,61 +197,6 @@ class CacheStats:
     def as_dict(self) -> dict:
         """The counters as a plain dict (JSON-friendly)."""
         return dataclasses.asdict(self)
-
-
-class ResultCache:
-    """Bounded LRU map from job keys to finished results.
-
-    ``capacity == 0`` disables caching entirely (every lookup is a miss
-    and nothing is stored) — the switch the determinism tests and the
-    throughput bench use to compare cached and uncached serving.
-    """
-
-    def __init__(self, capacity: int = 32):
-        if capacity < 0:
-            raise ValueError("cache capacity must be >= 0 (0 disables)")
-        self.capacity = int(capacity)
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores anything (``capacity > 0``)."""
-        return self.capacity > 0
-
-    def get(self, key: str):
-        """The cached result for ``key``, or ``None`` (counted) on a miss."""
-        if self.enabled and key in self._entries:
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return self._entries[key]
-        self._misses += 1
-        return None
-
-    def put(self, key: str, value) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used."""
-        if not self.enabled:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the hit/miss/eviction counters."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._entries),
-            capacity=self.capacity,
-        )
 
 
 class SegmentCache:

@@ -7,8 +7,8 @@ the event loop delegates each call with ``run_in_executor`` so it never
 blocks on reconstruction work.  Capacity comes from the service's worker
 pool (``ServiceConfig.workers``), not from replicating the service —
 the same split as Eventor's one host scheduler over replicated
-processing elements.  Per-session FIFO ordering, coalescing and the
-per-session backpressure bound are the service's own.
+processing elements.  Per-session FIFO ordering, the segment cache and
+the per-session backpressure bound are the service's own.
 
 Above the service's ``refuse``/``drop-oldest`` policies sits gateway
 **admission control** (:class:`AdmissionController`): a per-tenant
@@ -359,9 +359,8 @@ class Gateway:
         service's own backpressure runs second, and its
         :class:`~repro.serve.SessionBacklogFull` refusal is re-raised
         as a structured ``backlogged`` :class:`GatewayRefused` —
-        ``drop-oldest`` eviction (which never selects a coalesced
-        follower or a live stream) applies exactly as in a direct
-        submission.
+        ``drop-oldest`` eviction (which never selects a live stream)
+        applies exactly as in a direct submission.
         """
         self._admit(session, "submit")
         try:
@@ -624,7 +623,6 @@ class GatewayServer:
             "segments_done": status.segments_done,
             "segments_total": status.segments_total,
             "cache_hit": status.cache_hit,
-            "coalesced": status.coalesced,
             "segments_retried": status.segments_retried,
             "missing_segments": list(status.missing_segments),
             "latency_seconds": status.latency_seconds,

@@ -270,7 +270,7 @@ def service_families(stats: "ServiceStats") -> list[MetricFamily]:
                 ({"state": state}, getattr(stats, f"jobs_{state}"))
                 for state in (
                     "submitted", "done", "failed", "refused",
-                    "dropped", "coalesced", "partial",
+                    "dropped", "partial",
                 )
             ],
         ),
@@ -302,10 +302,8 @@ def service_families(stats: "ServiceStats") -> list[MetricFamily]:
         ),
         make_family(
             "repro_serve_cache_events_total", "counter",
-            "Cache probes by tier (job LRU, segment memory, segment disk).",
+            "Segment-cache probes (segment: either tier; segment_disk: disk hits).",
             [
-                ({"tier": "job", "event": "hit"}, cache.hits),
-                ({"tier": "job", "event": "miss"}, cache.misses),
                 ({"tier": "segment", "event": "hit"}, cache.segment_hits),
                 ({"tier": "segment", "event": "miss"}, cache.segment_misses),
                 ({"tier": "segment_disk", "event": "hit"}, cache.segment_disk_hits),
@@ -315,7 +313,6 @@ def service_families(stats: "ServiceStats") -> list[MetricFamily]:
             "repro_serve_cache_entries", "gauge",
             "Live cache entries by tier.",
             [
-                ({"tier": "job"}, cache.size),
                 ({"tier": "segment"}, cache.segment_entries),
                 ({"tier": "segment_disk"}, cache.segment_disk_entries),
             ],
@@ -380,7 +377,6 @@ def status_snapshot(stats: "ServiceStats") -> dict:
         "jobs_failed": stats.jobs_failed,
         "jobs_refused": stats.jobs_refused,
         "jobs_dropped": stats.jobs_dropped,
-        "jobs_coalesced": stats.jobs_coalesced,
         "jobs_partial": stats.jobs_partial,
         "segments_retried": stats.segments_retried,
         "segments_timed_out": stats.segments_timed_out,
@@ -388,8 +384,6 @@ def status_snapshot(stats: "ServiceStats") -> dict:
         "inflight_segments": stats.inflight_segments,
         "queue_depth": sum(stats.queue_depths.values()),
         "queue_depths": dict(sorted(stats.queue_depths.items())),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
         "segment_cache_hits": cache.segment_hits,
         "segment_cache_misses": cache.segment_misses,
         "segment_disk_hits": cache.segment_disk_hits,
@@ -399,7 +393,6 @@ def status_snapshot(stats: "ServiceStats") -> dict:
     finished = stats.jobs_done + stats.jobs_partial + stats.jobs_failed
     record["retry_rate"] = _rate(stats.segments_retried, finished)
     record["partial_rate"] = _rate(stats.jobs_partial, finished)
-    record["job_cache_hit_rate"] = _rate(cache.hits, cache.hits + cache.misses)
     record["segment_cache_hit_rate"] = _rate(
         cache.segment_hits, cache.segment_hits + cache.segment_misses
     )
@@ -412,8 +405,7 @@ def format_status(stats: "ServiceStats") -> str:
     return "\n".join([
         "jobs: {jobs_submitted} submitted, {jobs_done} done, "
         "{jobs_partial} partial, {jobs_failed} failed, "
-        "{jobs_refused} refused, {jobs_dropped} dropped, "
-        "{jobs_coalesced} coalesced".format(**record),
+        "{jobs_refused} refused, {jobs_dropped} dropped".format(**record),
         f"in flight: {record['active_jobs']} jobs, "
         f"{record['inflight_segments']} segments "
         f"(queue depth {record['queue_depth']})",
@@ -421,8 +413,7 @@ def format_status(stats: "ServiceStats") -> str:
         f"(rate {record['retry_rate']}), "
         f"{record['segments_timed_out']} timeouts, "
         f"partial rate {record['partial_rate']}",
-        f"cache: job hit rate {record['job_cache_hit_rate']}, "
-        f"segment hit rate {record['segment_cache_hit_rate']} "
+        f"cache: segment hit rate {record['segment_cache_hit_rate']} "
         f"({record['segment_disk_hits']} from disk)",
         f"streams: {record['updates_emitted']} updates emitted",
     ])

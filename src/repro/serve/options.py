@@ -12,9 +12,9 @@ three frozen value objects:
   in any field means "inherit" — per-job options are merged over the
   service defaults by one :meth:`JobOptions.merged` method, so the
   override semantics live in exactly one place.
-* :class:`CacheConfig` — the cache tiers: job-level LRU entry count,
-  segment memory-tier bytes, segment disk-tier bytes and directory
-  (with an ``REPRO_CACHE_DIR`` environment fallback).
+* :class:`CacheConfig` — the segment cache's tiers: memory-tier bytes,
+  disk-tier bytes and directory (with an ``REPRO_CACHE_DIR``
+  environment fallback).
 * :class:`ServiceConfig` — the whole service: pool shape, admission
   knobs, the cache config and the default :class:`JobOptions`.
   :meth:`ReconstructionService.from_config` constructs a service from
@@ -36,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.faults import FaultPlan
     from repro.serve.retry import RetryPolicy
 
-#: Per-job cache modes: ``"on"`` reads and writes both cache levels,
-#: ``"off"`` touches neither (no reads, no writes, no coalescing),
+#: Per-job cache modes: ``"on"`` reads and writes the segment cache,
+#: ``"off"`` touches it not at all (no keys, no reads, no writes),
 #: ``"refresh"`` recomputes (no reads) but writes its results — the
 #: cache-busting resubmission that repopulates stale entries.
 CACHE_MODES = ("on", "off", "refresh")
@@ -117,22 +117,24 @@ class JobOptions:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Capacity and placement of the serving layer's cache tiers.
+    """Capacity and placement of the segment cache's tiers.
 
-    ``job_entries`` bounds the job-level LRU (whole fused results, in
-    entries; ``0`` disables it).  The segment tiers are byte-bounded:
-    ``mem_mb`` for the in-memory LRU (``0`` disables it, the default)
-    and ``disk_mb`` for the on-disk store, which activates only when a
-    directory is resolved — from
+    Both tiers are byte-bounded: ``mem_mb`` for the in-memory LRU
+    (``0`` disables it) and ``disk_mb`` for the on-disk store, which
+    activates only when a directory is resolved — from
     ``cache_dir``, or from the ``REPRO_CACHE_DIR`` environment variable
     when ``cache_dir`` is ``None`` (pass ``cache_dir=""`` to suppress
     the environment fallback explicitly).
     """
 
-    #: Job-level LRU capacity in entries (``0`` disables).
-    job_entries: int = 32
-    #: Segment memory-tier bound in MiB (``0`` disables, the default).
-    mem_mb: float = 0.0
+    #: Vestige of the deleted job-level result cache: only ``0`` is
+    #: accepted and no code reads it.  It stays so the frozen
+    #: ``perfbench`` harness's ``CacheConfig(job_entries=0, ...)`` still
+    #: constructs.
+    job_entries: int = 0
+    #: Segment memory-tier bound in MiB (``0`` disables).  On by
+    #: default, so a repeated submission is served without recompute.
+    mem_mb: float = 64.0
     #: Segment disk-tier bound in MiB (``0`` disables).
     disk_mb: float = 256.0
     #: Disk-tier directory; ``None`` falls back to ``REPRO_CACHE_DIR``,
@@ -140,9 +142,12 @@ class CacheConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        """Validate the tier bounds."""
-        if self.job_entries < 0:
-            raise ValueError("cache capacity must be >= 0 (0 disables)")
+        """Validate the tier bounds (and the ``job_entries`` vestige)."""
+        if self.job_entries != 0:
+            raise ValueError(
+                "job_entries must be 0: the job-level result cache is gone; "
+                "size the segment cache with mem_mb instead"
+            )
         if self.mem_mb < 0:
             raise ValueError("mem_mb must be >= 0 (0 disables the memory tier)")
         if self.disk_mb < 0:

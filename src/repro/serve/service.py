@@ -14,7 +14,7 @@ bit-identically, because both layers execute the *same*
 Semantics in one breath:
 
 * **admission** — ``submit`` pre-plans the stream (cheap pose-only
-  pass), consults the LRU result cache, and enforces per-session
+  pass), sweeps the segment cache, and enforces per-session
   backpressure: a session at its queue bound either refuses the
   submission (:class:`SessionBacklogFull`) or drops its oldest
   still-queued job, per ``overflow``; both outcomes are recorded in the
@@ -31,21 +31,17 @@ Semantics in one breath:
   futures fly, so the pool is rebuilt, lost segments requeue, and
   dispatch turns serial until the pool proves healthy — a job that
   breaks the pool while flying alone is the proven culprit and fails.
-* **caching** — two granularities (see ``docs/CACHING.md``).  Whole
-  results are cached under a content hash of (events, camera,
-  trajectory, config, policy, backend, fuse parameters); a repeated
-  submission returns the fused map without recompute, and an identical
-  job submitted while its twin is still *in flight* coalesces onto it
-  (no duplicate compute, both requests settle when the leader
-  finishes) — burst-duplicate traffic costs one reconstruction, not N.
-  Below that, a tiered **segment cache** (in-memory LRU over a
-  persistent on-disk store) memoizes per-segment outcomes under a
+* **caching** — one tier of reuse, the **segment cache** (in-memory
+  LRU over an optional persistent on-disk store; see
+  ``docs/CACHING.md``).  It memoizes per-segment outcomes under a
   content hash of (segment event slice, engine spec): overlapping jobs
-  — sliding windows, warm-started streams, resubmissions after a
-  restart — skip the already-computed segments entirely, and the
-  assembled result stays bit-identical to a cold run because the
-  cached payload *is* the segment's outcome.  Per-job cache modes
-  (``JobOptions.cache``): ``"on"``, ``"off"``, ``"refresh"``.
+  — sliding windows, warm-started streams, identical repeats,
+  resubmissions after a restart — skip the already-computed segments
+  entirely, a fully warm job completes at admission with only its
+  fusion to pay, and the assembled result stays bit-identical to a
+  cold run because the cached payload *is* the segment's outcome.
+  Per-job cache modes (``JobOptions.cache``): ``"on"``, ``"off"``,
+  ``"refresh"``.
 * **streaming** — ``open_stream`` admits a job whose events arrive in
   chunks (:class:`~repro.serve.stream.StreamingSession`): an
   incremental pose-only planner cuts key-frame segments as boundaries
@@ -94,14 +90,7 @@ from repro.core.mapping import (
 )
 from repro.core.results import PipelineProfile
 from repro.events.containers import EventArray
-from repro.serve.cache import (
-    CacheStats,
-    ResultCache,
-    SegmentCache,
-    job_key,
-    outcome_digest,
-    segment_key,
-)
+from repro.serve.cache import CacheStats, SegmentCache, outcome_digest, segment_key
 from repro.serve.faults import (
     FaultKind,
     new_hang_gate,
@@ -152,7 +141,6 @@ class ServiceStats:
     jobs_failed: int
     jobs_refused: int
     jobs_dropped: int
-    jobs_coalesced: int
     jobs_partial: int
     streams_opened: int
     updates_emitted: int
@@ -173,6 +161,9 @@ class ServiceStats:
     #: Pending (planned-but-unlanded) segments per session — the
     #: scheduler's queue depths (see ``RoundRobinScheduler.queue_depths``).
     queue_depths: dict[str, int] = field(default_factory=dict)
+    #: Vestige of the deleted job coalescing: always ``0``.  It stays
+    #: because the frozen ``perfbench`` harness reads it.
+    jobs_coalesced: int = 0
 
 
 #: The :class:`ServiceStats` fields a service counts itself (the keys of
@@ -183,7 +174,6 @@ _COUNTED_STATS = (
     "jobs_failed",
     "jobs_refused",
     "jobs_dropped",
-    "jobs_coalesced",
     "jobs_partial",
     "streams_opened",
     "updates_emitted",
@@ -250,12 +240,12 @@ class ReconstructionService:
         Service-wide default :class:`~repro.serve.options.JobOptions`;
         per-job options merge over these (``JobOptions.merged``).
     cache:
-        Cache-tier configuration
-        (:class:`~repro.serve.options.CacheConfig`): job-level LRU
-        entries plus the segment tiers — an in-memory LRU in front of a
-        persistent on-disk store, so overlapping jobs and warm-started
-        streams skip already-computed segments entirely (see
-        ``docs/CACHING.md``).  Defaults to ``CacheConfig()``.
+        Segment-cache configuration
+        (:class:`~repro.serve.options.CacheConfig`): an in-memory LRU in
+        front of an optional persistent on-disk store, so repeated and
+        overlapping jobs and warm-started streams skip already-computed
+        segments entirely (see ``docs/CACHING.md``).  Defaults to
+        ``CacheConfig()``.
 
     Examples
     --------
@@ -317,9 +307,9 @@ class ReconstructionService:
         cache = cache or CacheConfig()
         #: The :class:`CacheConfig` the cache tiers were built from.
         self.cache_config = cache
-        self.cache = ResultCache(cache.job_entries)
         #: Tiered segment-outcome cache (memory LRU over a persistent
-        #: disk store); disabled by default — see ``docs/CACHING.md``.
+        #: disk store) — the service's one result cache, see
+        #: ``docs/CACHING.md``.
         self.segment_cache = SegmentCache(
             mem_mb=cache.mem_mb,
             disk_mb=cache.disk_mb,
@@ -331,8 +321,6 @@ class ReconstructionService:
         self._scheduler = RoundRobinScheduler(queue_limit)
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[Future, _Flight] = {}
-        #: cache key -> in-flight job computing it (coalescing target).
-        self._leaders: dict[str, Job] = {}
         self._pool: Executor | None = None
         self._closed = False
         #: Remaining successful collections before parallel dispatch
@@ -431,9 +419,8 @@ class ReconstructionService:
            holding the drain hostage.
         3. The service drains; on a drain ``timeout`` (or with
            ``wait=False``) every still-active job fails deterministically
-           (``FAILED``, error ``"service shut down before completion"``,
-           coalesced followers settled) — nothing is ever left stuck in
-           a non-terminal state.
+           (``FAILED``, error ``"service shut down before completion"``)
+           — nothing is ever left stuck in a non-terminal state.
         4. The pool shuts down (:meth:`close`).
 
         Idempotent; a second call is a no-op.
@@ -463,22 +450,18 @@ class ReconstructionService:
         """Deterministically fail every non-terminal job (shutdown path).
 
         In-flight attempts are abandoned (their late results discarded
-        via the epoch bump in :meth:`_abandon_attempt`), undispatched
-        work is cancelled, and coalesced followers settle with their
-        leader's error — the invariant :meth:`shutdown` guarantees is
+        via the epoch bump in :meth:`_abandon_attempt`) and undispatched
+        work is cancelled — the invariant :meth:`shutdown` guarantees is
         that no job survives in a non-terminal state.
         """
         for future, flight in list(self._inflight.items()):
             del self._inflight[future]
             self._abandon_attempt(future, flight)
         for job in list(self._active_jobs()):
-            if job.state in TERMINAL_STATES:
-                continue  # settled as an earlier job's follower
             job.error = reason
             job.finish(JobState.FAILED, at=self._clock())
             self._counts["jobs_failed"] += 1
             self._scheduler.cancel_job(job)
-            self._settle_followers(job)
             self._retire(job)
         self._streams = [
             job for job in self._streams if job.state not in TERMINAL_STATES
@@ -538,7 +521,8 @@ class ReconstructionService:
         fields inherit).  The job's deadline clock starts now (at
         admission).  When the segment cache holds outcomes for some (or
         all) of the job's segments, those segments complete at admission
-        without ever touching the pool.
+        without ever touching the pool; a job with every segment cached
+        finalizes (fuses) before ``submit`` returns.
         """
         if self._closed:
             raise ServeError("service is closed")
@@ -553,64 +537,6 @@ class ReconstructionService:
         mode = resolved.cache
         reliability = self._job_kwargs(resolved)
 
-        key = None
-        if mode != "off" and self.cache.enabled:
-            key = job_key(spec, events, voxel_size, min_observations)
-        if mode == "on" and key is not None:
-            leader = self._leaders.get(key)
-            if leader is not None and leader.state not in TERMINAL_STATES:
-                # Identical job already in flight: coalesce instead of
-                # recomputing (checked before the cache so a burst does
-                # not count one miss per duplicate).  Coalesced jobs
-                # consume no pool slots, so they bypass the
-                # compute-protecting backpressure bound and are excluded
-                # from its count (see Session.backlogged).
-                job = Job(
-                    job_id=new_job_id(session),
-                    session=session,
-                    spec=spec,
-                    events=events,
-                    plans=leader.plans,
-                    dropped_tail=leader.dropped_tail,
-                    voxel_size=voxel_size,
-                    min_observations=min_observations,
-                    cache_key=key,
-                    coalesced_with=leader.job_id,
-                    submitted_at=self._clock(),
-                )
-                job.next_segment = job.n_segments  # nothing to dispatch
-                leader.followers.append(job)
-                self._counts["jobs_submitted"] += 1
-                self._counts["jobs_coalesced"] += 1
-                self._scheduler.admit(job)
-                self._jobs[job.job_id] = job
-                return job.job_id
-            cached = self.cache.get(key)
-            if cached is not None:
-                job = Job(
-                    job_id=new_job_id(session),
-                    session=session,
-                    spec=spec,
-                    events=events,
-                    plans=tuple(cached.segments),
-                    dropped_tail=0,
-                    voxel_size=voxel_size,
-                    min_observations=min_observations,
-                    cache_key=key,
-                    cache_hit=True,
-                    result=cached,
-                    submitted_at=self._clock(),
-                )
-                job.outcomes = {plan.index: None for plan in cached.segments}
-                job.next_segment = job.n_segments
-                job.finish(JobState.DONE, at=self._clock())
-                self._counts["jobs_submitted"] += 1
-                self._counts["jobs_done"] += 1
-                self._scheduler.admit(job)
-                self._jobs[job.job_id] = job
-                self._retire(job)
-                return job.job_id
-
         self._admit_session(session)
 
         plans, dropped = spec.plan(events)
@@ -623,7 +549,6 @@ class ReconstructionService:
             dropped_tail=dropped,
             voxel_size=voxel_size,
             min_observations=min_observations,
-            cache_key=key,
             submitted_at=self._clock(),
             **reliability,
         )
@@ -648,14 +573,11 @@ class ReconstructionService:
         self._scheduler.admit(job)
         self._jobs[job.job_id] = job
         self._counts["jobs_submitted"] += 1
-        if key is not None:
-            self._leaders[key] = job
-        if not plans:
-            # Too short for a single frame: finish with an (accounted)
-            # empty result instead of parking a never-schedulable job.
-            self._finalize(job)
-        elif job.complete:
-            # Every segment came out of the segment cache at admission.
+        if job.complete:
+            # Every segment came out of the segment cache at admission,
+            # or the stream is too short for a single frame (an
+            # accounted empty result): fuse now instead of parking a
+            # never-schedulable job.
             self._finalize(job)
         return job.job_id
 
@@ -682,7 +604,6 @@ class ReconstructionService:
             victim.error = "dropped by overflow policy 'drop-oldest'"
             victim.finish(JobState.DROPPED, at=self._clock())
             self._counts["jobs_dropped"] += 1
-            self._settle_followers(victim)
             self._retire(victim)
         return target
 
@@ -729,10 +650,9 @@ class ReconstructionService:
         :class:`~repro.serve.stream.StreamUpdate` per finalized key
         frame.  ``max_pending_chunks`` bounds the in-flight chunk
         buffer; a full buffer applies the service's overflow policy at
-        chunk granularity.  Streams bypass the *job-level* result cache
-        (their content is unknown until closed) but warm-start from the
-        *segment* tier: a freshly cut segment whose outcome is already
-        cached emits its updates immediately, without a dispatch.
+        chunk granularity.  Streams warm-start from the segment cache: a
+        freshly cut segment whose outcome is already cached emits its
+        updates immediately, without a dispatch.
 
         ``options`` resolve exactly as in :meth:`submit`, with one
         difference: a stream's ``deadline_s`` arms at ``close()`` — an
@@ -762,7 +682,6 @@ class ReconstructionService:
             dropped_tail=0,
             voxel_size=voxel_size,
             min_observations=min_observations,
-            cache_key=None,
             stream=StreamState(
                 spec.stream_planner(), voxel_size, max_pending_chunks
             ),
@@ -791,6 +710,14 @@ class ReconstructionService:
         if len(events) == 0:
             self._pump()
             return
+        if events.t_start < stream.last_t:
+            # Rejected before buffering: an out-of-order chunk reaching
+            # the planner would wedge it, and with it every later pump.
+            raise ValueError(
+                f"stream {job.job_id!r}: chunk starts at t={events.t_start!r}, "
+                f"before the last accepted event at t={stream.last_t!r}; "
+                "chunks must arrive in time order"
+            )
         if len(stream.pending_chunks) >= stream.max_pending_chunks:
             if self.overflow == "drop-oldest":
                 stream.pending_chunks.popleft()
@@ -804,6 +731,7 @@ class ReconstructionService:
                     f"overflow policy is {self.overflow!r}"
                 )
         stream.pending_chunks.append((events, self._clock()))
+        stream.last_t = events.t_end
         stream.chunks_fed += 1
         stream.events_fed += len(events)
         self._pump()
@@ -1176,7 +1104,6 @@ class ReconstructionService:
         job.finish(JobState.FAILED, at=self._clock())
         self._counts["jobs_failed"] += 1
         self._scheduler.cancel_job(job)
-        self._settle_followers(job)
         self._retire(job)
 
     # ------------------------------------------------------------------
@@ -1308,7 +1235,6 @@ class ReconstructionService:
         )
         job.finish(JobState.FAILED, at=self._clock())
         self._counts["jobs_failed"] += 1
-        self._settle_followers(job)
         self._retire(job)
 
     def _kill_pool(self) -> None:
@@ -1359,9 +1285,9 @@ class ReconstructionService:
         fusion restricted to the landed outcomes (which
         :func:`~repro.core.mapping.merge_outcomes` sorts into segment
         order, so the map equals a fault-free fusion of the completed
-        key frames), plus the missing-segment manifest.  Partial
-        results are never cached — a later identical submission must
-        get the chance to compute the full map.
+        key frames), plus the missing-segment manifest.  Only the
+        segments that landed are in the segment cache, so a later
+        identical submission computes just the missing ones.
         """
         keyframes, profile = merge_outcomes(
             list(job.outcomes.values()), job.dropped_tail
@@ -1388,34 +1314,7 @@ class ReconstructionService:
             job.finish(JobState.DONE, at=self._clock())
             self._counts["jobs_done"] += 1
         self.profile.merge(profile)
-        if job.cache_key is not None and not missing:
-            self.cache.put(job.cache_key, job.result)
-        self._settle_followers(job)
         self._retire(job)
-
-    def _settle_followers(self, leader: Job) -> None:
-        """Propagate a leader's terminal outcome to its coalesced twins."""
-        if leader.cache_key is not None and self._leaders.get(leader.cache_key) is leader:
-            del self._leaders[leader.cache_key]
-        for follower in leader.followers:
-            if follower.state in TERMINAL_STATES:
-                continue
-            if leader.state in (JobState.DONE, JobState.PARTIAL):
-                follower.result = leader.result
-                follower.finish(leader.state, at=self._clock())
-                if leader.state is JobState.DONE:
-                    self._counts["jobs_done"] += 1
-                else:
-                    self._counts["jobs_partial"] += 1
-            else:
-                follower.error = (
-                    f"coalesced leader {leader.job_id} "
-                    f"{leader.state.value}: {leader.error}"
-                )
-                follower.finish(JobState.FAILED, at=self._clock())
-                self._counts["jobs_failed"] += 1
-            self._retire(follower)
-        leader.followers.clear()
 
     def _pump(self) -> None:
         """Collect and dispatch until no immediate progress remains.
@@ -1455,8 +1354,7 @@ class ReconstructionService:
             state=job.state,
             segments_total=job.n_segments,
             segments_done=job.segments_done,
-            cache_hit=job.cache_hit,
-            coalesced=job.coalesced_with is not None,
+            cache_hit=job.n_segments > 0 and job.segments_cached == job.n_segments,
             error=job.error,
             latency_seconds=job.latency_seconds,
             missing_segments=tuple(sorted(job.missing)),
@@ -1597,8 +1495,7 @@ class ReconstructionService:
     def stats(self) -> ServiceStats:
         """Aggregate counters: admission, outcomes, cache, streaming."""
         segment = self.segment_cache
-        cache_stats = replace(
-            self.cache.stats(),
+        cache_stats = CacheStats(
             segment_hits=segment.hits,
             segment_misses=segment.misses,
             segment_disk_hits=segment.disk_hits,

@@ -38,8 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class JobState(enum.Enum):
     """Lifecycle of a submitted job.
 
-    ``QUEUED -> RUNNING -> DONE | FAILED`` is the normal path; ``DONE``
-    is reached directly on a cache hit.  ``DROPPED`` marks queued jobs
+    ``QUEUED -> RUNNING -> DONE | FAILED`` is the normal path; a job
+    whose every segment is in the segment cache reaches ``DONE`` at
+    admission.  ``DROPPED`` marks queued jobs
     displaced by the ``drop-oldest`` overflow policy (refused jobs are
     never admitted, so they have no job record — the submission raises).
     ``PARTIAL`` is graceful degradation: an ``allow_partial`` job whose
@@ -82,11 +83,9 @@ class Job:
     dropped_tail: int
     voxel_size: float
     min_observations: int
-    cache_key: str | None
     state: JobState = JobState.QUEUED
     submitted_at: float = field(default_factory=time.perf_counter)
     finished_at: float | None = None
-    cache_hit: bool = False
     error: str | None = None
     result: MappingResult | None = None
     #: Index of the next segment to dispatch (cursor into ``plans``).
@@ -96,11 +95,6 @@ class Job:
     requeued: list[int] = field(default_factory=list)
     #: Completed segment outcomes, keyed by segment index.
     outcomes: dict[int, SegmentOutcome] = field(default_factory=dict)
-    #: Job id of the in-flight leader this job coalesced onto, if any.
-    coalesced_with: str | None = None
-    #: Identical jobs admitted while this one was in flight; they settle
-    #: (result or error) when this job reaches a terminal state.
-    followers: list["Job"] = field(default_factory=list)
     #: Live state of a streaming job (``None`` for batch jobs): the
     #: incremental planner, the bounded chunk buffer, per-segment event
     #: slices and the incrementally fused map.
@@ -252,8 +246,9 @@ class JobStatus:
     state: JobState
     segments_total: int
     segments_done: int
+    #: Whether every planned segment came from the segment cache (none
+    #: touched the pool).
     cache_hit: bool
-    coalesced: bool
     error: str | None
     latency_seconds: float | None
     #: Abandoned segment indices of a ``PARTIAL`` (or degrading) job.
@@ -299,44 +294,25 @@ class Session:
         """Planned-but-unlanded segments across the session's active jobs.
 
         The session's queue depth: undispatched plan tail plus
-        recovery/retry requeues plus backed-off retries.  Coalesced
-        followers contribute nothing (they ride on their leader), so
-        the depth measures genuine pool demand — the number exported
-        per session by ``/metrics`` (``repro_serve_queue_depth``).
+        recovery/retry requeues plus backed-off retries — the number
+        exported per session by ``/metrics`` (``repro_serve_queue_depth``).
         """
         return sum(
             (job.n_segments - job.next_segment)
             + len(job.requeued)
             + len(job.retry_backlog)
             for job in self.active_jobs
-            if job.coalesced_with is None
         )
 
     @property
     def backlogged(self) -> bool:
-        """Whether the *compute* backlog reached the queue bound.
-
-        Coalesced followers ride on their leader's segments and consume
-        no pool slots, so they are excluded — the bound protects compute
-        capacity, and duplicates of admitted work must not crowd out
-        genuinely new jobs.
-        """
-        active_compute = sum(
-            1 for job in self.active_jobs if job.coalesced_with is None
-        )
-        return active_compute >= self.queue_limit
+        """Whether the session's active jobs reached the queue bound."""
+        return len(self.active_jobs) >= self.queue_limit
 
     def oldest_queued(self) -> Job | None:
         """The drop-oldest victim: first job with no segment dispatched yet.
 
-        Jobs that other submissions coalesced onto are never victims —
-        dropping them would fail every follower to admit one newcomer.
-        Coalesced *followers* are never victims either: they consume no
-        pool slots (they ride on their leader), so evicting one frees
-        no compute — it would fail a request for nothing.  The cursor
-        test alone does not exclude them: a follower of an empty-plan
-        leader has ``next_segment == 0 == n_segments``, so the guard
-        must be explicit.  Streaming jobs are never victims: a live
+        Streaming jobs are never victims: a live
         stream handle must not be killed to admit a batch job (streams
         shed load at chunk granularity instead, via their bounded chunk
         buffer).
@@ -345,8 +321,6 @@ class Session:
             if (
                 job.state is JobState.QUEUED
                 and job.next_segment == 0
-                and not job.followers
-                and job.coalesced_with is None
                 and job.stream is None
             ):
                 return job

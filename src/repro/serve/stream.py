@@ -108,6 +108,9 @@ class StreamState:
         self.flushed = False
         #: ``close()`` timestamp, for the final segment's latency.
         self.closed_at: float | None = None
+        #: Timestamp of the last accepted event (``feed`` rejects a
+        #: chunk that starts before it).
+        self.last_t = float("-inf")
         self.chunks_fed = 0
         self.events_fed = 0
         self.chunks_dropped = 0
@@ -207,7 +210,9 @@ class StreamingSession:
         the bounded in-flight buffer is full the service's overflow
         policy decides: ``refuse`` raises :class:`StreamBacklogFull`,
         ``drop-oldest`` evicts the oldest unabsorbed chunk (recorded in
-        ``chunks_dropped``).  Raises once the stream is closed or its
+        ``chunks_dropped``).  A chunk that starts before the last
+        accepted event raises ``ValueError`` and is not buffered, so the
+        stream stays usable.  Raises once the stream is closed or its
         job reached a terminal state.
         """
         self._service._feed_stream(self._job, events)

@@ -31,7 +31,6 @@ from repro.serve import (
     ReconstructionService,
     RetryPolicy,
     ServiceConfig,
-    job_key,
     segment_key,
 )
 
@@ -70,7 +69,7 @@ class TestWarmEquivalence:
     ):
         events, spec = workload
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             cold = service.result(service.submit(events, spec))
             cold_dispatches = len(service.dispatch_log)
@@ -94,9 +93,8 @@ class TestWarmEquivalence:
         other = replace(spec, policy=replace(spec.policy, **change))
         digest = events.content_digest(0, 1024)
         assert segment_key(other, digest) == segment_key(spec, digest)
-        assert job_key(other, events, 0.05) == job_key(spec, events, 0.05)
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             cold = service.result(service.submit(events, spec))
             warm = service.result(service.submit(events, other))
@@ -108,7 +106,7 @@ class TestWarmEquivalence:
 
     def test_disk_tier_survives_a_service_restart(self, workload, tmp_path):
         events, spec = workload
-        disk = CacheConfig(job_entries=0, mem_mb=0, cache_dir=str(tmp_path))
+        disk = CacheConfig(mem_mb=0, cache_dir=str(tmp_path))
         with service_with(disk) as service:
             cold = service.result(service.submit(events, spec))
             assert service.stats().cache.segment_disk_entries == len(cold.segments)
@@ -122,7 +120,7 @@ class TestWarmEquivalence:
 
     def test_warm_stream_emits_without_dispatching(self, workload, tmp_path):
         events, spec = workload
-        cache = CacheConfig(job_entries=0, mem_mb=64, cache_dir=str(tmp_path))
+        cache = CacheConfig(mem_mb=64, cache_dir=str(tmp_path))
         with service_with(cache) as service:
             cold = service.result(service.submit(events, spec))
             cold_dispatches = len(service.dispatch_log)
@@ -147,7 +145,7 @@ class TestWarmEquivalence:
         window_a = events[:cut]
         window_b = events[cut:]
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             service.result(service.submit(events, spec))
             full_dispatches = len(service.dispatch_log)
@@ -161,7 +159,7 @@ class TestWarmEquivalence:
     def test_refresh_mode_recomputes_and_rewrites(self, workload):
         events, spec = workload
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             cold = service.result(service.submit(events, spec))
             n = len(service.dispatch_log)
@@ -178,7 +176,7 @@ class TestWarmEquivalence:
     def test_off_mode_neither_reads_nor_writes(self, workload):
         events, spec = workload
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             service.result(
                 service.submit(events, spec, options=JobOptions(cache="off"))
@@ -200,7 +198,7 @@ class TestReliabilityInteraction:
             FaultKind.PERSISTENT, seed=3, rate=1.0, targets=(broken,)
         )
         with service_with(
-            CacheConfig(job_entries=32, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             job_id = service.submit(
                 events,
@@ -217,7 +215,7 @@ class TestReliabilityInteraction:
             full = service.result(repeat_id)
             status = service.poll(repeat_id)
             assert status.state is JobState.DONE
-            assert not status.cache_hit  # PARTIAL never entered the job cache
+            assert not status.cache_hit  # one segment had to be computed
             assert full.missing_segments == ()
             new = [entry for entry in service.dispatch_log[n_partial:]]
             assert [index for _, _, index in new] == [broken]
@@ -229,7 +227,7 @@ class TestReliabilityInteraction:
         # tampered payloads out so later jobs cannot inherit them.
         plan = FaultPlan(FaultKind.CORRUPT, seed=5, rate=1.0, max_failures=1)
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             service.result(
                 service.submit(events, spec, options=JobOptions(faults=plan))
@@ -238,7 +236,7 @@ class TestReliabilityInteraction:
 
     def test_integrity_recomputes_damaged_disk_entries(self, workload, tmp_path):
         events, spec = workload
-        disk = CacheConfig(job_entries=0, mem_mb=0, cache_dir=str(tmp_path))
+        disk = CacheConfig(mem_mb=0, cache_dir=str(tmp_path))
         with service_with(disk) as service:
             cold = service.result(service.submit(events, spec))
         # damage one entry at rest
@@ -281,7 +279,7 @@ class TestConfigurationPlumbing:
         config = ServiceConfig(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0, mem_mb=32, cache_dir=str(tmp_path)),
+            cache=CacheConfig(mem_mb=32, cache_dir=str(tmp_path)),
             defaults=JobOptions(retry=RetryPolicy(max_attempts=2)),
         )
         with ReconstructionService.from_config(config) as service:
@@ -293,7 +291,7 @@ class TestConfigurationPlumbing:
     def test_segment_counters_stay_out_of_deterministic_profile(self, workload):
         events, spec = workload
         with service_with(
-            CacheConfig(job_entries=0, mem_mb=64, cache_dir="")
+            CacheConfig(mem_mb=64, cache_dir="")
         ) as service:
             cold = service.result(service.submit(events, spec))
             warm = service.result(service.submit(events, spec))

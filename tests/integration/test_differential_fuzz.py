@@ -189,16 +189,18 @@ def test_differential_equivalence(seed):
     with ReconstructionService(
         workers=case.workers,
         executor=executor,
-        cache=CacheConfig(job_entries=32 if case.cache_on else 0),
+        cache=CacheConfig(mem_mb=64 if case.cache_on else 0),
     ) as service:
         job_id = service.submit(case.events, spec)
         served = service.result(job_id)
         assert_fused_bit_equal(served, mapped_batch)
         assert_keyframes_bit_equal(served.keyframes, mapped_batch.keyframes)
         if case.cache_on:
+            dispatched = len(service.dispatch_log)
             repeat = service.submit(case.events, spec)
             status = service.poll(repeat)
             assert status.cache_hit and status.state is JobState.DONE
+            assert len(service.dispatch_log) == dispatched  # zero-dispatch repeat
             assert_fused_bit_equal(service.result(repeat), mapped_batch)
 
     # --- streaming level: chunked ingestion ≡ one-shot submission ------
@@ -206,7 +208,7 @@ def test_differential_equivalence(seed):
     with ReconstructionService(
         workers=case.workers,
         executor=executor,
-        cache=CacheConfig(job_entries=0),
+        cache=CacheConfig(mem_mb=0),
     ) as service:
         with service.open_stream(spec) as stream:
             updates = []
@@ -238,14 +240,12 @@ def test_warm_segment_cache_is_invisible(tier, executor, tmp_path):
     resubmits (batch) and replays (stream) against the warm cache: both
     warm runs must complete with **zero** new segment dispatches and
     fuse bit-identically to the cold result — for the memory tier and
-    the disk tier, on every executor.  The job-level cache is disabled
-    so the segment tier alone carries the equivalence.
+    the disk tier, on every executor.
     """
     case = draw_case(WARM_CACHE_SEED)
     spec = case.spec("numpy-batch")
     workers = 1 if executor == "inline" else 2
     cache = CacheConfig(
-        job_entries=0,
         mem_mb=64 if tier == "memory" else 0,
         cache_dir=str(tmp_path) if tier == "disk" else "",
     )
@@ -299,7 +299,7 @@ def test_chaos_transient_faults_are_invisible(seed, executor):
     spec = case.spec("numpy-batch")
     workers = 1 if executor == "inline" else 2
     with ReconstructionService(
-        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
+        workers=workers, executor=executor, cache=CacheConfig(mem_mb=0)
     ) as service:
         clean = service.result(
             service.submit(case.events, spec), timeout=300.0
@@ -310,7 +310,7 @@ def test_chaos_transient_faults_are_invisible(seed, executor):
         FaultKind.TRANSIENT, seed=CHAOS_FAULT_SEED, rate=1.0, max_failures=1
     )
     with ReconstructionService(
-        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
+        workers=workers, executor=executor, cache=CacheConfig(mem_mb=0)
     ) as service:
         job_id = service.submit(
             case.events,
@@ -348,7 +348,7 @@ def test_gateway_routing_is_invisible(seed):
     case = draw_case(seed)
     spec = case.spec("numpy-batch")
     with ReconstructionService(
-        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+        workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
     ) as service:
         direct = service.result(service.submit(case.events, spec), timeout=300.0)
 
@@ -357,7 +357,7 @@ def test_gateway_routing_is_invisible(seed):
             service=ServiceConfig(
                 workers=1,
                 executor="inline",
-                cache=CacheConfig(job_entries=0, mem_mb=0.0, cache_dir=""),
+                cache=CacheConfig(mem_mb=0.0, cache_dir=""),
             ),
         )
         async with Gateway(config) as gateway:
@@ -516,7 +516,7 @@ def test_rig_served_equals_local(seed, executor):
     orchestrator = RigOrchestrator(rig, workers=1)
     workers = 1 if executor == "inline" else int(seed % 3) + 1
     with ReconstructionService(
-        workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
+        workers=workers, executor=executor, cache=CacheConfig(mem_mb=0)
     ) as service:
         handle = orchestrator.submit(service, events)
         served = orchestrator.collect(service, handle, timeout=300.0)

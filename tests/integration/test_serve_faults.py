@@ -97,7 +97,7 @@ class TestRetryHealsTransients:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, seed=11, max_failures=1)
         with ReconstructionService(
-            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=2, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -125,7 +125,7 @@ class TestRetryHealsTransients:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -145,7 +145,7 @@ class TestPersistentFaultsSurface:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(1,))
         with ReconstructionService(
-            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=2, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -172,7 +172,7 @@ class TestPersistentFaultsSurface:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(events, spec, options=JobOptions(faults=plan))
             service.drain(timeout=120.0)
@@ -193,27 +193,18 @@ class TestGracefulDegradation:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(1,))
         with ReconstructionService(
-            workers=2, executor="thread", cache=CacheConfig(job_entries=32)
+            workers=2, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             options = JobOptions(faults=plan, allow_partial=True)
             job = service.submit(events, spec, options=options)
-            # An identical submission coalesces onto the in-flight leader
-            # and settles PARTIAL with it.
-            twin = service.submit(events, spec, options=options)
             result = service.result(job, timeout=300.0)
             status = service.poll(job)
             assert status.state is JobState.PARTIAL
             assert result.missing_segments == (1,)
             assert status.missing_segments == (1,)
             assert not result.complete
-            assert service.poll(twin).state is JobState.PARTIAL
-            assert service.result(twin) is result
             stats = service.stats()
-            assert stats.jobs_partial == 2 and stats.jobs_failed == 0
-            assert stats.jobs_coalesced == 1
-            # Partial results are never cached: a later identical
-            # submission must get the chance to compute the full map.
-            assert stats.cache.size == 0
+            assert stats.jobs_partial == 1 and stats.jobs_failed == 0
 
         # Expected: the same segments run fault-free, minus segment 1.
         plans, dropped = spec.plan(events)
@@ -248,7 +239,7 @@ class TestGracefulDegradation:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             clock=clock,
         ) as service:
             job = service.submit(
@@ -284,7 +275,7 @@ class TestGracefulDegradation:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             clock=clock,
         ) as service:
             job = service.submit(
@@ -314,7 +305,7 @@ class TestSegmentDeadlines:
             FaultKind.SLOW, targets=(0,), max_failures=1, delay_s=4.0
         )
         with ReconstructionService(
-            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=2, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -342,7 +333,7 @@ class TestCrashRecovery:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CRASH, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="process", cache=CacheConfig(job_entries=0)
+            workers=1, executor="process", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -360,7 +351,7 @@ class TestCrashRecovery:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CRASH, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="process", cache=CacheConfig(job_entries=0)
+            workers=1, executor="process", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(events, spec, options=JobOptions(faults=plan))
             service.drain(timeout=300.0)
@@ -374,7 +365,7 @@ class TestIntegrity:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CORRUPT, targets=(1,), max_failures=1)
         with ReconstructionService(
-            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=2, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -399,7 +390,7 @@ class TestIntegrity:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CORRUPT, targets=(1,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(events, spec, options=JobOptions(faults=plan))
             result = service.result(job, timeout=300.0)
@@ -418,7 +409,7 @@ class TestIntegrity:
             FaultKind.CORRUPT, targets=(0,), max_failures=10
         )
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             job = service.submit(
                 events,
@@ -442,7 +433,7 @@ class TestStreamReliability:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT)
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             stream = service.open_stream(spec, options=JobOptions(faults=plan))
             stream.feed(events)
@@ -462,7 +453,7 @@ class TestStreamReliability:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             batch = service.submit(
                 events,
@@ -521,8 +512,8 @@ class TestReliabilityValidation:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            # No job cache also means no coalescing: one record per job.
-            cache=CacheConfig(job_entries=0),
+            # Cache off: every submission computes its own segments.
+            cache=CacheConfig(mem_mb=0),
             options=JobOptions(retry=retry, deadline_s=60.0, allow_partial=True),
         ) as service:
             job_id = service.submit(events, spec)

@@ -88,7 +88,7 @@ def service_config() -> ServiceConfig:
     return ServiceConfig(
         workers=1,
         executor="inline",
-        cache=CacheConfig(job_entries=0, mem_mb=0.0, cache_dir=""),
+        cache=CacheConfig(mem_mb=0.0, cache_dir=""),
     )
 
 
@@ -100,7 +100,7 @@ def gateway_config(**kwargs) -> GatewayConfig:
 def direct_result(events, spec):
     """The reference: one job through a direct single service."""
     with ReconstructionService(
-        workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+        workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
     ) as service:
         return service.result(service.submit(events, spec), timeout=300.0)
 

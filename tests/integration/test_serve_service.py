@@ -77,7 +77,7 @@ def assert_results_bit_identical(a, b):
 
 class TestServiceDeterminism:
     @pytest.mark.parametrize(
-        "workers,executor,cache_size",
+        "workers,executor,mem_mb",
         [
             (1, "inline", 32),
             (1, "inline", 0),
@@ -87,13 +87,13 @@ class TestServiceDeterminism:
         ],
     )
     def test_bit_identical_to_orchestrator(
-        self, served, direct, workers, executor, cache_size
+        self, served, direct, workers, executor, mem_mb
     ):
         _, events, _, spec = served
         with ReconstructionService(
             workers=workers,
             executor=executor,
-            cache=CacheConfig(job_entries=cache_size),
+            cache=CacheConfig(mem_mb=mem_mb),
         ) as service:
             job_id = service.submit(events, spec)
             result = service.result(job_id)
@@ -113,31 +113,11 @@ class TestServiceDeterminism:
             assert status.state is JobState.DONE
             assert len(service.dispatch_log) == dispatched_before  # no recompute
             assert_results_bit_identical(service.result(second), direct)
+            # Served by the segment cache: every segment missed once (the
+            # cold job) and hit once (the repeat).
             stats = service.stats()
-            assert stats.cache.hits == 1
-            assert stats.cache.misses == 1
-
-    def test_coalesced_burst_computes_once(self, served, direct):
-        """Identical jobs submitted before the first completes share it."""
-        _, events, _, spec = served
-        with ReconstructionService(workers=2, executor="thread") as service:
-            ids = [service.submit(events, spec) for _ in range(3)]
-            service.drain()
-            stats = service.stats()
-            assert stats.jobs_coalesced == 2
-            assert stats.jobs_done == 3
-            # One job's worth of segments dispatched, all results identical.
-            assert len(service.dispatch_log) == len(direct.segments)
-            for job_id in ids:
-                assert_results_bit_identical(service.result(job_id), direct)
-            # stats() is a snapshot: a later job leaves it untouched.
-            counters = stats.profile.counters()
-            stage_seconds = dict(stats.profile.stage_seconds)
-            short = events.time_slice(events.t_start, events.t_start + 0.5)
-            service.result(service.submit(short, spec))
-            assert stats.profile.counters() == counters
-            assert stats.profile.stage_seconds == stage_seconds
-            assert service.stats().profile.n_events > counters["n_events"]
+            assert stats.cache.segment_misses == len(direct.segments)
+            assert stats.cache.segment_hits == len(direct.segments)
 
     def test_stats_snapshot_does_not_alias_service_state(self, served):
         """Editing a snapshot leaves the service's own accounts alone."""
@@ -153,12 +133,20 @@ class TestServiceDeterminism:
             assert service.stats() == live
             assert live.profile.stage_seconds
             assert live.jobs_done == service.drain() == 1
+            # ... and a later job leaves a snapshot alone.
+            counters = live.profile.counters()
+            stage_seconds = dict(live.profile.stage_seconds)
+            longer = events.time_slice(events.t_start, events.t_start + 0.8)
+            service.result(service.submit(longer, spec))
+            assert live.profile.counters() == counters
+            assert live.profile.stage_seconds == stage_seconds
+            assert service.stats().profile.n_events > counters["n_events"]
 
     def test_fuse_parameters_respected(self, served):
         """min_observations filters through the service exactly as direct."""
         seq, events, config, spec = served
         with ReconstructionService(
-            workers=1, cache=CacheConfig(job_entries=0)
+            workers=1, cache=CacheConfig(mem_mb=0)
         ) as service:
             job_id = service.submit(
                 events, spec, options=JobOptions(min_observations=2)
@@ -175,7 +163,7 @@ class TestFairness:
         _, events, _, spec = served
         short = events.time_slice(events.t_start, events.t_start + 0.7)
         with ReconstructionService(
-            workers=1, cache=CacheConfig(job_entries=0)
+            workers=1, cache=CacheConfig(mem_mb=0)
         ) as service:
             a = service.submit(events, spec, session="alpha")
             b = service.submit(short, spec, session="beta")
@@ -192,7 +180,7 @@ class TestFairness:
     def test_per_session_dispatch_accounting(self, served):
         _, events, _, spec = served
         with ReconstructionService(
-            workers=1, cache=CacheConfig(job_entries=0)
+            workers=1, cache=CacheConfig(mem_mb=0)
         ) as service:
             service.submit(events, spec, session="alpha")
             service.submit(events, spec, session="beta")
@@ -316,7 +304,7 @@ class TestFailurePaths:
             seq, events, config, spec = served
             bad_spec = dataclasses.replace(spec, backend="hard-crash-test")
             with ReconstructionService(
-                workers=2, executor="process", cache=CacheConfig(job_entries=0)
+                workers=2, executor="process", cache=CacheConfig(mem_mb=0)
             ) as service:
                 if crasher_first:
                     bad = service.submit(events, bad_spec, session="bad")
@@ -335,7 +323,7 @@ class TestFailurePaths:
     def test_queue_full_refusal(self, served):
         _, events, _, spec = served
         with ReconstructionService(
-            workers=1, queue_limit=1, cache=CacheConfig(job_entries=0)
+            workers=1, queue_limit=1, cache=CacheConfig(mem_mb=0)
         ) as service:
             service.submit(events, spec, session="s")
             with pytest.raises(SessionBacklogFull, match="queue limit"):
@@ -355,7 +343,7 @@ class TestFailurePaths:
         with ReconstructionService(
             workers=1,
             queue_limit=1,
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             overflow="drop-oldest",
         ) as service:
             first = service.submit(events, spec, session="s")

@@ -74,7 +74,7 @@ class TestClockSeam:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             clock=clock,
         ) as service:
             job = service.submit(
@@ -113,7 +113,7 @@ class TestClockSeam:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             clock=clock,
         ) as service:
             job = service.submit(
@@ -138,7 +138,7 @@ class TestClockSeam:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             clock=clock,
         ) as service:
             job = service.submit(events, spec)
@@ -159,7 +159,7 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         job = service.submit(
             events,
@@ -186,7 +186,7 @@ class TestShutdownOrdering:
         """
         events, spec = served
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         stream = service.open_stream(spec, session="live")
         third = events.t_start + events.duration / 3
@@ -206,7 +206,7 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         job = service.submit(
             events,
@@ -235,7 +235,7 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         job = service.submit(
             events,
@@ -262,7 +262,7 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         job = service.submit(
             events,
@@ -287,13 +287,13 @@ class TestShutdownOrdering:
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         retry = RetryPolicy(max_attempts=3, backoff_s=90.0)
         with ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         ) as baseline_service:
             baseline = baseline_service.result(
                 baseline_service.submit(events, spec), timeout=300.0
             )
         service = ReconstructionService(
-            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
         )
         job = service.submit(
             events, spec, options=JobOptions(faults=plan, retry=retry)

@@ -45,7 +45,7 @@ def batch_result(streamed):
     """One-shot submission ground truth for the shared workload."""
     events, spec = streamed
     with ReconstructionService(
-        workers=1, cache=CacheConfig(job_entries=0)
+        workers=1, cache=CacheConfig(mem_mb=0)
     ) as service:
         return service.result(service.submit(events, spec))
 
@@ -77,7 +77,7 @@ class TestStreamEqualsBatch:
         with ReconstructionService(
             workers=workers,
             executor=executor,
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
         ) as service:
             stream = service.open_stream(spec)
             updates = feed_in_chunks(stream, events, chunk_events)
@@ -120,7 +120,7 @@ class TestStreamEqualsBatch:
         """Stream and batch segments round-robin in the dispatch log."""
         events, spec = streamed
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             stream = service.open_stream(spec, session="live")
             feed_in_chunks(stream, events, 10**9)
@@ -220,7 +220,7 @@ class TestStreamBackpressure:
             workers=1,
             executor="thread",
             queue_limit=1,
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
         ) as service:
             stream = service.open_stream(spec, max_pending_chunks=1)
             with pytest.raises(StreamBacklogFull, match="pending chunks"):
@@ -237,7 +237,7 @@ class TestStreamBackpressure:
             workers=1,
             executor="thread",
             queue_limit=1,
-            cache=CacheConfig(job_entries=0),
+            cache=CacheConfig(mem_mb=0),
             overflow="drop-oldest",
         ) as service:
             stream = service.open_stream(spec, max_pending_chunks=1)
@@ -255,7 +255,7 @@ class TestStreamBackpressure:
     def test_generous_buffer_drops_nothing(self, streamed, batch_result):
         events, spec = streamed
         with ReconstructionService(
-            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
+            workers=1, executor="thread", cache=CacheConfig(mem_mb=0)
         ) as service:
             with service.open_stream(spec, max_pending_chunks=10**6) as stream:
                 feed_in_chunks(stream, events, 256)
@@ -316,3 +316,33 @@ class TestStreamFailure:
             # Feeding a failed stream surfaces the failure, not a hang.
             with pytest.raises(JobFailed, match="failed"):
                 stream.feed(make_stream(10))
+
+    def test_out_of_order_chunk_is_refused_and_the_service_keeps_serving(
+        self, streamed, batch_result
+    ):
+        """A chunk starting before the last accepted event never buffers.
+
+        Only the feed raises: the stream stays usable, another tenant's
+        job still completes, and shutdown still drains cleanly.
+        """
+        events, spec = streamed
+        half = len(events) // 2
+        service = ReconstructionService(
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
+        )
+        try:
+            innocent = service.submit(events, spec, session="batch")
+            stream = service.open_stream(spec, session="live")
+            stream.feed(events[half:])
+            with pytest.raises(ValueError, match="before the last accepted event"):
+                stream.feed(events[:half])
+            assert stream.chunks_fed == 1
+            stream.close()
+            assert_results_bit_identical(
+                service.result(innocent, timeout=300.0), batch_result
+            )
+            assert len(stream.result(timeout=300.0).keyframes) > 0
+            service.shutdown()
+            assert service.closed
+        finally:
+            service.close()

@@ -86,7 +86,7 @@ class TestServeParser:
         assert args.job is None
         assert args.workers is None
         assert args.queue_limit == 8
-        assert args.cache_entries == 32
+        assert args.cache_mem_mb is None  # CacheConfig's default applies
         assert args.overflow == "refuse"
         assert args.backend == "numpy-batch"
 
@@ -123,8 +123,8 @@ class TestServeParser:
             main(["serve", "--workers", "0"])
         with pytest.raises(SystemExit, match="--queue-limit"):
             main(["serve", "--queue-limit", "0"])
-        with pytest.raises(SystemExit, match="--cache-size"):
-            main(["serve", "--cache-size", "-1"])
+        with pytest.raises(SystemExit, match="--cache-mem-mb"):
+            main(["serve", "--cache-mem-mb", "-1"])
         with pytest.raises(SystemExit, match="--repeat"):
             main(["serve", "--repeat", "0"])
 
@@ -191,7 +191,7 @@ class TestServeCommands:
         assert "alpha" in out and "beta" in out
         assert "segments dispatched per session" in out
 
-    def test_submit_repeats_hit_cache_or_coalesce(self, tmp_path, capsys):
+    def test_submit_repeats_hit_cache(self, tmp_path, capsys):
         ply = os.path.join(tmp_path, "served.ply")
         code = main(
             ["submit", "-s", "simulation_3planes", "--repeat", "3",
@@ -201,9 +201,11 @@ class TestServeCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "done" in out
-        # Burst duplicates must not recompute: either served from the
-        # cache or coalesced onto the in-flight leader.
-        assert ("hit" in out) or ("coalesced" in out)
+        # With one worker each repeat's segments dispatch after the first
+        # job's landed, so the segment cache serves every one of them.
+        rows = [line.split() for line in out.splitlines() if line.startswith("job-")]
+        assert [row[-1] for row in rows] == ["-", "hit", "hit"]
+        assert "segment cache:" in out
         from repro.io.ply import load_ply
 
         points, _ = load_ply(ply)

@@ -30,9 +30,13 @@ class TestConstruction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sort", [False, True])
     def test_rejects_non_finite_timestamps(self, bad, sort):
-        # NaN passes the np.diff monotonicity check (comparisons are False).
-        with pytest.raises(ValueError, match="finite"):
-            EventArray.from_arrays([0.0, bad, 0.5], [0] * 3, [0] * 3, [1] * 3, sort=sort)
+        # NaN passes the np.diff monotonicity check (comparisons are False);
+        # the coordinate columns are held to the same rule.
+        for column in ("t", "x", "y"):
+            cols = {"t": [0.0, 0.25, 0.5], "x": [0.0] * 3, "y": [0.0] * 3}
+            cols[column][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                EventArray.from_arrays(cols["t"], cols["x"], cols["y"], [1] * 3, sort=sort)
 
     def test_unvalidated_construction_skips_finite_check(self):
         data = EventArray.from_arrays([0.0, 0.5], [0, 0], [0, 0], [1, 1]).data.copy()

@@ -35,7 +35,7 @@ def make_stats(**overrides) -> ServiceStats:
     """A fully-populated ServiceStats with all counters zeroed."""
     base = dict(
         jobs_submitted=0, jobs_done=0, jobs_failed=0, jobs_refused=0,
-        jobs_dropped=0, jobs_coalesced=0, jobs_partial=0, streams_opened=0,
+        jobs_dropped=0, jobs_partial=0, streams_opened=0,
         updates_emitted=0, chunks_refused=0, chunks_dropped=0,
         segments_retried=0, segments_timed_out=0, results_corrupted=0,
         cache=CacheStats(), segments_dispatched={}, profile=PipelineProfile(),
@@ -209,7 +209,7 @@ class TestServiceFamilies:
         assert record["queue_depth"] == 3
         # retry_rate = retried / (done + partial + failed) = 2 / 5
         assert record["retry_rate"] == "40.0%"
-        assert record["job_cache_hit_rate"] == "-"
+        assert record["segment_cache_hit_rate"] == "-"
 
 
 class TestGatewayConfig:

@@ -87,7 +87,7 @@ class TestCacheConfig:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(job_entries=-1), "cache capacity must be >= 0"),
+            (dict(job_entries=32), "job_entries must be 0"),
             (dict(mem_mb=-0.5), "mem_mb must be >= 0"),
             (dict(disk_mb=-1.0), "disk_mb must be >= 0"),
         ],
@@ -96,11 +96,11 @@ class TestCacheConfig:
         with pytest.raises(ValueError, match=match):
             CacheConfig(**kwargs)
 
-    def test_segment_tiers_default_off(self, monkeypatch):
+    def test_memory_tier_on_disk_tier_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         config = CacheConfig()
-        assert config.job_entries == 32
-        assert config.mem_mb == 0.0
+        assert config.job_entries == 0  # vestige of the deleted job cache
+        assert config.mem_mb == 64.0  # repeats are served without recompute
         assert config.resolved_dir() is None  # no dir, no env
 
     def test_resolved_dir_explicit(self, tmp_path):
@@ -159,7 +159,7 @@ class TestServiceConfig:
             queue_limit=3,
             overflow="drop-oldest",
             retain_jobs=5,
-            cache=CacheConfig(job_entries=2),
+            cache=CacheConfig(mem_mb=2),
             defaults=JobOptions(deadline_s=7.0),
         )
         built = ReconstructionService.from_config(config)
@@ -169,7 +169,7 @@ class TestServiceConfig:
             queue_limit=3,
             overflow="drop-oldest",
             retain_jobs=5,
-            cache=CacheConfig(job_entries=2),
+            cache=CacheConfig(mem_mb=2),
             options=JobOptions(deadline_s=7.0),
         )
         assert built.defaults == spelled.defaults

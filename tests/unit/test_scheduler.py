@@ -143,7 +143,6 @@ def _serve_job(session: Session, spec, events, n_segments: int = 2) -> Job:
         dropped_tail=0,
         voxel_size=0.01,
         min_observations=1,
-        cache_key=None,
     )
     session.add(job)
     return job
@@ -158,8 +157,7 @@ class TestDropOldestVictimSelection:
     """Pin :meth:`Session.oldest_queued` — the drop-oldest victim rule.
 
     The victim must be the session's oldest *untouched* queued batch
-    job: never a job with dispatched segments, never a coalescing
-    leader, never a coalesced follower, and never a streaming job.
+    job: never a job with dispatched segments and never a streaming job.
     """
 
     def test_victim_is_oldest_untouched_job(self, serve_spec, make_stream):
@@ -172,40 +170,6 @@ class TestDropOldestVictimSelection:
         first.take_next_index()
         first.state = JobState.RUNNING
         assert session.oldest_queued() is second
-
-    def test_coalescing_leader_is_never_victim(self, serve_spec, make_stream):
-        session = Session("s", queue_limit=8)
-        events = make_stream(100)
-        leader = _serve_job(session, serve_spec, events)
-        follower = _serve_job(session, serve_spec, events)
-        newcomer = _serve_job(session, serve_spec, events)
-        leader.followers.append(follower)
-        follower.coalesced_with = leader.job_id
-        # Dropping the leader would fail its follower to admit one job.
-        assert session.oldest_queued() is newcomer
-
-    def test_coalesced_follower_is_never_victim(self, serve_spec, make_stream):
-        """A follower of an *empty-plan* leader must still be exempt.
-
-        The follower consumes no pool slots; evicting it frees no
-        compute.  With an empty plan the cursor test alone cannot tell
-        (``next_segment == 0 == n_segments``), so the explicit
-        ``coalesced_with`` guard carries this case.
-        """
-        session = Session("s", queue_limit=8)
-        events = make_stream(100)
-        leader = _serve_job(session, serve_spec, events, n_segments=0)
-        leader.state = JobState.RUNNING
-        follower = _serve_job(session, serve_spec, events, n_segments=0)
-        follower.coalesced_with = leader.job_id
-        leader.followers.append(follower)
-        newcomer = _serve_job(session, serve_spec, events)
-        assert session.oldest_queued() is newcomer
-        # With no eligible newcomer there is no victim at all — the
-        # admission falls back to refusal rather than a pointless drop.
-        newcomer.take_next_index()
-        newcomer.state = JobState.RUNNING
-        assert session.oldest_queued() is None
 
     def test_streaming_job_is_never_victim(self, serve_spec, make_stream):
         import types
@@ -223,8 +187,7 @@ class TestDropOldestVictimSelection:
     def test_pending_segments_accounting(self, serve_spec, make_stream):
         """``pending_segments`` (the queue-depth gauge) tracks the tail.
 
-        Plan tail + requeues + backed-off retries, with coalesced
-        followers excluded — they ride on their leader's segments.
+        Plan tail + requeues + backed-off retries.
         """
         session = Session("s", queue_limit=8)
         events = make_stream(100)
@@ -235,6 +198,3 @@ class TestDropOldestVictimSelection:
         job.requeued.append(0)
         job.retry_backlog.append((123.0, 1))
         assert session.pending_segments == 4
-        follower = _serve_job(session, serve_spec, events, n_segments=3)
-        follower.coalesced_with = job.job_id
-        assert session.pending_segments == 4  # follower contributes nothing

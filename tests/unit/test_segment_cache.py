@@ -177,9 +177,12 @@ class TestKeys:
         )
 
     def test_segment_key_covers_spec_and_slice(self, mapping_workload):
-        seq, events, config = mapping_workload
-        from repro.core import EngineSpec
+        """Every input of a segment's computation splits the key."""
+        import dataclasses
 
+        from repro.core import EMVSConfig, EngineSpec
+
+        seq, events, config = mapping_workload
         spec = EngineSpec(
             seq.camera,
             seq.trajectory,
@@ -188,18 +191,34 @@ class TestKeys:
             backend="numpy-batch",
         )
         digest = events.content_digest(0, 1024)
-        assert segment_key(spec, digest) == segment_key(spec, digest)
-        assert segment_key(spec, digest) != segment_key(
-            spec, events.content_digest(1024, 2048)
+        base = segment_key(spec, digest)
+        assert segment_key(spec, digest) == base
+        assert segment_key(spec, events.content_digest(1024, 2048)) != base
+        variants = {
+            "camera": dataclasses.replace(
+                spec, camera=dataclasses.replace(seq.camera, fx=seq.camera.fx + 1.0)
+            ),
+            "config": dataclasses.replace(spec, config=EMVSConfig(n_depth_planes=32)),
+            "depth_range": dataclasses.replace(spec, depth_range=(0.5, 9.0)),
+            "policy": dataclasses.replace(spec, policy="original"),
+            "backend": dataclasses.replace(spec, backend="numpy-reference"),
+        }
+        for name, other in variants.items():
+            assert segment_key(other, digest) != base, name
+
+    def test_segment_key_follows_event_content_not_identity(
+        self, davis_camera, simple_trajectory, make_stream
+    ):
+        """Two separately built but identical streams key identically."""
+        from repro.core import EMVSConfig, EngineSpec
+
+        spec = EngineSpec(davis_camera, simple_trajectory, EMVSConfig())
+        assert segment_key(spec, make_stream(500).content_digest()) == segment_key(
+            spec, make_stream(500).content_digest()
         )
-        other = EngineSpec(
-            seq.camera,
-            seq.trajectory,
-            config,
-            depth_range=seq.depth_range,
-            backend="numpy-reference",
+        assert segment_key(spec, make_stream(501).content_digest()) != segment_key(
+            spec, make_stream(500).content_digest()
         )
-        assert segment_key(spec, digest) != segment_key(other, digest)
 
     def test_sliced_digest_equals_digest_of_slice(self, mapping_workload):
         _, events, _ = mapping_workload

@@ -1,4 +1,4 @@
-"""Unit tests for the serving layer: cache, sessions, scheduler, service.
+"""Unit tests for the serving layer: sessions, scheduler, service.
 
 Integration-level determinism (service ≡ orchestrator) lives in
 ``tests/integration/test_serve_service.py``; here the pieces are tested
@@ -16,93 +16,10 @@ from repro.serve import (
     JobOptions,
     JobState,
     ReconstructionService,
-    ResultCache,
     RoundRobinScheduler,
     Session,
-    job_key,
 )
 from repro.serve.session import Job, new_job_id
-
-
-# ----------------------------------------------------------------------
-# Cache
-# ----------------------------------------------------------------------
-class TestResultCache:
-    def test_rejects_negative_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ResultCache(-1)
-
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(0)
-        assert not cache.enabled
-        cache.put("k", "v")
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
-    def test_hit_miss_counters(self):
-        cache = ResultCache(4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert stats.size == 1
-
-    def test_lru_eviction_order(self):
-        cache = ResultCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a": "b" becomes LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None  # evicted
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats().evictions == 1
-
-    def test_put_refreshes_existing_key(self):
-        cache = ResultCache(2)
-        cache.put("a", 1)
-        cache.put("a", 2)
-        assert len(cache) == 1
-        assert cache.get("a") == 2
-
-
-class TestJobKey:
-    @pytest.fixture
-    def spec(self, davis_camera, simple_trajectory):
-        return EngineSpec(
-            davis_camera,
-            simple_trajectory,
-            EMVSConfig(n_depth_planes=32),
-            depth_range=(0.5, 2.0),
-            backend="numpy-batch",
-        )
-
-    def test_deterministic(self, spec, make_stream):
-        events = make_stream(500)
-        assert job_key(spec, events, 0.01) == job_key(spec, events, 0.01)
-
-    def test_sensitive_to_every_component(self, spec, make_stream):
-        import dataclasses
-
-        events = make_stream(500)
-        base = job_key(spec, events, 0.01)
-        assert job_key(spec, make_stream(501), 0.01) != base
-        assert job_key(spec, events, 0.02) != base
-        assert job_key(spec, events, 0.01, min_observations=2) != base
-        other = dataclasses.replace(spec, backend="numpy-reference")
-        assert job_key(other, events, 0.01) != base
-        other = dataclasses.replace(spec, config=EMVSConfig(n_depth_planes=48))
-        assert job_key(other, events, 0.01) != base
-        other = dataclasses.replace(spec, policy="original")
-        assert job_key(other, events, 0.01) != base
-
-    def test_event_content_not_identity(self, spec, make_stream):
-        """Two separately built but identical streams key identically."""
-        assert job_key(spec, make_stream(500), 0.01) == job_key(
-            spec, make_stream(500), 0.01
-        )
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +45,6 @@ def make_job(session: str, n_segments: int, spec, events) -> Job:
         dropped_tail=0,
         voxel_size=0.01,
         min_observations=1,
-        cache_key=None,
     )
 
 
@@ -175,30 +91,6 @@ class TestSession:
         session.add(running)
         session.add(queued)
         assert session.oldest_queued() is queued
-
-    def test_leaders_with_followers_are_never_drop_victims(self, spec, events):
-        session = Session("s", 8)
-        leader = make_job("s", 2, spec, events)
-        leader.followers.append(make_job("s", 2, spec, events))
-        lone = make_job("s", 2, spec, events)
-        session.add(leader)
-        session.add(lone)
-        # Dropping the leader would fail its followers to admit one job.
-        assert session.oldest_queued() is lone
-        session.jobs.remove(lone)
-        assert session.oldest_queued() is None
-
-    def test_coalesced_followers_do_not_count_toward_backlog(self, spec, events):
-        session = Session("s", 1)
-        leader = make_job("s", 2, spec, events)
-        session.add(leader)
-        assert session.backlogged
-        follower = make_job("s", 2, spec, events)
-        follower.coalesced_with = leader.job_id
-        session.jobs.remove(leader)
-        session.add(follower)
-        # A queue of duplicates consumes no pool slots: not a backlog.
-        assert not session.backlogged
 
     def test_terminal_jobs_release_their_events(self, spec, events):
         job = make_job("s", 2, spec, events)
@@ -283,8 +175,11 @@ class TestServiceValidation:
         assert OVERFLOW_POLICIES == ("refuse", "drop-oldest")
 
     def test_rejects_bad_cache_size(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ReconstructionService(cache=CacheConfig(job_entries=-1))
+        with pytest.raises(ValueError, match="mem_mb"):
+            ReconstructionService(cache=CacheConfig(mem_mb=-1))
+        # The job-level cache is gone: its size knob accepts only 0.
+        with pytest.raises(ValueError, match="job_entries must be 0"):
+            ReconstructionService(cache=CacheConfig(job_entries=32))
 
     def test_submit_requires_spec(self, events):
         with ReconstructionService(workers=1) as service:
