@@ -119,6 +119,67 @@ class TestServiceDeterminism:
             assert stats.cache.segment_misses == len(direct.segments)
             assert stats.cache.segment_hits == len(direct.segments)
 
+    def test_concurrent_duplicates_each_complete_identically(
+        self, served, direct
+    ):
+        """Identical jobs queued together are two ordinary jobs.
+
+        Nothing merges them: both complete bit-identically to the direct
+        run, and each of the second job's segments is either computed or
+        served from the segment cache once the first job landed it.
+        """
+        _, events, _, spec = served
+        n = len(direct.segments)
+        with ReconstructionService(workers=1, executor="thread") as service:
+            first = service.submit(events, spec)
+            second = service.submit(events, spec)
+            for job_id in (first, second):
+                assert_results_bit_identical(service.result(job_id), direct)
+            stats = service.stats()
+            assert stats.jobs_done == 2
+            assert stats.jobs_coalesced == 0
+            assert stats.cache.segment_misses == 2 * n  # both admitted cold
+            assert stats.cache.segment_hits <= n
+            computed = service.jobs[second].segments_done - service.jobs[
+                second
+            ].segments_cached
+            assert computed + stats.cache.segment_hits == n
+
+    def test_repeat_recomputes_with_the_cache_off(
+        self, served, direct, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        _, events, _, spec = served
+        n = len(direct.segments)
+        with ReconstructionService(
+            workers=1, cache=CacheConfig(mem_mb=0)
+        ) as service:
+            service.result(service.submit(events, spec))
+            second = service.submit(events, spec)
+            assert_results_bit_identical(service.result(second), direct)
+            assert not service.poll(second).cache_hit
+            assert len(service.dispatch_log) == 2 * n
+            stats = service.stats()
+            assert stats.cache.segment_hits == stats.cache.segment_misses == 0
+
+    def test_partly_cached_job_is_not_a_cache_hit(self, served, direct):
+        """``cache_hit`` means every segment came from the cache.
+
+        A job whose leading segments were computed by an earlier, shorter
+        job reuses them but still computes its tail.
+        """
+        _, events, _, spec = served
+        n = len(direct.segments)
+        with ReconstructionService(workers=1) as service:
+            head = events[: direct.segments[2].end_event]
+            service.result(service.submit(head, spec))
+            full = service.submit(events, spec)
+            assert_results_bit_identical(service.result(full), direct)
+            status = service.poll(full)
+            job = service.jobs[full]
+            assert 0 < job.segments_cached < n
+            assert not status.cache_hit
+
     def test_stats_snapshot_does_not_alias_service_state(self, served):
         """Editing a snapshot leaves the service's own accounts alone."""
         _, events, _, spec = served

@@ -317,6 +317,38 @@ class TestStreamFailure:
             with pytest.raises(JobFailed, match="failed"):
                 stream.feed(make_stream(10))
 
+    def test_refused_chunk_leaves_no_trace_in_the_result(
+        self, streamed, batch_result
+    ):
+        events, spec = streamed
+        half = len(events) // 2
+        with ReconstructionService(
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
+        ) as service:
+            stream = service.open_stream(spec)
+            stream.feed(events[:half])
+            with pytest.raises(ValueError, match="time order"):
+                stream.feed(events[: half // 2])
+            stream.feed(events[half:])
+            stream.close()
+            assert stream.chunks_fed == 2
+            assert stream.events_fed == len(events)
+            assert_results_bit_identical(stream.result(timeout=300.0), batch_result)
+
+    def test_chunk_starting_at_the_last_timestamp_is_accepted(self, streamed):
+        """Equal timestamps across a chunk boundary are still in order."""
+        events, spec = streamed
+        half = len(events) // 2
+        with ReconstructionService(
+            workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
+        ) as service:
+            stream = service.open_stream(spec)
+            stream.feed(events[:half])
+            repeat = events[half - 1 : half]  # starts at the last accepted t
+            assert repeat.t_start == events[:half].t_end
+            stream.feed(repeat)
+            assert stream.chunks_fed == 2
+
     def test_out_of_order_chunk_is_refused_and_the_service_keeps_serving(
         self, streamed, batch_result
     ):

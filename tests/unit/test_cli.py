@@ -90,6 +90,19 @@ class TestServeParser:
         assert args.overflow == "refuse"
         assert args.backend == "numpy-batch"
 
+    def test_service_config_cache_tiers(self):
+        from repro.cli import _service_config
+        from repro.serve import CacheConfig
+
+        config = _service_config(build_parser().parse_args(["serve"]))
+        assert config.cache.mem_mb == CacheConfig().mem_mb
+        args = build_parser().parse_args(["serve", "--cache-mem-mb", "0"])
+        assert _service_config(args).cache.mem_mb == 0.0
+
+    def test_job_cache_size_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--cache-size", "4"])
+
     def test_submit_requires_sequence(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit"])

@@ -66,6 +66,31 @@ class TestMemoryTier:
         assert cache.get(key_of(0), count_miss=False) is not None
         assert cache.evictions >= 1
 
+    def test_put_of_a_present_key_keeps_one_entry_and_refreshes_it(self):
+        pad = 64 * 1024
+        cache = SegmentCache(mem_mb=3.5 * pad / 2**20)  # ~3 entries + overhead
+        first = make_payload("0", pad=pad)
+        cache.put(key_of(0), first)
+        for n in (1, 2):
+            cache.put(key_of(n), make_payload(str(n), pad=pad))
+        cache.put(key_of(0), make_payload("0-again", pad=pad))
+        assert len(cache) == 3  # idempotent: no second entry
+        cache.put(key_of(3), make_payload("3", pad=pad))
+        # The re-put made 0 most recent, so 1 is the victim.
+        assert cache.get(key_of(1), count_miss=False) is None
+        assert cache.get(key_of(0), count_miss=False) is first
+
+    def test_entry_larger_than_the_bound_is_kept_alone(self):
+        pad = 64 * 1024
+        cache = SegmentCache(mem_mb=2.5 * pad / 2**20)
+        cache.put(key_of(0), make_payload("0", pad=pad))
+        cache.put(key_of(1), make_payload("1", pad=pad))
+        cache.put(key_of(2), make_payload("big", pad=4 * pad))
+        # Everything older goes, but the newest entry itself stays.
+        assert len(cache) == 1
+        assert cache.get(key_of(2)) is not None
+        assert cache.evictions == 2
+
     def test_validation(self):
         with pytest.raises(ValueError, match="mem_mb"):
             SegmentCache(mem_mb=-1.0)
@@ -84,6 +109,16 @@ class TestDiskTier:
         assert got is not None and got[0][0] == "seven"
         assert cache.disk_hits == 1
         assert len(cache) == 1  # promoted back into the memory tier
+
+    def test_disk_only_cache_serves_without_a_memory_tier(self, tmp_path):
+        cache = SegmentCache(mem_mb=0.0, cache_dir=str(tmp_path))
+        assert cache.enabled
+        cache.put(key_of(5), make_payload("five"))
+        assert len(cache) == 0 and cache.disk_entries == 1
+        got = cache.get(key_of(5))
+        assert got is not None and got[0][0] == "five"
+        assert (cache.hits, cache.disk_hits) == (1, 1)
+        assert len(cache) == 0  # nothing to promote into
 
     def test_entries_survive_restart(self, tmp_path):
         first = SegmentCache(mem_mb=1.0, cache_dir=str(tmp_path))

@@ -92,6 +92,15 @@ class TestSession:
         session.add(queued)
         assert session.oldest_queued() is queued
 
+    def test_identical_jobs_each_count_toward_backlog(self, spec, events):
+        """Duplicates are ordinary jobs: each holds one queue slot."""
+        session = Session("s", 2)
+        session.add(make_job("s", 2, spec, events))
+        assert not session.backlogged
+        session.add(make_job("s", 2, spec, events))
+        assert session.backlogged
+        assert session.pending_segments == 4
+
     def test_terminal_jobs_release_their_events(self, spec, events):
         job = make_job("s", 2, spec, events)
         assert job.events is not None
@@ -180,6 +189,14 @@ class TestServiceValidation:
         # The job-level cache is gone: its size knob accepts only 0.
         with pytest.raises(ValueError, match="job_entries must be 0"):
             ReconstructionService(cache=CacheConfig(job_entries=32))
+
+    def test_default_service_caches_segments_in_memory(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with ReconstructionService(workers=1) as service:
+            cache = service.segment_cache
+            assert cache.enabled
+            assert cache.mem_bytes == int(CacheConfig().mem_mb * 2**20) > 0
+            assert cache.cache_dir is None
 
     def test_submit_requires_spec(self, events):
         with ReconstructionService(workers=1) as service:
