@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import update_bench_json, write_result
+from repro.core.backprojection import BackProjector, BatchFrameParameters
 from repro.core.config import DetectionConfig
 from repro.core.detection import detect_structure
 from repro.core.dsi import DSI, depth_planes
@@ -31,6 +32,8 @@ from repro.core.voting import (
     vote_nearest_into,
 )
 from repro.eval.reporting import Table
+from repro.events.containers import EVENT_DTYPE
+from repro.fixedpoint.quantize import EVENTOR_SCHEMA
 from repro.geometry.homography import (
     apply_proportional,
     proportional_coefficients_batch,
@@ -156,6 +159,9 @@ def test_hotpath_kernel_baselines(benchmark, workload):
 def test_native_kernel_baselines(benchmark, workload):
     """Native kernels vs their numpy counterparts, kernel by kernel.
 
+    Every native output must equal its numpy counterpart exactly
+    (``canonical_q_batch`` compared as int64 bit patterns).
+
     Each native kernel is timed against the numpy implementation it
     replaces on the same workload the numpy baselines above use, so the
     per-kernel speedups are directly comparable across hosts.  The
@@ -205,6 +211,42 @@ def test_native_kernel_baselines(benchmark, workload):
     np.testing.assert_array_equal(
         phi_native(), proportional_coefficients_batch(centers, z0, depths, camera)
     )
+
+    # --- quantized canonical projection P(Z0) -------------------------
+    # Normalized near-identity homographies over sensor-sized pixels: the
+    # engine's operating point (mostly hits, a border band of misses).
+    H = np.eye(3) + rng.uniform(-0.02, 0.02, (N_FRAMES, 3, 3))
+    H[:, :2, 2] += rng.uniform(-8.0, 8.0, (N_FRAMES, 2))
+    H = EVENTOR_SCHEMA.quantize_homography(
+        H / np.abs(H).max(axis=(1, 2), keepdims=True)
+    )
+    records = np.zeros(N_FRAMES * N_EVENTS, dtype=EVENT_DTYPE)
+    records["x"] = rng.uniform(0.0, camera.width, records.size)
+    records["y"] = rng.uniform(0.0, camera.height, records.size)
+    frames = [records[b * N_EVENTS : (b + 1) * N_EVENTS] for b in range(N_FRAMES)]
+    projector = BackProjector(camera, SE3.identity(), depths, EVENTOR_SCHEMA)
+    params = BatchFrameParameters(H_Z0=H, phi=np.zeros((N_FRAMES, nz, 3)))
+    canonical_uv0 = np.empty((N_FRAMES, N_EVENTS, 2))
+    canonical_valid = np.empty((N_FRAMES, N_EVENTS), dtype=bool)
+
+    def canonical_numpy():
+        # What numpy-batch runs: the float64 (B, N, 2) stack, then P(Z0).
+        xy = np.stack([np.stack([f["x"], f["y"]], axis=1) for f in frames])
+        return projector.canonical_batch(params, xy.astype(float))
+
+    def canonical_native():
+        return kernels.canonical_q_batch(
+            H, frames, EVENTOR_SCHEMA, canonical_uv0, canonical_valid
+        )
+
+    t_can_np = best_of(canonical_numpy, repeats=3) * 1e3 / N_FRAMES
+    t_can_nat = best_of(canonical_native, repeats=3) * 1e3 / N_FRAMES
+    record("canonical_q_batch", t_can_np, t_can_nat)
+    uv_ref, valid_ref = canonical_numpy()
+    misses = canonical_native()
+    assert np.array_equal(canonical_uv0.view(np.int64), uv_ref.view(np.int64))
+    assert np.array_equal(canonical_valid, valid_ref)
+    assert misses == np.count_nonzero(~valid_ref)
 
     # --- fused proportional + nearest voting --------------------------
     counts = np.zeros(nz * h * w, dtype=np.int32)
@@ -258,9 +300,11 @@ def test_native_kernel_baselines(benchmark, workload):
         "BENCH_backends.json", {"kernels": {"provider": kernels.name, **report}}
     )
 
-    # The voting kernels carry the hot stage; both must beat their numpy
-    # counterparts outright (φ is microseconds per frame — recorded, but
-    # too close to the timer floor to gate on).
+    # The canonical projection and the voting kernels carry the hot
+    # stage; each must beat its numpy counterpart outright (φ is
+    # microseconds per frame — recorded, but too close to the timer floor
+    # to gate on).
+    assert t_can_nat < t_can_np
     assert t_near_nat < t_near_np
     assert t_bil_nat < t_bil_np
 
@@ -270,8 +314,8 @@ def test_batched_parameter_stage_baseline(benchmark):
     """Per-frame pose sampling + (H_Z0, phi) computation, batched vs scalar.
 
     Covers the whole ARM-side parameter stage: trajectory interpolation at
-    the frame timestamps (``Trajectory.sample_batch`` vs a scalar
-    ``sample`` loop) feeding the stacked ``frame_parameters_batch`` pass.
+    the frame timestamps (the engine's scalar ``sample`` loop) feeding the
+    stacked ``frame_parameters_batch`` pass.
     """
     from repro.core.backprojection import BackProjector
     from repro.core.dsi import depth_planes
@@ -294,10 +338,7 @@ def test_batched_parameter_stage_baseline(benchmark):
     t_sample_scalar = best_of(
         lambda: [trajectory.sample(float(t)) for t in frame_times], repeats=3
     ) * 1e3 / N_FRAMES
-    t_sample_batch = best_of(
-        lambda: trajectory.sample_batch(frame_times), repeats=3
-    ) * 1e3 / N_FRAMES
-    poses = trajectory.sample_batch(frame_times)
+    poses = [trajectory.sample(float(t)) for t in frame_times]
     rotations, translations = stack_poses(poses)
 
     def scalar():
@@ -313,25 +354,16 @@ def test_batched_parameter_stage_baseline(benchmark):
         ["path", "ms/frame"],
     )
     table.add_row("Trajectory.sample (scalar loop)", f"{t_sample_scalar:.3f}")
-    table.add_row(f"Trajectory.sample_batch (B={N_FRAMES})", f"{t_sample_batch:.3f}")
     table.add_row("frame_parameters (scalar loop)", f"{t_scalar:.3f}")
     table.add_row(f"frame_parameters_batch (B={N_FRAMES})", f"{t_batch:.3f}")
     table.add_note("stacked (B,3,3) inverse/matmul vs B Python SE3 trips")
     write_result("hotpath_parameters", table.render())
 
-    # Vectorized sampling interpolates the same poses (to float rounding).
-    for t, pose in zip(frame_times, poses):
-        scalar_pose = trajectory.sample(float(t))
-        np.testing.assert_allclose(pose.rotation, scalar_pose.rotation, atol=1e-12)
-        np.testing.assert_allclose(
-            pose.translation, scalar_pose.translation, atol=1e-12
-        )
     batch = proj.frame_parameters_batch(rotations, translations)
     for k, params in enumerate(scalar()):
         np.testing.assert_array_equal(batch.H_Z0[k], params.H_Z0)
         np.testing.assert_array_equal(batch.phi[k], params.phi)
     assert t_batch < t_scalar
-    assert t_sample_batch < t_sample_scalar
 
 
 def synthetic_keyframe_dsi(seed: int = 2022) -> DSI:

@@ -118,32 +118,69 @@ def test_sec21_host_measured_breakdown(benchmark, sequences):
     numpy host skews constants (vectorized voting is relatively faster,
     python-side detection relatively slower), so the assertion here is the
     *structural* claim — back-projection + ray-counting is the largest
-    cost and a clear majority of the per-event work.
+    cost and a clear majority of the per-event work.  The assertions read
+    the reference pipeline (``numpy-reference``); the ``native-batch``
+    stage split on the same events is recorded next to it (table and
+    ``BENCH_backends.json``), since compiled ``P_Z0``/``P_Zi_R`` move the
+    shares the most.
     """
     seq = sequences["simulation_3planes"]
     events = eval_events(seq)
-    engine = ReconstructionEngine(
-        seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
-        policy="reformulated",
-    )
+
+    def engine(backend):
+        return ReconstructionEngine(
+            seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
+            policy="reformulated", backend=backend,
+        )
+
+    reference = engine("numpy-reference")
     result = benchmark.pedantic(
-        lambda: engine.run(events), rounds=1, iterations=1
+        lambda: reference.run(events), rounds=1, iterations=1
     )
-    stages = result.profile.stage_seconds
-    total = result.profile.total_seconds()
-    p_r = (stages.get("P_Z0", 0.0) + stages.get("P_Zi_R", 0.0)) / total
+    splits = {"numpy-reference": result.profile}
+    if "native-batch" in BACKENDS:
+        splits["native-batch"] = engine("native-batch").run(events).profile
 
     table = Table(
         "Sec. 2.1 — host-measured stage share (reformulated pipeline)",
-        ["stage", "seconds", "share"],
+        ["backend", "stage", "seconds", "share"],
     )
-    for stage, seconds in sorted(stages.items(), key=lambda kv: -kv[1]):
-        table.add_row(stage, f"{seconds:.3f}", format_percent(seconds / total))
+    report = {}
+    for backend, profile in splits.items():
+        stage_seconds = profile.stage_seconds
+        backend_total = profile.total_seconds()
+        for stage, seconds in sorted(stage_seconds.items(), key=lambda kv: -kv[1]):
+            table.add_row(
+                backend, stage, f"{seconds:.3f}",
+                format_percent(seconds / backend_total),
+            )
+        report[backend] = {
+            "total_seconds": backend_total,
+            "stage_seconds": dict(stage_seconds),
+            "stage_share": {
+                stage: seconds / backend_total
+                for stage, seconds in stage_seconds.items()
+            },
+        }
+    stages = result.profile.stage_seconds
+    total = result.profile.total_seconds()
+    p_r = (stages.get("P_Z0", 0.0) + stages.get("P_Zi_R", 0.0)) / total
     table.add_note(
-        f"P + R share: {format_percent(p_r)} (paper reports >80% for its "
-        "scalar C++ baseline; numpy vectorization shifts the constants)"
+        f"reference P + R share: {format_percent(p_r)} (paper reports >80% "
+        "for its scalar C++ baseline; numpy vectorization shifts the "
+        "constants)"
     )
     write_result("sec21_host_measured", table.render())
+    update_bench_json(
+        "BENCH_backends.json",
+        {
+            "stage_split": {
+                "workload": "simulation_3planes",
+                "n_events": result.profile.n_events,
+                "backends": report,
+            }
+        },
+    )
     assert p_r > 0.55
     assert max(stages, key=stages.get) == "P_Zi_R"
 

@@ -103,7 +103,9 @@ class QFormat:
         """Quantize floats to raw integer representation (int64).
 
         Non-finite inputs saturate to the nearest representable bound (the
-        pipeline treats them as projection misses before this point).
+        pipeline treats them as projection misses before this point) and
+        NaN maps to zero; under ``SATURATE`` a finite value of any
+        magnitude saturates too.
         """
         values = np.asarray(values, dtype=float)
         scaled = values * self.scale
@@ -112,7 +114,11 @@ class QFormat:
         else:
             raw = np.floor(scaled)
         raw = np.nan_to_num(raw, nan=0.0, posinf=float(self.raw_max), neginf=float(self.raw_min))
-        raw = raw.astype(np.int64)
+        # A float past the int64 range has no defined integer cast (x86
+        # yields INT64_MIN, which would saturate 1e30 to raw_min): clamp
+        # into castable range and pin the too-large ones to INT64_MAX.
+        castable = np.clip(raw, -(2.0**63), 2.0**63 - 1024.0).astype(np.int64)
+        raw = np.where(raw >= 2.0**63, np.iinfo(np.int64).max, castable)
         if overflow is Overflow.SATURATE:
             return np.clip(raw, self.raw_min, self.raw_max)
         span = self.raw_max - self.raw_min + 1
@@ -138,11 +144,18 @@ class QFormat:
         coordinates must be discarded, not voted at the sensor border.
         """
         values = np.asarray(values, dtype=float)
-        return (
-            ~np.isfinite(values)
-            | (values < self.min_value - 0.5 * self.resolution)
-            | (values > self.max_value + 0.5 * self.resolution)
-        )
+        lo, hi = self.overflow_bounds
+        return ~np.isfinite(values) | (values < lo) | (values > hi)
+
+    @property
+    def overflow_bounds(self) -> tuple[float, float]:
+        """``(lo, hi)``: finite values in ``[lo, hi]`` do not overflow.
+
+        Half an LSB past each end of the range, so a value that rounds
+        onto ``raw_min``/``raw_max`` still counts as representable.
+        """
+        half = 0.5 * self.resolution
+        return self.min_value - half, self.max_value + half
 
     def quantization_error_bound(self) -> float:
         """Worst-case absolute error of round-to-nearest: half an LSB."""

@@ -79,6 +79,26 @@ class QuantizationSchema:
             return ~np.isfinite(np.asarray(xy, dtype=float))
         return self.canonical_coord.overflows(xy)
 
+    @property
+    def canonical_mac_exact(self) -> bool:
+        """Whether float64 computes ``P(Z0)``'s homography rows exactly.
+
+        Each row is ``x*h0 + y*h1 + h2`` on quantized operands: every
+        term is an integer multiple of ``2^-(event.frac + homography.frac)``
+        and ``|sum| <= (2*X + 2^event.frac) * M`` such units, where ``X``
+        and ``M`` are the largest raw magnitudes of the two formats.
+        When that fits float64's 53-bit significand, every product and
+        partial sum is exact, so any summation order (BLAS, FMA, a C
+        loop) gives the same value.  True for Table 1 (``2^48 + 2^38``
+        units); ``False`` when quantization is disabled.
+        """
+        if not self.enabled:
+            return False
+        e, h = self.event_coord, self.homography
+        x = max(-e.raw_min, e.raw_max)
+        m = max(-h.raw_min, h.raw_max)
+        return (2 * x + (1 << e.frac_bits)) * m <= 1 << 53
+
     def quantize_homography(self, H: np.ndarray) -> np.ndarray:
         if not self.enabled:
             return np.asarray(H, dtype=float)

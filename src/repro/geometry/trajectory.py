@@ -42,12 +42,7 @@ class Trajectory:
             raise ValueError("timestamps must be strictly increasing")
         self._timestamps = timestamps
         self._poses = poses
-        # Cache quaternions and translations for vectorized interpolation.
-        self._quats = np.array([p.quaternion().as_array() for p in poses])
-        # Enforce hemisphere continuity so vectorized slerp takes short arcs.
-        for i in range(1, len(self._quats)):
-            if np.dot(self._quats[i], self._quats[i - 1]) < 0.0:
-                self._quats[i] = -self._quats[i]
+        # Stacked translations for vectorized position interpolation.
         self._trans = np.array([p.translation for p in poses])
         self._digest: str | None = None
 
@@ -127,43 +122,6 @@ class Trajectory:
             out[inside] = (1.0 - alpha) * self._trans[i] + alpha * self._trans[i + 1]
         return out
 
-    def sample_many(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized pose interpolation.
-
-        Returns
-        -------
-        ``(R, t)`` with ``R`` of shape ``(N, 3, 3)`` and ``t`` of shape
-        ``(N, 3)``; row ``k`` is the interpolated ``T_wc`` at ``times[k]``.
-        """
-        times = np.asarray(times, dtype=float)
-        ts = self._timestamps
-        idx = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 2)
-        t0 = ts[idx]
-        t1 = ts[idx + 1]
-        alpha = np.clip((times - t0) / (t1 - t0), 0.0, 1.0)
-
-        trans = (1.0 - alpha)[:, None] * self._trans[idx] + alpha[:, None] * self._trans[
-            idx + 1
-        ]
-        quats = _batch_slerp(self._quats[idx], self._quats[idx + 1], alpha)
-        return _quat_to_matrix(quats), trans
-
-    def sample_batch(self, times: np.ndarray) -> list[SE3]:
-        """Interpolated poses at many timestamps through one vectorized pass.
-
-        Functionally equivalent to ``[self.sample(t) for t in times]`` but
-        runs the interpolation as a single :meth:`sample_many` call — the
-        pose-side batch driver used by the hot-path benchmarks
-        (``benchmarks/bench_hotpath_kernels.py``) and offline tooling that
-        needs many poses at once.  The scalar and vectorized slerp may
-        differ by float rounding in the last bits; callers that must match
-        :meth:`sample` bit-for-bit (the engine's packetizer, whose frame
-        poses the ``numpy-batch`` backend stacks unchanged) keep the
-        scalar path.
-        """
-        rotations, translations = self.sample_many(np.asarray(times, dtype=float))
-        return [SE3(R, t) for R, t in zip(rotations, translations)]
-
     def transformed(self, offset: SE3) -> "Trajectory":
         """Trajectory of a frame rigidly mounted at ``offset`` from this one.
 
@@ -225,47 +183,6 @@ class Trajectory:
                 )
             poses.append(SE3(rot, t))
         return Trajectory(self._timestamps, poses)
-
-
-def _batch_slerp(q0: np.ndarray, q1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Vectorized slerp on ``(N, 4)`` scalar-first quaternion arrays."""
-    dot = np.sum(q0 * q1, axis=1)
-    flip = dot < 0.0
-    q1 = np.where(flip[:, None], -q1, q1)
-    dot = np.abs(dot)
-
-    out = np.empty_like(q0)
-    near = dot > 1.0 - 1e-10
-    if np.any(near):  # nlerp fallback for nearly-identical rotations
-        a = alpha[near][:, None]
-        q = (1.0 - a) * q0[near] + a * q1[near]
-        out[near] = q / np.linalg.norm(q, axis=1, keepdims=True)
-    far = ~near
-    if np.any(far):
-        theta = np.arccos(np.clip(dot[far], -1.0, 1.0))
-        sin_theta = np.sin(theta)
-        a = alpha[far]
-        w0 = np.sin((1.0 - a) * theta) / sin_theta
-        w1 = np.sin(a * theta) / sin_theta
-        q = w0[:, None] * q0[far] + w1[:, None] * q1[far]
-        out[far] = q / np.linalg.norm(q, axis=1, keepdims=True)
-    return out
-
-
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Vectorized quaternion-to-matrix for ``(N, 4)`` scalar-first arrays."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((q.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
 
 
 def linear_trajectory(

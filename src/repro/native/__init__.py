@@ -16,17 +16,9 @@ the end of its own definition, and importing it from here would recreate
 the cycle that arrangement avoids.
 """
 
-from repro.native.provider import (
-    CANONICAL_ATOL,
-    CANONICAL_RTOL,
-    get_kernels,
-    provider_status,
-    reset,
-)
+from repro.native.provider import get_kernels, provider_status, reset
 
 __all__ = [
-    "CANONICAL_ATOL",
-    "CANONICAL_RTOL",
     "get_kernels",
     "provider_status",
     "reset",

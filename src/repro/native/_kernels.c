@@ -1,16 +1,17 @@
 /* Eventor hot-stage kernels: compiled counterparts of the numpy hot path.
  *
  * The contract of every kernel here is *bit-compatibility* with the numpy
- * reference implementation (see docs/NATIVE.md for the ABI and the one
- * declared exception):
+ * reference implementation (see docs/NATIVE.md for the ABI); there is
+ * no epsilon anywhere:
  *
  *   - eventor_phi_batch        == repro.geometry.homography
  *                                 .proportional_coefficients_batch (bit-exact:
  *                                 same elementwise operation order, no FMA)
- *   - eventor_canonical_batch  ~= apply_homography_with_scale_batch
- *                                 (epsilon-bounded: numpy routes the matmul
- *                                 through BLAS, whose accumulation order
- *                                 differs from the C loop)
+ *   - eventor_canonical_q_batch
+ *                              == BackProjector.canonical_batch under a
+ *                                 quantized schema whose MACs are exact in
+ *                                 float64 (bit-exact: exact sums in any
+ *                                 order, correctly rounded division)
  *   - eventor_vote_nearest_batch
  *                              == proportional map + nearest_vote_indices
  *                                 + integer scatter (bit-exact)
@@ -28,11 +29,14 @@
  * The library is pure C99 + libm with a flat extern "C" ABI (no Python.h),
  * so it can be loaded through ctypes, cffi, or linked from any other
  * provider (e.g. a future Rust crate re-exporting the same symbols).
- * All arrays are dense row-major (C-contiguous) float64 / int64 / uint8.
+ * All arrays are dense row-major (C-contiguous) float64 / int64 / uint8,
+ * except the event records P(Z0) reads in place (float32 x/y fields at
+ * any record stride).
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(_MSC_VER)
 #define EXPORT __declspec(dllexport)
@@ -81,36 +85,97 @@ EXPORT int eventor_phi_batch(
     return degenerate;
 }
 
-/* Batched canonical projection P(Z0): homogeneous transform + perspective
- * division.  Division by a zero scale produces IEEE inf/nan, exactly like
- * the numpy path under errstate(ignore).
- *
- *   H:  (B, 3, 3) per-frame canonical homographies
- *   xy: (B, N, 2) event pixels
- *   uv: (B, N, 2) output canonical pixels
- *   w:  (B, N)    output homogeneous scales (<= 0 marks a behind-plane miss)
- */
-EXPORT void eventor_canonical_batch(
-    const double *H, const double *xy,
-    ll B, ll N,
-    double *uv, double *w)
+/* Round-half-away-from-zero narrowing to a raw fixed-point integer with
+ * saturation: QFormat.to_raw (NEAREST, SATURATE) operation for operation.
+ * numpy rounds with floor(s + 0.5) / ceil(s - 0.5); the shifted value t
+ * is the same double here, and truncating it toward zero equals that
+ * floor (t >= 0.5) or ceil (t < 0) -- with no libm call, and through the
+ * integer, so (-1/2 LSB, 0) yields raw 0 (+0.0 after scaling, never the
+ * -0.0 a double ceil returns).  NaN maps to 0; values past the int64
+ * range saturate instead of taking C's undefined conversion. */
+static inline ll to_raw_nearest(double v, double scale, ll raw_min, ll raw_max)
 {
+    const double s = v * scale;
+    const double t = s >= 0.0 ? s + 0.5 : s - 0.5;
+    ll q;
+    if (t != t)
+        q = 0;
+    else if (t >= 0x1p63)
+        q = INT64_MAX;
+    else if (t <= -0x1p63)
+        q = INT64_MIN;
+    else
+        q = (ll)t;
+    return q < raw_min ? raw_min : (q > raw_max ? raw_max : q);
+}
+
+/* Canonical projection P(Z0) under a fixed-point schema, over a frame
+ * batch: PE_Z0's per-event work.  Per event:
+ *
+ *   1. read x/y in place from the frame's event records (float32
+ *      fields) and quantize them to the event format;
+ *   2. run the three H_Z0 row MACs (x*h0 + y*h1 + h2);
+ *   3. divide by the scale row and mark a miss when w <= 0 (behind the
+ *      plane) or either quotient falls outside [c_lo, c_hi] (not
+ *      representable in the canonical format; NaN fails the test too);
+ *   4. zero miss rows, quantize uv0 to the canonical format and write
+ *      uv0/valid.
+ *
+ * The caller guarantees the schema's formats keep every MAC product and
+ * sum inside float64's 53-bit significand (QuantizationSchema
+ * .canonical_mac_exact), so the MACs are exact in any order and the
+ * result is bit-identical to BackProjector.canonical_batch: the
+ * divisions are correctly rounded on both sides.
+ *
+ *   records:  (B,) address of each frame's first event record
+ *   strides:  (B,) byte stride between consecutive records of a frame
+ *   x_off, y_off: byte offsets of the float32 x / y fields in a record
+ *   H:        (B, 3, 3) quantized H_Z0 stack
+ *   e_*:      event format (scale = 2^frac, raw bounds)
+ *   c_*:      canonical format, plus its overflow bounds lo/hi
+ *   uv0:      (B, N, 2) output canonical pixels
+ *   valid:    (B, N) output uint8 hit mask
+ *
+ * Returns the number of misses.
+ */
+EXPORT ll eventor_canonical_q_batch(
+    const ll *records, const ll *strides, ll x_off, ll y_off,
+    ll B, ll N, const double *H,
+    double e_scale, ll e_min, ll e_max,
+    double c_scale, ll c_min, ll c_max, double c_lo, double c_hi,
+    double *uv0, unsigned char *valid)
+{
+    /* Scales are powers of two: multiplying by the reciprocal is exact,
+     * so it equals numpy's raw / scale bit for bit. */
+    const double e_inv = 1.0 / e_scale;
+    const double c_inv = 1.0 / c_scale;
+    ll misses = 0;
     for (ll b = 0; b < B; ++b) {
+        const char *px = (const char *)(intptr_t)records[b] + x_off;
+        const char *py = (const char *)(intptr_t)records[b] + y_off;
+        const ll stride = strides[b];
         const double *h = H + 9 * b;
-        const double *p = xy + b * N * 2;
-        double *o = uv + b * N * 2;
-        double *ow = w + b * N;
+        double *o = uv0 + b * N * 2;
+        unsigned char *ok_out = valid + b * N;
         for (ll i = 0; i < N; ++i) {
-            const double x = p[2 * i];
-            const double y = p[2 * i + 1];
-            const double h0 = x * h[0] + y * h[1] + h[2];
-            const double h1 = x * h[3] + y * h[4] + h[5];
-            const double h2 = x * h[6] + y * h[7] + h[8];
-            o[2 * i] = h0 / h2;
-            o[2 * i + 1] = h1 / h2;
-            ow[i] = h2;
+            float fx, fy;
+            /* records are packed (17-byte events): unaligned-safe loads */
+            memcpy(&fx, px + i * stride, sizeof fx);
+            memcpy(&fy, py + i * stride, sizeof fy);
+            const double x = (double)to_raw_nearest(fx, e_scale, e_min, e_max) * e_inv;
+            const double y = (double)to_raw_nearest(fy, e_scale, e_min, e_max) * e_inv;
+            const double w = x * h[6] + y * h[7] + h[8];
+            const double u = (x * h[0] + y * h[1] + h[2]) / w;
+            const double v = (x * h[3] + y * h[4] + h[5]) / w;
+            /* & not &&: every test is cheap, and misses arrive unpredictably */
+            const int ok = (w > 0.0) & (u >= c_lo) & (u <= c_hi) & (v >= c_lo) & (v <= c_hi);
+            misses += !ok;
+            o[2 * i] = (double)to_raw_nearest(ok ? u : 0.0, c_scale, c_min, c_max) * c_inv;
+            o[2 * i + 1] = (double)to_raw_nearest(ok ? v : 0.0, c_scale, c_min, c_max) * c_inv;
+            ok_out[i] = (unsigned char)ok;
         }
     }
+    return misses;
 }
 
 /* Fused proportional back-projection + nearest voting over a frame batch.

@@ -2,19 +2,22 @@
 
 Same segment-batched dataflow as ``numpy-batch`` — the engine buffers
 ``DataflowPolicy.batch_frames`` event frames and the backend executes
-each batch in fused passes — but the φ parameter stack and the fused
-proportional + vote scatter run in compiled code (see
-:mod:`repro.native.provider` for the cached kernel load and
-``docs/NATIVE.md`` for the kernel ABI).
+each batch in fused passes — but the φ parameter stack, the quantized
+canonical projection and the fused proportional + vote scatter run in
+compiled code (see :mod:`repro.native.provider` for the cached kernel
+load and ``docs/NATIVE.md`` for the kernel ABI).
 
 The bit-exactness contract mirrors the other software backends: every
 DSI count, vote total and miss total is identical to
 ``numpy-reference`` under all voting × correction policy corners.  The
-``H_Z0`` stack and the canonical projection stay on numpy — their
-LAPACK/BLAS kernels are the reference's own arithmetic, and re-running
-the matmul in C would re-associate the accumulation (the one declared
-epsilon in the native package, exercised only by the standalone
-``canonical_batch`` kernel).
+``H_Z0`` stack stays on numpy (its LAPACK inverse is the reference's own
+arithmetic).  The canonical projection runs natively whenever the
+policy's schema keeps its homography MACs exact in float64
+(:attr:`~repro.fixedpoint.quantize.QuantizationSchema.canonical_mac_exact`,
+true for Table 1): then every summation order gives the same sums and
+the C kernel matches numpy bit for bit.  Otherwise (``FLOAT_SCHEMA``,
+or formats too wide for the bound) it stays on numpy, whose BLAS
+accumulation order a C loop could not reproduce.
 
 Importing this module registers the backend *iff* the kernels load;
 :mod:`repro.core.engine` imports it under ``try/except`` so the
@@ -47,7 +50,10 @@ class NativeBatchBackend(_NumpyBackendBase):
 
     1. ``P_Z0`` — stacked poses, numpy ``H_Z0`` batch (LAPACK inverse,
        bit-identical to the reference by construction), native
-       ``phi_batch``, numpy batched canonical projection;
+       ``phi_batch``, and the batched canonical projection: native
+       ``canonical_q_batch`` straight from the frames' event records
+       into instance-owned ``uv0``/``valid`` scratch when the
+       schema's MACs are exact, numpy otherwise;
     2. ``P_Zi_R`` — one native fused proportional + vote call over the
        whole batch: ``vote_nearest_batch`` accumulates into a
        segment-lifetime int32 count buffer (materialized into the DSI
@@ -55,9 +61,10 @@ class NativeBatchBackend(_NumpyBackendBase):
        the DSI flat buffer in reference corner order, dispatching on the
        policy's score dtype.
 
-    All mutable buffers (counts, bilinear scratch) are owned per
-    instance; the shared kernel object is stateless, so concurrent
-    engines — thread pools, process pools — never share state.
+    All mutable buffers (counts, canonical and bilinear scratch) are
+    owned per instance; the shared kernel object is stateless, so
+    concurrent engines — thread pools, process pools — never share
+    state.
     """
 
     name = "native-batch"
@@ -72,8 +79,11 @@ class NativeBatchBackend(_NumpyBackendBase):
                 "available; check repro.native.provider_status()"
             )
         self._kernels = kernels
+        self._native_canonical = engine.policy.schema.canonical_mac_exact
         self._counts: np.ndarray | None = None
         self._scratch: BilinearScratch | None = None
+        self._uv0 = np.empty((0, 0, 2))
+        self._valid = np.empty((0, 0), dtype=bool)
 
     def start_reference(self, T_w_ref: SE3) -> None:
         """Seat the DSI and reset the segment-lifetime vote buffers."""
@@ -131,15 +141,24 @@ class NativeBatchBackend(_NumpyBackendBase):
 
         t0 = time.perf_counter()
         rotations, translations = stack_poses([frame.T_wc for frame in frames])
-        xy = np.stack([frame.events.xy for frame in frames])
         params = self._frame_parameters_batch(rotations, translations)
-        uv0, valid = self._projector.canonical_batch(params, xy)
+        if self._native_canonical:
+            uv0, valid = self._canonical_scratch(len(frames), len(frames[0]))
+            misses = self._kernels.canonical_q_batch(
+                params.H_Z0,
+                [frame.events.data for frame in frames],
+                self._projector.schema,
+                uv0,
+                valid,
+            )
+        else:
+            xy = np.stack([frame.events.xy for frame in frames])
+            uv0, valid = self._projector.canonical_batch(params, xy)
+            misses = int(np.count_nonzero(~valid))
         self.engine.profile.add_time("P_Z0", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         phi = np.ascontiguousarray(params.phi)
-        uv0 = np.ascontiguousarray(uv0)
-        misses = int(np.count_nonzero(~valid))
         if self._counts is not None:
             votes = self._kernels.vote_nearest_batch(
                 phi, uv0, valid, self._counts, self._dsi.shape
@@ -154,6 +173,17 @@ class NativeBatchBackend(_NumpyBackendBase):
             )
         self.engine.profile.add_time("P_Zi_R", time.perf_counter() - t0)
         return votes, misses
+
+    def _canonical_scratch(self, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(B, N, 2)`` ``uv0`` and ``(B, N)`` ``valid`` views of the scratch.
+
+        Grown on demand and kept across batches and segments; a shorter
+        flush batch takes a leading slice (still C-contiguous).
+        """
+        if self._uv0.shape[0] < b or self._uv0.shape[1] != n:
+            self._uv0 = np.empty((b, n, 2))
+            self._valid = np.empty((b, n), dtype=bool)
+        return self._uv0[:b], self._valid[:b]
 
     def read_dsi(self):
         """Materialize pending nearest-vote counts, then return the DSI."""

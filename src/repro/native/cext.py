@@ -24,9 +24,12 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
+
+from repro.fixedpoint.quantize import QuantizationSchema
 
 #: The single C source file of the kernel library.
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -152,8 +155,10 @@ class CExtensionKernels:
         ll, dbl, ptr = ctypes.c_longlong, ctypes.c_double, ctypes.c_void_p
         lib.eventor_phi_batch.argtypes = [ptr, ptr, ll, ll, dbl, dbl, dbl, dbl, dbl, ptr]
         lib.eventor_phi_batch.restype = ctypes.c_int
-        lib.eventor_canonical_batch.argtypes = [ptr, ptr, ll, ll, ptr, ptr]
-        lib.eventor_canonical_batch.restype = None
+        lib.eventor_canonical_q_batch.argtypes = [
+            ptr, ptr, ll, ll, ll, ll, ptr, dbl, ll, ll, dbl, ll, ll, dbl, dbl, ptr, ptr
+        ]
+        lib.eventor_canonical_q_batch.restype = ll
         lib.eventor_vote_nearest_batch.argtypes = [ptr, ptr, ptr, ll, ll, ll, ll, ll, ptr]
         lib.eventor_vote_nearest_batch.restype = ll
         for fn in (
@@ -203,23 +208,78 @@ class CExtensionKernels:
             )
         return phi
 
-    def canonical_batch(
-        self, H: np.ndarray, xy: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(uv, w)`` of the batched canonical projection.
+    def canonical_q_batch(
+        self,
+        H: np.ndarray,
+        records: Sequence[np.ndarray],
+        schema: QuantizationSchema,
+        uv0: np.ndarray,
+        valid: np.ndarray,
+    ) -> int:
+        """Quantized canonical projection of a frame batch; returns misses.
 
-        Epsilon-bounded against
-        :func:`repro.geometry.homography.apply_homography_with_scale_batch`
-        (numpy's BLAS matmul accumulates in a different order); see
-        ``repro.native.CANONICAL_RTOL`` for the declared tolerance.
+        ``H`` is the ``(B, 3, 3)`` quantized ``H_Z0`` stack and
+        ``records[b]`` frame ``b``'s 1-D array of ``N`` event records
+        (:data:`~repro.events.containers.EVENT_DTYPE`, or any record
+        dtype with float32 ``x``/``y`` fields), read in place at any
+        stride.  ``uv0`` (``(B, N, 2)`` float64) and ``valid``
+        (``(B, N)`` bool) are caller-owned C-contiguous outputs.
+        Bit-exact with
+        :meth:`~repro.core.backprojection.BackProjector.canonical_batch`
+        on the same coordinates; a schema whose MACs are not exact in
+        float64 (``schema.canonical_mac_exact``) raises ``ValueError``.
         """
+        if not schema.canonical_mac_exact:
+            raise ValueError(
+                "canonical_q_batch needs a quantized schema whose H_Z0 MACs "
+                "are exact in float64 (QuantizationSchema.canonical_mac_exact)"
+            )
+        b = len(records)
+        n = len(records[0]) if b else 0
+        dtype = records[0].dtype if b else None
+        for frame in records:
+            if frame.dtype != dtype or frame.ndim != 1 or len(frame) != n:
+                raise ValueError("every frame must hold N records of one dtype")
         H = _c_contiguous(H, np.float64)
-        xy = _c_contiguous(xy, np.float64)
-        b, n = xy.shape[0], xy.shape[1]
-        uv = np.empty((b, n, 2))
-        w = np.empty((b, n))
-        self._lib.eventor_canonical_batch(_ptr(H), _ptr(xy), b, n, _ptr(uv), _ptr(w))
-        return uv, w
+        if H.shape != (b, 3, 3):
+            raise ValueError(f"H must be ({b}, 3, 3), got {H.shape}")
+        if uv0.shape != (b, n, 2) or uv0.dtype != np.float64:
+            raise ValueError(f"uv0 must be a ({b}, {n}, 2) float64 buffer")
+        if valid.shape != (b, n) or valid.dtype != np.bool_:
+            raise ValueError(f"valid must be a ({b}, {n}) bool buffer")
+        if not (uv0.flags.c_contiguous and valid.flags.c_contiguous):
+            raise ValueError("uv0 and valid must be C-contiguous")
+        if b == 0:
+            return 0
+        fields = dtype.fields or {}
+        if any(fields.get(f, (None,))[0] != np.float32 for f in "xy"):
+            raise ValueError("event records need float32 x and y fields")
+        x_off, y_off = fields["x"][1], fields["y"][1]
+        addresses = np.array([frame.ctypes.data for frame in records], dtype=np.int64)
+        strides = np.array([frame.strides[0] for frame in records], dtype=np.int64)
+        e, c = schema.event_coord, schema.canonical_coord
+        c_lo, c_hi = c.overflow_bounds
+        return int(
+            self._lib.eventor_canonical_q_batch(
+                _ptr(addresses),
+                _ptr(strides),
+                x_off,
+                y_off,
+                b,
+                n,
+                _ptr(H),
+                e.scale,
+                e.raw_min,
+                e.raw_max,
+                c.scale,
+                c.raw_min,
+                c.raw_max,
+                c_lo,
+                c_hi,
+                _ptr(uv0),
+                _ptr(valid),
+            )
+        )
 
     def vote_nearest_batch(
         self,

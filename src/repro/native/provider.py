@@ -12,16 +12,6 @@ from __future__ import annotations
 
 from repro.native.cext import load_cext_kernels
 
-#: Declared relative tolerance of the ``canonical_batch`` kernel against
-#: the numpy reference: numpy routes the homography matmul through BLAS,
-#: whose accumulation order differs from the C loop by a few ULP (the
-#: measured error is ~1e-13 relative; the declared bound leaves margin).
-#: Every other kernel is bit-exact.  Pinned by tests/unit/test_native.py.
-CANONICAL_RTOL = 1e-9
-
-#: Matching absolute floor for canonical coordinates near zero.
-CANONICAL_ATOL = 1e-9
-
 _state: dict = {"probed": False, "kernels": None, "status": "unprobed"}
 
 

@@ -57,9 +57,11 @@ class RoundRobinScheduler:
         self.queue_limit = queue_limit
         self._sessions: dict[str, Session] = {}
         self._rotation: deque[str] = deque()
-        #: Record of (session, job_id, segment_index) in dispatch order —
-        #: the artifact the fairness tests inspect.  Bounded so a
-        #: long-lived service's log cannot grow without limit.
+        #: Record of (session, job_id, segment_index) of every segment
+        #: submitted to the pool, in dispatch order (see
+        #: :meth:`record_dispatch`) — the artifact the fairness tests
+        #: inspect.  Bounded so a long-lived service's log cannot grow
+        #: without limit.
         self.dispatch_log: deque[tuple[str, str, int]] = deque(maxlen=100_000)
 
     # ------------------------------------------------------------------
@@ -102,14 +104,12 @@ class RoundRobinScheduler:
                 continue  # everything left had landed; session keeps its turn
             if job.state is JobState.QUEUED:
                 job.state = JobState.RUNNING
-            session.segments_dispatched += 1
             # Bump the segment's dispatch epoch: outcomes are only
             # accepted from the newest attempt (see _collect_done).
             attempt = job.attempts.get(index, 0) + 1
             job.attempts[index] = attempt
             del self._rotation[position]
             self._rotation.append(name)
-            self.dispatch_log.append((name, job.job_id, index))
             plan = job.plans[index]
             if job.stream is not None:
                 # Streaming jobs hold no whole-stream array; the planner
@@ -121,6 +121,18 @@ class RoundRobinScheduler:
             task = SegmentTask(plan.index, events, job.spec)
             return Dispatch(job=job, task=task, attempt=attempt)
         return None
+
+    def record_dispatch(self, decision: Dispatch) -> None:
+        """Account a decision whose task was actually submitted to the pool.
+
+        Kept apart from :meth:`next_dispatch` because the service may
+        still complete the segment from the segment cache without a pool
+        slot; such a segment is neither counted in
+        ``Session.segments_dispatched`` nor logged.
+        """
+        job = decision.job
+        self._sessions[job.session].segments_dispatched += 1
+        self.dispatch_log.append((job.session, job.job_id, decision.task.index))
 
     @property
     def has_pending_dispatch(self) -> bool:

@@ -935,6 +935,7 @@ class ReconstructionService:
             future = self.pool.submit(
                 run_guarded_segment, decision.task, directive, job.integrity
             )
+            self._scheduler.record_dispatch(decision)
             self._inflight[future] = _Flight(
                 job=job,
                 index=index,
@@ -1489,7 +1490,11 @@ class ReconstructionService:
 
     @property
     def dispatch_log(self) -> list[tuple[str, str, int]]:
-        """(session, job_id, segment_index) in dispatch order."""
+        """(session, job_id, segment_index) of each pool submission, in order.
+
+        A segment the dispatch-time cache probe completes never reaches
+        the pool and is not listed.
+        """
         return list(self._scheduler.dispatch_log)
 
     def stats(self) -> ServiceStats:

@@ -145,6 +145,25 @@ class TestServiceDeterminism:
             ].segments_cached
             assert computed + stats.cache.segment_hits == n
 
+    def test_segments_served_by_the_dispatch_probe_are_not_dispatched(
+        self, served, direct
+    ):
+        """Two identical jobs admitted together on one worker: each of the
+        second job's segments is found in the cache at dispatch time, so
+        its session reports no dispatch and the log lists none of it."""
+        _, events, _, spec = served
+        n = len(direct.segments)
+        with ReconstructionService(workers=1, executor="thread") as service:
+            first = service.submit(events, spec, session="first")
+            second = service.submit(events, spec, session="second")
+            for job_id in (first, second):
+                assert_results_bit_identical(service.result(job_id), direct)
+            stats = service.stats()
+            assert service.jobs[second].segments_cached == n
+            assert stats.cache.segment_hits == n
+            assert stats.segments_dispatched == {"first": n, "second": 0}
+            assert [entry[1] for entry in service.dispatch_log] == [first] * n
+
     def test_repeat_recomputes_with_the_cache_off(
         self, served, direct, monkeypatch
     ):

@@ -2,10 +2,10 @@
 
 Three concerns, matching the package's three layers:
 
-* **kernel exactness** — each native kernel against its numpy reference:
-  bit-exact for φ and both voting kernels, epsilon-bounded (with the
-  declared ``CANONICAL_RTOL``/``CANONICAL_ATOL``) for the standalone
-  canonical projection;
+* **kernel exactness** — each native kernel against its numpy reference,
+  bit for bit: φ, the quantized canonical projection and both voting
+  kernels (the canonical kernel's Q-format edges are fuzzed in
+  ``tests/property/test_native_canonical_properties.py``);
 * **the cached load** — the ``cext`` status line and the unavailable
   path;
 * **registry consistency** — ``native-batch`` registers iff the kernels
@@ -17,20 +17,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.backprojection import BackProjector, BatchFrameParameters
 from repro.core.engine import BACKENDS
 from repro.core.voting import vote_bilinear_into, vote_nearest_into
+from repro.events.containers import EVENT_DTYPE
+from repro.fixedpoint.qformat import QFormat
+from repro.fixedpoint.quantize import (
+    EVENTOR_SCHEMA,
+    FLOAT_SCHEMA,
+    QuantizationSchema,
+)
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.homography import (
-    apply_homography_with_scale_batch,
     apply_proportional,
     proportional_coefficients_batch,
 )
-from repro.native import (
-    CANONICAL_ATOL,
-    CANONICAL_RTOL,
-    get_kernels,
-    provider_status,
-)
+from repro.geometry.se3 import SE3
+from repro.native import get_kernels, provider_status
 from repro.native import provider as provider_module
 from repro.native.backend import register_native_backend
 from repro.native.cext import BilinearScratch
@@ -120,20 +123,61 @@ class TestKernelExactness:
                 centers, Z0, depths, camera.fx, camera.fy, camera.cx, camera.cy
             )
 
-    def test_canonical_batch_within_declared_tolerance(self):
+    def test_canonical_q_batch_bit_exact(self):
+        """Native ``P_Z0`` equals ``BackProjector.canonical_batch`` bit for bit.
+
+        Normalized random homographies over a sensor-sized pixel spread
+        (plus border overshoot) give a mix of hits, overflow misses and
+        exact-tie roundings; ``uv0`` is compared as int64 bit patterns so
+        a signed zero would show.
+        """
         rng = np.random.default_rng(11)
         H = np.eye(3) + rng.uniform(-0.08, 0.08, size=(B, 3, 3))
-        H = H / np.abs(H).max(axis=(1, 2), keepdims=True)
-        xy = rng.uniform(0.0, 50.0, size=(B, N, 2))
-        uv_ref, w_ref = apply_homography_with_scale_batch(H, xy)
-        kernels = get_kernels()
-        uv, w = kernels.canonical_batch(H, xy)
-        np.testing.assert_allclose(
-            uv, uv_ref, rtol=CANONICAL_RTOL, atol=CANONICAL_ATOL
+        H[:, :2, 2] += rng.uniform(-40.0, 40.0, size=(B, 2))
+        H = EVENTOR_SCHEMA.quantize_homography(
+            H / np.abs(H).max(axis=(1, 2), keepdims=True)
         )
-        np.testing.assert_allclose(
-            w, w_ref, rtol=CANONICAL_RTOL, atol=CANONICAL_ATOL
+        records = np.zeros(B * N, dtype=EVENT_DTYPE)
+        records["x"] = rng.uniform(-4.0, 250.0, B * N)
+        records["y"] = rng.uniform(-4.0, 190.0, B * N)
+        records["x"][::7] = np.round(records["x"][::7] * 256) / 256  # ties
+        frames = [records[b * N : (b + 1) * N] for b in range(B)]
+        xy = np.stack([np.stack([f["x"], f["y"]], axis=1) for f in frames])
+        camera = PinholeCamera.davis240c()
+        projector = BackProjector(
+            camera, SE3.identity(), np.linspace(0.5, 5.0, 8), EVENTOR_SCHEMA
         )
+        params = BatchFrameParameters(H_Z0=H, phi=np.zeros((B, 8, 3)))
+        uv_ref, valid_ref = projector.canonical_batch(params, xy.astype(float))
+        uv0 = np.empty((B, N, 2))
+        valid = np.empty((B, N), dtype=bool)
+        misses = get_kernels().canonical_q_batch(
+            H, frames, EVENTOR_SCHEMA, uv0, valid
+        )
+        np.testing.assert_array_equal(uv0.view(np.int64), uv_ref.view(np.int64))
+        np.testing.assert_array_equal(valid, valid_ref)
+        assert misses == np.count_nonzero(~valid_ref)
+        assert 0 < misses < B * N
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            FLOAT_SCHEMA,
+            # 32-bit event words: x*h products need 31 + 31 bits.
+            QuantizationSchema(event_coord=QFormat(32, 7, signed=False)),
+        ],
+        ids=["float", "wide-events"],
+    )
+    def test_canonical_q_batch_refuses_inexact_schemas(self, schema):
+        assert not schema.canonical_mac_exact
+        with pytest.raises(ValueError, match="canonical_mac_exact"):
+            get_kernels().canonical_q_batch(
+                np.zeros((1, 3, 3)),
+                [np.zeros(4, dtype=EVENT_DTYPE)],
+                schema,
+                np.empty((1, 4, 2)),
+                np.empty((1, 4), dtype=bool),
+            )
 
     def test_vote_nearest_bit_exact(self):
         _, _, _, phi, uv0, valid = _workload()
@@ -177,6 +221,92 @@ class TestKernelExactness:
         scratch = BilinearScratch(N, SHAPE[0])
         with pytest.raises(ValueError):
             scratch.check(N + 1, SHAPE[0])
+
+
+# ----------------------------------------------------------------------
+# Which P_Z0 path the backend takes
+# ----------------------------------------------------------------------
+def count_native_canonical_calls(task) -> int:
+    """Run one segment task; return how many native ``P_Z0`` calls it made.
+
+    Module-level so a process pool can run it on a pickled task.
+    """
+    from repro.core.mapping import run_segment_task
+    from repro.native.cext import CExtensionKernels
+
+    original = CExtensionKernels.canonical_q_batch
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    CExtensionKernels.canonical_q_batch = spy
+    try:
+        run_segment_task(task)
+    finally:
+        CExtensionKernels.canonical_q_batch = original
+    return len(calls)
+
+
+@needs_kernels
+class TestNativeCanonicalPath:
+    @pytest.fixture
+    def first_task(self, mapping_workload):
+        from repro.core import EngineSpec
+        from repro.core.mapping import segment_tasks
+
+        seq, events, config = mapping_workload
+        spec = EngineSpec(
+            seq.camera,
+            seq.trajectory,
+            config,
+            depth_range=seq.depth_range,
+            backend="native-batch",
+        )
+        plans, _ = spec.plan(events)
+        return segment_tasks(plans[:1], events, spec)[0]
+
+    def test_exactness_gate_reads_values_not_identity(self):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(EVENTOR_SCHEMA))
+        assert copy is not EVENTOR_SCHEMA
+        assert copy.canonical_mac_exact and EVENTOR_SCHEMA.canonical_mac_exact
+        assert not FLOAT_SCHEMA.canonical_mac_exact
+
+    def test_pickled_spec_takes_native_path_in_process_worker(self, first_task):
+        """A task pickled into a process pool carries a *new* schema object;
+        the worker must still run ``P_Z0`` natively."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            calls = pool.submit(count_native_canonical_calls, first_task).result()
+        assert calls > 0
+
+    def test_inexact_schema_stays_on_numpy_bit_exact(self, first_task):
+        """A quantized schema too wide for the 53-bit bound keeps the numpy
+        projection, with output identical to ``numpy-batch``."""
+        from dataclasses import replace
+
+        from repro.core.mapping import run_segment_task
+
+        wide = QuantizationSchema(event_coord=QFormat(32, 7, signed=False))
+        spec = replace(
+            first_task.spec, policy=replace(first_task.spec.policy, schema=wide)
+        )
+        task = replace(first_task, spec=spec)
+        assert count_native_canonical_calls(task) == 0
+        _, native, native_profile = run_segment_task(task)
+        _, batch, batch_profile = run_segment_task(
+            replace(task, spec=replace(spec, backend="numpy-batch"))
+        )
+        assert native_profile.counters() == batch_profile.counters()
+        for a, b in zip(native, batch, strict=True):
+            np.testing.assert_array_equal(a.depth_map.depth, b.depth_map.depth)
+            np.testing.assert_array_equal(
+                a.depth_map.confidence, b.depth_map.confidence
+            )
 
 
 # ----------------------------------------------------------------------

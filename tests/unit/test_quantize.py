@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantize import (
     CANONICAL_COORD_FORMAT,
     DSI_SCORE_FORMAT,
@@ -12,6 +13,7 @@ from repro.fixedpoint.quantize import (
     HOMOGRAPHY_FORMAT,
     PHI_FORMAT,
     PLANE_COORD_FORMAT,
+    QuantizationSchema,
     pack_event_word,
     unpack_event_word,
 )
@@ -66,6 +68,32 @@ class TestSchema:
         vals = np.array([-1e9, np.inf, 3.0])
         mask = FLOAT_SCHEMA.canonical_overflow(vals)
         np.testing.assert_array_equal(mask, [False, True, False])
+
+    @pytest.mark.parametrize(
+        "event_coord, exact",
+        [
+            (EVENT_COORD_FORMAT, True),  # Table 1: (2^48 + 2^38) LSB^2 units
+            # (2 * (2^21 - 1) + 1) * 2^31 = 2^53 - 2^31: still exact.
+            (QFormat(21, 0, signed=False), True),
+            # (2 * (2^22 - 1) + 1) * 2^31 = 2^54 - 2^31: one bit too wide.
+            (QFormat(22, 0, signed=False), False),
+        ],
+        ids=["table1", "at-bound", "past-bound"],
+    )
+    def test_canonical_mac_exact_is_the_53_bit_bound(self, event_coord, exact):
+        schema = QuantizationSchema(event_coord=event_coord)
+        assert schema.canonical_mac_exact is exact
+
+    def test_float_schema_has_no_exact_canonical_mac(self):
+        assert not FLOAT_SCHEMA.canonical_mac_exact
+
+    @pytest.mark.parametrize("fmt", [EVENT_COORD_FORMAT, HOMOGRAPHY_FORMAT])
+    def test_values_past_the_int64_range_saturate(self, fmt):
+        """1e30 * scale has no int64 cast; it must still saturate high."""
+        raw = fmt.to_raw(np.array([1e30, -1e30, 3.4e38, np.inf, -np.inf]))
+        np.testing.assert_array_equal(
+            raw, [fmt.raw_max, fmt.raw_min, fmt.raw_max, fmt.raw_max, fmt.raw_min]
+        )
 
     def test_event_word_bits(self):
         assert EVENTOR_SCHEMA.event_word_bits() == 32

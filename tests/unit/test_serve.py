@@ -122,8 +122,22 @@ class TestRoundRobinScheduler:
         order = []
         while (decision := scheduler.next_dispatch()) is not None:
             order.append(decision.job.session)
+            scheduler.record_dispatch(decision)
         assert order == ["alpha", "beta", "alpha", "beta"]
         assert [entry[0] for entry in scheduler.dispatch_log] == order
+
+    def test_only_recorded_decisions_count_as_dispatched(self, spec, events):
+        """A decision the service completes from the cache is never recorded:
+        it reaches neither the log nor the session's dispatch count."""
+        scheduler = RoundRobinScheduler()
+        job = make_job("s", 2, spec, events)
+        scheduler.admit(job)
+        first = scheduler.next_dispatch()
+        second = scheduler.next_dispatch()
+        scheduler.record_dispatch(second)
+        assert first.task.index == 0
+        assert list(scheduler.dispatch_log) == [("s", job.job_id, 1)]
+        assert scheduler.sessions["s"].segments_dispatched == 1
 
     def test_idle_sessions_are_skipped(self, spec, events):
         scheduler = RoundRobinScheduler()

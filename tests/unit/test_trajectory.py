@@ -41,29 +41,6 @@ class TestSampling:
         np.testing.assert_allclose(before.translation, [-0.2, 0.0, 0.0])
         np.testing.assert_allclose(after.translation, [0.2, 0.0, 0.0])
 
-    def test_sample_many_matches_scalar(self, rng):
-        # Trajectory with rotation to exercise the vectorized slerp.
-        times = np.linspace(0.0, 1.0, 11)
-        poses = [
-            SE3.from_quaternion_translation(
-                Quaternion.from_axis_angle([0, 0, 1], 0.1 * i),
-                [0.05 * i, -0.02 * i, 0.0],
-            )
-            for i in range(11)
-        ]
-        traj = Trajectory(times, poses)
-        queries = rng.uniform(-0.1, 1.1, 50)
-        R, t = traj.sample_many(queries)
-        for k, tq in enumerate(queries):
-            ref = traj.sample(float(tq))
-            np.testing.assert_allclose(R[k], ref.rotation, atol=1e-9)
-            np.testing.assert_allclose(t[k], ref.translation, atol=1e-12)
-
-    def test_sample_many_shapes(self, simple_trajectory):
-        R, t = simple_trajectory.sample_many(np.array([0.1, 0.5]))
-        assert R.shape == (2, 3, 3)
-        assert t.shape == (2, 3)
-
 
 class TestHelpers:
     def test_path_length(self, simple_trajectory):
@@ -87,22 +64,6 @@ class TestHelpers:
     def test_linear_trajectory_needs_two_poses(self):
         with pytest.raises(ValueError):
             linear_trajectory([0, 0, 0], [1, 0, 0], 1.0, n_poses=1)
-
-
-class TestSampleBatch:
-    def test_matches_scalar_sampling(self, simple_trajectory):
-        times = np.linspace(-0.5, 2.5, 37)  # includes out-of-span clamping
-        batched = simple_trajectory.sample_batch(times)
-        assert len(batched) == len(times)
-        for t, pose in zip(times, batched):
-            scalar = simple_trajectory.sample(float(t))
-            np.testing.assert_allclose(pose.rotation, scalar.rotation, atol=1e-12)
-            np.testing.assert_allclose(
-                pose.translation, scalar.translation, atol=1e-12
-            )
-
-    def test_empty_times(self, simple_trajectory):
-        assert simple_trajectory.sample_batch(np.empty(0)) == []
 
 
 class TestContentDigest:
