@@ -267,6 +267,34 @@ def test_native_kernel_baselines(benchmark, workload):
     voter.materialize_into(fused)
     np.testing.assert_array_equal(counts.astype(np.int64), fused)
 
+    # --- the same kernel on a miss-heavy batch ------------------------
+    # Half the events off-sensor and 20 % invalid.  The native scatter
+    # has no branch, so misses cost what hits do; a branchy scatter
+    # would fall back to mispredicted per-vote branches here.
+    miss_rng = np.random.default_rng(11)
+    miss_uv0 = uv0.copy()
+    off = miss_rng.random((N_FRAMES, N_EVENTS)) < 0.5
+    miss_uv0[off, 0] += 2 * w
+    miss_valid = miss_rng.random((N_FRAMES, N_EVENTS)) >= 0.2
+    miss_uv0[~miss_valid] = 0.0
+
+    def miss_heavy_native():
+        counts[...] = 0
+        return kernels.vote_nearest_batch(phi, miss_uv0, miss_valid, counts, SHAPE)
+
+    t_miss_np = best_of(
+        lambda: BatchedNearestVoter(SHAPE).vote_batch(phi, miss_uv0, miss_valid),
+        repeats=3,
+    ) * 1e3 / N_FRAMES
+    t_miss_nat = best_of(miss_heavy_native, repeats=3) * 1e3 / N_FRAMES
+    record("vote_nearest_batch_miss_heavy", t_miss_np, t_miss_nat)
+    miss_votes = miss_heavy_native()
+    voter = BatchedNearestVoter(SHAPE)
+    ref_votes, _ = voter.vote_batch(phi, miss_uv0, miss_valid)
+    voter.materialize_into(fused)
+    np.testing.assert_array_equal(counts.astype(np.int64), fused)
+    assert miss_votes == ref_votes
+
     # --- fused proportional + bilinear voting -------------------------
     from repro.native.cext import BilinearScratch
 
@@ -306,6 +334,7 @@ def test_native_kernel_baselines(benchmark, workload):
     # to gate on).
     assert t_can_nat < t_can_np
     assert t_near_nat < t_near_np
+    assert t_miss_nat < t_miss_np
     assert t_bil_nat < t_bil_np
 
 

@@ -26,6 +26,11 @@
  * build with -ffp-contract=off (a fused multiply-add would round once
  * where numpy rounds twice).  No -ffast-math, ever.
  *
+ * The two per-event kernels (canonical_q_batch, vote_nearest_batch) are
+ * compiled as ISA clones (VECTOR_CLONES below); every clone performs the
+ * same IEEE operations, so the contract holds for whichever one the
+ * loader picks.
+ *
  * The library is pure C99 + libm with a flat extern "C" ABI (no Python.h),
  * so it can be loaded through ctypes, cffi, or linked from any other
  * provider (e.g. a future Rust crate re-exporting the same symbols).
@@ -45,6 +50,25 @@
 #endif
 
 typedef long long ll;
+
+/* ISA clones of the per-event kernels: GCC emits an x86-64-v4 (AVX-512),
+ * an x86-64-v3 (AVX2) and a baseline body, and the dynamic loader binds
+ * the best one for the running host through an ifunc when the library
+ * loads.  No -march flag is involved, so the library still runs on any
+ * x86-64.  The guard admits only toolchains known to compile this (GCC
+ * 12+ on x86-64 with glibc, which provides ifunc); everywhere else the
+ * macro is empty and the kernels build exactly as plain C99.  Defining
+ * it on the command line (e.g. -DVECTOR_CLONES=) overrides the guard,
+ * which lets the tests build one fixed code shape per -march. */
+#ifndef VECTOR_CLONES
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
+    && defined(__x86_64__) && defined(__GLIBC__)
+#define VECTOR_CLONES \
+    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+#endif
 
 /* Per-frame proportional coefficient tables (paper sub-task "Compute
  * Proportional Back-Projection Parameters").
@@ -138,7 +162,7 @@ static inline ll to_raw_nearest(double v, double scale, ll raw_min, ll raw_max)
  *
  * Returns the number of misses.
  */
-EXPORT ll eventor_canonical_q_batch(
+EXPORT VECTOR_CLONES ll eventor_canonical_q_batch(
     const ll *records, const ll *strides, ll x_off, ll y_off,
     ll B, ll N, const double *H,
     double e_scale, ll e_min, ll e_max,
@@ -178,7 +202,13 @@ EXPORT ll eventor_canonical_q_batch(
     return misses;
 }
 
-/* Fused proportional back-projection + nearest voting over a frame batch.
+/* Events per address/execute chunk of the nearest vote kernel: two
+ * 4 KiB int32 stack arrays, L1-resident next to the plane's counts. */
+#define VOTE_CHUNK 1024
+
+/* Fused proportional back-projection + nearest voting over a frame batch,
+ * as PE_Zi's two steps (Sec. 3.2): an address pass and a vote-execute
+ * pass.
  *
  * Per (event, plane) pair: u = u0*alpha + beta, v = v0*alpha + gamma,
  * round half-up (floor(x + 0.5)), bounds-check, count.  The bounds test
@@ -192,15 +222,14 @@ EXPORT ll eventor_canonical_q_batch(
  *   phi:    (B, nz, 3)
  *   uv0:    (B, N, 2) canonical pixels (miss rows zeroed, as produced)
  *   valid:  (B, N) uint8 projection-miss mask
- *   counts: (nz*h*w,) int32, accumulated in place
+ *   counts: (nz*h*w,) int32, accumulated in place; h*w < 2^31
  *
- * int32 counts halve the scatter footprint (the cache-resident plane
- * window below); a cell's count is bounded by the events of one
- * reference segment, far below 2^31, and the caller widens on
- * materialization.  Returns the number of votes cast (in-bounds hits),
- * matching the reference vote accounting.
+ * A cell's count is bounded by the events of one reference segment, far
+ * below 2^31, and the caller widens on materialization.  Returns the
+ * number of votes cast (in-bounds hits), matching the reference vote
+ * accounting.
  */
-EXPORT ll eventor_vote_nearest_batch(
+EXPORT VECTOR_CLONES ll eventor_vote_nearest_batch(
     const double *phi, const double *uv0, const unsigned char *valid,
     ll B, ll N, ll nz, ll h, ll w,
     int32_t *counts)
@@ -208,6 +237,9 @@ EXPORT ll eventor_vote_nearest_batch(
     ll votes = 0;
     const double wD = (double)w;
     const double hD = (double)h;
+    const int32_t w32 = (int32_t)w;
+    int32_t idx[VOTE_CHUNK];
+    int32_t inc[VOTE_CHUNK];
     /* Plane-major over the whole batch: one plane's count window stays
      * cache-resident while every frame scatters into it (the batched
      * numpy voter walks planes for the same reason).  Counts are
@@ -215,26 +247,36 @@ EXPORT ll eventor_vote_nearest_batch(
     for (ll z = 0; z < nz; ++z) {
         int32_t *cz = counts + z * h * w;
         for (ll b = 0; b < B; ++b) {
-            const double *uvb = uv0 + b * N * 2;
-            const unsigned char *vb = valid + b * N;
             const double *phib = phi + b * nz * 3;
             const double a = phib[3 * z];
             const double beta = phib[3 * z + 1];
             const double gamma = phib[3 * z + 2];
-            for (ll i = 0; i < N; ++i) {
-                if (!vb[i])
-                    continue;
-                const double u = uvb[2 * i] * a + beta;
-                const double v = uvb[2 * i + 1] * a + gamma;
-                /* floor(x+0.5) >= 0 iff x+0.5 >= 0; floor(x+0.5) < w iff
-                 * x+0.5 < w (w integral).  NaN fails every comparison. */
-                const double tu = u + 0.5;
-                const double tv = v + 0.5;
-                if (!(tu >= 0.0) || !(tu < wD) || !(tv >= 0.0) || !(tv < hD))
-                    continue;
-                /* truncation == floor for non-negative values */
-                cz[(ll)tv * w + (ll)tu] += 1;
-                ++votes;
+            for (ll i0 = 0; i0 < N; i0 += VOTE_CHUNK) {
+                const int n = (int)(N - i0 < VOTE_CHUNK ? N - i0 : VOTE_CHUNK);
+                const double *uvc = uv0 + (b * N + i0) * 2;
+                const unsigned char *vc = valid + b * N + i0;
+                int hits = 0;
+                /* Address pass, branch-free so it vectorizes.  floor(x+0.5)
+                 * >= 0 iff x+0.5 >= 0; floor(x+0.5) < w iff x+0.5 < w (w
+                 * integral); NaN fails every comparison.  A miss selects
+                 * 0.0 before the cast, so every cast is in range and
+                 * truncation == floor; it votes 0 into cell 0. */
+                for (int i = 0; i < n; ++i) {
+                    const double tu = (uvc[2 * i] * a + beta) + 0.5;
+                    const double tv = (uvc[2 * i + 1] * a + gamma) + 0.5;
+                    const int ok = (vc[i] != 0) & (tu >= 0.0) & (tu < wD)
+                                   & (tv >= 0.0) & (tv < hD);
+                    const double su = ok ? tu : 0.0;
+                    const double sv = ok ? tv : 0.0;
+                    idx[i] = (int32_t)sv * w32 + (int32_t)su;
+                    inc[i] = ok;
+                    hits += ok;
+                }
+                /* Vote-execute pass: no branch, so a miss-heavy chunk
+                 * costs what a hit-heavy one does. */
+                for (int i = 0; i < n; ++i)
+                    cz[idx[i]] += inc[i];
+                votes += hits;
             }
         }
     }

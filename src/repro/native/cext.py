@@ -295,6 +295,9 @@ class CExtensionKernels:
         by the caller; votes accumulate in place (int32 halves the scatter
         footprint; a cell's count is bounded by the events of one
         reference segment, and the caller widens on materialization).
+        ``phi`` is ``(B, Nz, 3)``, ``uv0`` ``(B, N, 2)`` and ``valid``
+        ``(B, N)`` for ``shape == (Nz, H, W)``; any mismatch raises
+        ``ValueError`` before the kernel runs.
         """
         nz, h, w = shape
         if counts.dtype != np.int32 or not counts.flags.c_contiguous:
@@ -302,7 +305,7 @@ class CExtensionKernels:
         phi = _c_contiguous(phi, np.float64)
         uv0 = _c_contiguous(uv0, np.float64)
         valid8 = _as_uint8(valid)
-        b, n = uv0.shape[0], uv0.shape[1]
+        b, n = _check_vote_shapes(phi, uv0, valid8, counts, shape)
         return int(
             self._lib.eventor_vote_nearest_batch(
                 _ptr(phi), _ptr(uv0), _ptr(valid8), b, n, nz, h, w, _ptr(counts)
@@ -323,6 +326,7 @@ class CExtensionKernels:
         Dispatches on ``flat.dtype``: float64 accumulates exact corner
         weights in reference order; int64 truncates each weight toward
         zero per addition (the ``np.add.at`` integer-buffer semantics).
+        Shapes are validated as in :meth:`vote_nearest_batch`.
         """
         nz, h, w = shape
         if not flat.flags.c_contiguous:
@@ -336,7 +340,7 @@ class CExtensionKernels:
         phi = _c_contiguous(phi, np.float64)
         uv0 = _c_contiguous(uv0, np.float64)
         valid8 = _as_uint8(valid)
-        b, n = uv0.shape[0], uv0.shape[1]
+        b, n = _check_vote_shapes(phi, uv0, valid8, flat, shape)
         scratch.check(n, nz)
         return int(
             fn(
@@ -356,6 +360,38 @@ class CExtensionKernels:
                 _ptr(scratch.voted),
             )
         )
+
+
+def _check_vote_shapes(
+    phi: np.ndarray,
+    uv0: np.ndarray,
+    valid: np.ndarray,
+    buffer: np.ndarray,
+    shape: tuple[int, int, int],
+) -> tuple[int, int]:
+    """Validate a vote call's geometry before C indexes by it; ``(B, N)``.
+
+    The kernels trust ``B``, ``N`` and ``shape``: a mismatched operand
+    would be read at the wrong rows, and a short DSI buffer written past
+    its end.  The nearest kernel's cell addresses are int32, so one
+    plane (``H*W``) must fit int32.
+    """
+    nz, h, w = (int(d) for d in shape)
+    if uv0.ndim != 3 or uv0.shape[2] != 2:
+        raise ValueError(f"uv0 must be (B, N, 2), got {uv0.shape}")
+    b, n = uv0.shape[:2]
+    if valid.shape != (b, n):
+        raise ValueError(f"valid must be ({b}, {n}), got {valid.shape}")
+    if phi.shape != (b, nz, 3):
+        raise ValueError(f"phi must be ({b}, {nz}, 3), got {phi.shape}")
+    if h * w > np.iinfo(np.int32).max:
+        raise ValueError(f"a {h}x{w} plane overflows int32 cell addresses")
+    if buffer.size != nz * h * w:
+        raise ValueError(
+            f"DSI buffer holds {buffer.size} cells, shape {tuple(shape)} "
+            f"needs {nz * h * w}"
+        )
+    return b, n
 
 
 def _as_uint8(valid: np.ndarray) -> np.ndarray:

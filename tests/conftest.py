@@ -8,6 +8,11 @@ caches them in-process).
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,3 +114,66 @@ def make_stream():
         )
 
     return build
+
+
+# ----------------------------------------------------------------------
+# Native kernel code shapes
+# ----------------------------------------------------------------------
+#: CPU flags that x86-64-v4 code needs (cpuinfo names).
+_V4_FLAGS = {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"}
+
+
+def _code_shape_skip_reason(march: str, compiler: str | None) -> str | None:
+    """Why ``march`` code cannot be built and run here, or ``None``."""
+    if os.environ.get("REPRO_NATIVE_BUILD", "1") == "0":
+        return "native builds disabled (REPRO_NATIVE_BUILD=0)"
+    if compiler is None:
+        return "no C compiler on PATH"
+    if platform.machine().lower() not in {"x86_64", "amd64"}:
+        return f"{march} code needs an x86-64 host"
+    if march == "x86-64-v4":
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError:
+            return "cannot read the host's CPU flags"
+        flags = next(
+            (set(line.split(":", 1)[1].split()) for line in cpuinfo.splitlines()
+             if line.startswith("flags")),
+            set(),
+        )
+        if not _V4_FLAGS <= flags:
+            return "host lacks AVX-512 (x86-64-v4)"
+    return None
+
+
+@pytest.fixture(scope="session", params=("host", "x86-64", "x86-64-v4"))
+def native_kernels(request, tmp_path_factory):
+    """Every code shape of the kernel library this host can run.
+
+    ``host`` is the library the package loads (its ISA clones resolved
+    for this CPU).  ``x86-64`` and ``x86-64-v4`` are fresh builds of the
+    same source at that ``-march`` with the clone macro empty: the
+    baseline and AVX-512 bodies, the two ends of the clone set, loaded
+    through the same bindings whichever clone this host's loader picks.
+    """
+    from repro.native import cext, get_kernels
+
+    march = request.param
+    if march == "host":
+        kernels = get_kernels()
+        if kernels is None:
+            pytest.skip("no native kernel provider on this host")
+        return kernels
+    compiler = cext._find_compiler()
+    reason = _code_shape_skip_reason(march, compiler)
+    if reason is not None:
+        pytest.skip(reason)
+    out = tmp_path_factory.mktemp("kernels") / f"kernels_{march}.so"
+    proc = subprocess.run(
+        [compiler, *cext.BUILD_FLAGS, f"-march={march}", "-DVECTOR_CLONES=",
+         "-o", str(out), str(cext.SOURCE), "-lm"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, f"{march} build failed: {proc.stderr[-500:]}"
+    return cext.CExtensionKernels(out)

@@ -9,7 +9,9 @@ and the miss count.  The strategies aim at the places a C transcription
 of :meth:`QFormat.to_raw` / :meth:`QFormat.overflows` can diverge:
 round-half ties, saturation, the negative-zero band ``(-1/2 LSB, 0)``,
 NaN/inf, ``w <= 0``, the exact overflow bounds and extreme ``H_Z0``
-entries.
+entries.  Every property runs on each code shape of the kernel (the
+``native_kernels`` fixture): the host's ISA clone and the baseline and
+AVX-512 bodies built on their own.
 """
 
 import numpy as np
@@ -17,53 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backprojection import BackProjector, BatchFrameParameters
-from repro.events.containers import EVENT_DTYPE
+from native_oracles import assert_canonical_matches_numpy
 from repro.fixedpoint.quantize import (
     CANONICAL_COORD_FORMAT,
     EVENT_COORD_FORMAT,
     EVENTOR_SCHEMA,
     HOMOGRAPHY_FORMAT,
 )
-from repro.geometry.camera import PinholeCamera
-from repro.geometry.se3 import SE3
-from repro.native import get_kernels
-
-pytestmark = pytest.mark.skipif(
-    get_kernels() is None, reason="no native kernel provider on this host"
-)
-
-PROJECTOR = BackProjector(
-    PinholeCamera.davis240c(), SE3.identity(), np.linspace(0.5, 5.0, 4), EVENTOR_SCHEMA
-)
 
 LSB = EVENT_COORD_FORMAT.resolution  # 1/128, shared by both coordinate formats
 H_LSB = HOMOGRAPHY_FORMAT.resolution  # 2^-21
 H_MIN, H_MAX = HOMOGRAPHY_FORMAT.min_value, HOMOGRAPHY_FORMAT.max_value
 C_LO, C_HI = CANONICAL_COORD_FORMAT.overflow_bounds  # -1/256, 511.99609375
-
-
-def assert_kernel_matches_numpy(H, x, y):
-    """Both projections of the ``(B, N)`` float32 coordinates through ``H``."""
-    H = np.asarray(H, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float32))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float32))
-    b, n = x.shape
-    records = np.zeros(b * n, dtype=EVENT_DTYPE)
-    records["x"] = x.ravel()
-    records["y"] = y.ravel()
-    frames = [records[k * n : (k + 1) * n] for k in range(b)]
-    params = BatchFrameParameters(H_Z0=H, phi=np.zeros((b, 4, 3)))
-    xy = np.stack([x, y], axis=-1).astype(float)
-    with np.errstate(all="ignore"):
-        uv_ref, valid_ref = PROJECTOR.canonical_batch(params, xy)
-    uv0 = np.empty((b, n, 2))
-    valid = np.empty((b, n), dtype=bool)
-    misses = get_kernels().canonical_q_batch(H, frames, EVENTOR_SCHEMA, uv0, valid)
-    np.testing.assert_array_equal(uv0.view(np.int64), uv_ref.view(np.int64))
-    np.testing.assert_array_equal(valid, valid_ref)
-    assert misses == np.count_nonzero(~valid_ref)
-    return uv0, valid
 
 
 def affine_h(a=1.0, tx=0.0, ty=0.0, w=1.0):
@@ -93,18 +60,18 @@ coords = st.lists(st.one_of(any_coord, edge_coord), min_size=1, max_size=24)
 class TestEventQuantization:
     @given(coords)
     @settings(max_examples=200, deadline=None)
-    def test_identity_projection_reproduces_event_quantizer(self, xs):
+    def test_identity_projection_reproduces_event_quantizer(self, native_kernels, xs):
         """Under ``H = I`` every input quirk of the event quantizer shows
         in ``uv0``: ties, saturation, NaN/inf and the negative-zero band."""
         x = np.array(xs, dtype=np.float32)
-        assert_kernel_matches_numpy(affine_h(), x, x[::-1])
+        assert_canonical_matches_numpy(native_kernels, affine_h(), x, x[::-1])
 
     @given(coords, coords, st.lists(h_entry, min_size=9, max_size=9))
     @settings(max_examples=200, deadline=None)
-    def test_any_coordinates_any_homography(self, xs, ys, h):
+    def test_any_coordinates_any_homography(self, native_kernels, xs, ys, h):
         n = min(len(xs), len(ys))
         H = np.array(h).reshape(1, 3, 3)
-        assert_kernel_matches_numpy(H, xs[:n], ys[:n])
+        assert_canonical_matches_numpy(native_kernels, H, xs[:n], ys[:n])
 
 
 class TestCanonicalQuantization:
@@ -114,13 +81,15 @@ class TestCanonicalQuantization:
         st.integers(-2, 2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_offsets_hit_ties_and_the_negative_zero_band(self, k, t_raw, w_exp):
+    def test_offsets_hit_ties_and_the_negative_zero_band(
+        self, native_kernels, k, t_raw, w_exp
+    ):
         """``u = (x + t) / 2^e`` with ``t`` on the H grid: odd ``k`` over
         ``2^e = 2`` is an exact half-LSB tie, and ``k = 0`` with a small
         negative ``t`` lands in ``(-1/2 LSB, 0)``."""
         H = affine_h(tx=t_raw * H_LSB, ty=-t_raw * H_LSB, w=2.0**w_exp)
         x = np.float32(k * LSB)
-        assert_kernel_matches_numpy(H, [x], [x])
+        assert_canonical_matches_numpy(native_kernels, H, [x], [x])
 
     @pytest.mark.parametrize(
         "u",
@@ -134,30 +103,35 @@ class TestCanonicalQuantization:
             C_HI + H_LSB,  # just above: overflow miss
         ],
     )
-    def test_exact_overflow_bounds(self, u):
-        uv0, valid = assert_kernel_matches_numpy(affine_h(tx=u, ty=u), [0.0], [0.0])
+    def test_exact_overflow_bounds(self, native_kernels, u):
+        uv0, valid = assert_canonical_matches_numpy(
+            native_kernels, affine_h(tx=u, ty=u), [0.0], [0.0]
+        )
         assert valid[0, 0] == (C_LO <= u <= C_HI)
         assert not np.signbit(uv0).any()
 
 
 class TestBehindPlane:
     @pytest.mark.parametrize("w", [0.0, -H_LSB, -1.0, H_MIN])
-    def test_non_positive_scale_is_a_miss(self, w):
-        uv0, valid = assert_kernel_matches_numpy(
-            affine_h(tx=5.0, ty=5.0, w=w), [0.0, 10.0, 200.0], [0.0, 10.0, 100.0]
+    def test_non_positive_scale_is_a_miss(self, native_kernels, w):
+        uv0, valid = assert_canonical_matches_numpy(
+            native_kernels,
+            affine_h(tx=5.0, ty=5.0, w=w),
+            [0.0, 10.0, 200.0],
+            [0.0, 10.0, 100.0],
         )
         assert not valid.any()
         assert not uv0.any()
 
     @given(st.lists(st.floats(0.0, 300.0, width=32), min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)
-    def test_scale_crossing_zero_across_the_frame(self, xs):
+    def test_scale_crossing_zero_across_the_frame(self, native_kernels, xs):
         """``w = x/128 - 1`` is zero at ``x = 128`` and negative left of it."""
         H = EVENTOR_SCHEMA.quantize_homography(
             np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0 / 128, 0.0, -1.0]]])
         )
         xs = xs + [128.0, 127.9921875]
-        assert_kernel_matches_numpy(H, xs, xs)
+        assert_canonical_matches_numpy(native_kernels, H, xs, xs)
 
 
 class TestHomographyExtremes:
@@ -166,13 +140,40 @@ class TestHomographyExtremes:
         st.lists(edge_coord, min_size=2, max_size=2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_sq11_21_extremes_keep_the_macs_exact(self, h, xy):
+    def test_sq11_21_extremes_keep_the_macs_exact(self, native_kernels, h, xy):
         H = np.array(h).reshape(1, 3, 3)
-        assert_kernel_matches_numpy(H, [xy[0], 65535 * LSB], [xy[1], 65535 * LSB])
+        assert_canonical_matches_numpy(
+            native_kernels, H, [xy[0], 65535 * LSB], [xy[1], 65535 * LSB]
+        )
 
-    def test_largest_mac_magnitudes(self):
+    def test_largest_mac_magnitudes(self, native_kernels):
         """Every term at its bound: ``x = y = raw_max`` against ``H_MIN``."""
         H = np.full((2, 3, 3), H_MIN)
         H[1] = H_MAX
         big = np.float32(65535 * LSB)
-        assert_kernel_matches_numpy(H, [[big, 0.0], [big, big]], [[big, big], [big, 0.0]])
+        assert_canonical_matches_numpy(
+            native_kernels, H, [[big, 0.0], [big, big]], [[big, big], [big, 0.0]]
+        )
+
+
+class TestLongFrames:
+    @given(
+        st.lists(st.one_of(any_coord, edge_coord), min_size=1, max_size=24),
+        st.sampled_from([7, 8, 9, 1023, 1025]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edge_coordinates_anywhere_in_a_frame(self, native_kernels, edges, n, seed):
+        """Edge coordinates scattered through frames long enough for the
+        vector body and its remainder, under random near-identity ``H``."""
+        rng = np.random.default_rng(seed)
+        H = np.eye(3) + rng.uniform(-0.05, 0.05, (2, 3, 3))
+        H[:, :2, 2] += rng.uniform(-20.0, 20.0, (2, 2))
+        H = EVENTOR_SCHEMA.quantize_homography(
+            H / np.abs(H).max(axis=(1, 2), keepdims=True)
+        )
+        xy = rng.uniform(-4.0, 260.0, (2, 2, n)).astype(np.float32)
+        where = rng.integers(0, 2 * n, len(edges))
+        xy[0].reshape(-1)[where] = np.array(edges, dtype=np.float32)
+        xy[1].reshape(-1)[where[::-1]] = np.array(edges, dtype=np.float32)
+        assert_canonical_matches_numpy(native_kernels, H, xy[0], xy[1])

@@ -217,6 +217,49 @@ class TestKernelExactness:
         with pytest.raises(ValueError, match="int32"):
             kernels.vote_nearest_batch(phi, uv0, valid, counts, SHAPE)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("valid_extra_column", "valid must"),
+            ("phi_extra_plane", "phi must"),
+            ("uv0_three_columns", "uv0 must"),
+            ("short_buffer", "DSI buffer"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
+    def test_vote_wrappers_reject_mismatched_shapes(self, method, case, message):
+        """A mismatched operand would be read at the wrong rows (wrong
+        counts, no error) and a short buffer written past its end."""
+        _, _, _, phi, uv0, valid = _workload()
+        nz, h, w = SHAPE
+        size = nz * h * w
+        if case == "valid_extra_column":
+            valid = np.ones((B, N + 1), dtype=bool)
+        elif case == "phi_extra_plane":
+            phi = np.concatenate([phi, phi[:, :1]], axis=1)
+        elif case == "uv0_three_columns":
+            uv0 = np.zeros((B, N, 3))
+        else:
+            size -= 1
+        kernels = get_kernels()
+        with pytest.raises(ValueError, match=message):
+            if method == "nearest":
+                kernels.vote_nearest_batch(
+                    phi, uv0, valid, np.zeros(size, dtype=np.int32), SHAPE
+                )
+            else:
+                kernels.vote_bilinear_batch(
+                    phi, uv0, valid, np.zeros(size), SHAPE, BilinearScratch(N, nz)
+                )
+
+    def test_vote_nearest_rejects_planes_past_int32_addresses(self):
+        _, _, _, phi, uv0, valid = _workload()
+        shape = (SHAPE[0], 1 << 16, 1 << 15)  # H*W == 2^31
+        with pytest.raises(ValueError, match="int32"):
+            get_kernels().vote_nearest_batch(
+                phi, uv0, valid, np.zeros(1, dtype=np.int32), shape
+            )
+
     def test_bilinear_scratch_shape_check(self):
         scratch = BilinearScratch(N, SHAPE[0])
         with pytest.raises(ValueError):
