@@ -13,13 +13,20 @@ bit-identically, because both layers execute the *same*
 
 Semantics in one breath:
 
-* **admission** — ``submit`` pre-plans the stream (cheap pose-only
-  pass), sweeps the segment cache, and enforces per-session
-  backpressure: a session at its queue bound either refuses the
-  submission (:class:`SessionBacklogFull`) or drops its oldest
-  still-queued job, per ``overflow``; both outcomes are recorded in the
-  service's aggregate :class:`~repro.core.results.PipelineProfile`
-  (``jobs_refused`` / ``jobs_dropped``).
+* **admission** — ``submit`` and ``open_stream`` share one path
+  (``_admit``): validate the caller's input, pre-plan a batch stream
+  (cheap pose-only pass), and enforce per-session backpressure — a
+  session at its queue bound either refuses the submission
+  (:class:`SessionBacklogFull`) or drops its oldest still-queued job,
+  per ``overflow``, only once nothing else can raise; both outcomes are
+  counted in :meth:`ReconstructionService.stats` (``jobs_refused`` /
+  ``jobs_dropped``).  ``submit`` then sweeps the segment cache.
+* **lifecycle** — one segment-cache probe (``_probe``) serves the
+  admission sweep, the stream cut and the dispatch-time re-probe; one
+  settle step (``_settle``) lands a computed or cached outcome, or
+  abandons a segment, and finalizes a job once every segment is
+  accounted for; one fail step (``_fail``) is the only ``FAILED``
+  transition.
 * **execution** — a cooperative pump: ``poll``/``result``/``drain``
   collect finished segment futures and dispatch new ones whenever pool
   slots free up.  The pump runs on the caller's thread; worker
@@ -84,6 +91,7 @@ from repro.core.engine import EngineSpec
 from repro.core.mapping import (
     MappingResult,
     PoolSpec,
+    SegmentOutcome,
     default_voxel_size,
     fuse_keyframes,
     merge_outcomes,
@@ -104,7 +112,6 @@ from repro.serve.session import (
     Job,
     JobState,
     JobStatus,
-    Session,
     new_job_id,
 )
 from repro.serve.stream import StreamingSession, StreamState, StreamUpdate
@@ -458,11 +465,7 @@ class ReconstructionService:
             del self._inflight[future]
             self._abandon_attempt(future, flight)
         for job in list(self._active_jobs()):
-            job.error = reason
-            job.finish(JobState.FAILED, at=self._clock())
-            self._counts["jobs_failed"] += 1
-            self._scheduler.cancel_job(job)
-            self._retire(job)
+            self._fail(job, reason)
         self._streams = [
             job for job in self._streams if job.state not in TERMINAL_STATES
         ]
@@ -479,28 +482,6 @@ class ReconstructionService:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _resolve_job_options(self, options: JobOptions | None) -> JobOptions:
-        """Resolve one call's effective :class:`JobOptions`.
-
-        The single merge rule: per-call ``options`` layer over the
-        service defaults — ``options.merged(self.defaults)``.
-        """
-        resolved = (options or JobOptions()).merged(self.defaults)
-        self._check_options(resolved)
-        return resolved
-
-    def _job_kwargs(self, resolved: JobOptions) -> dict:
-        """The :class:`Job` constructor kwargs of a resolved options set."""
-        return dict(
-            retry=resolved.retry,
-            deadline_s=resolved.deadline_s,
-            segment_deadline_s=resolved.segment_deadline_s,
-            allow_partial=bool(resolved.allow_partial),
-            fault_plan=resolved.faults,
-            integrity=bool(resolved.integrity),
-            cache_mode=resolved.cache,
-        )
-
     def submit(
         self,
         events: EventArray,
@@ -524,22 +505,80 @@ class ReconstructionService:
         without ever touching the pool; a job with every segment cached
         finalizes (fuses) before ``submit`` returns.
         """
+        job = self._admit(spec, session, options, events=events)
+        # Admission sweep: key every planned segment by its content (the
+        # plan's frame-aligned event slice digests without materializing
+        # it) and land the already-known ones on the spot — a fully warm
+        # job finalizes here and never touches the pool.
+        for plan in job.plans:
+            self._probe(job, plan.index, events, plan.start_event, plan.end_event)
+        if job.n_segments == 0:
+            # Too short for a single frame: an accounted empty result.
+            self._finalize(job)
+        return job.job_id
+
+    def _admit(
+        self,
+        spec: EngineSpec,
+        session: str,
+        options: JobOptions | None,
+        *,
+        events: EventArray | None = None,
+        max_pending_chunks: int | None = None,
+    ) -> Job:
+        """The one admission path: a batch job (``events``) or a stream.
+
+        Every step that can raise on caller input — the spec type, the
+        chunk bound, option resolution (``options.merged(self.defaults)``
+        plus the executor check) and batch planning — runs before a
+        ``drop-oldest`` eviction, so a malformed submission never costs
+        an innocent queued job its slot.  A refusal is decided before
+        planning: refusing costs nothing.  Then the job is built,
+        scheduled, registered and counted.
+        """
         if self._closed:
             raise ServeError("service is closed")
         self._prune_terminal()
+        batch = max_pending_chunks is None
         if not isinstance(spec, EngineSpec):
-            raise TypeError("submit() takes an EngineSpec (see EngineSpec.build)")
-        resolved = self._resolve_job_options(options)
+            caller = "submit" if batch else "open_stream"
+            raise TypeError(f"{caller}() takes an EngineSpec (see EngineSpec.build)")
+        if not batch and max_pending_chunks < 1:
+            raise ValueError("max_pending_chunks must be >= 1")
+        resolved = (options or JobOptions()).merged(self.defaults)
+        self._check_options(resolved)
         voxel_size = resolved.voxel_size
         if voxel_size is None:
             voxel_size = default_voxel_size(spec.depth_range)
-        min_observations = resolved.min_observations
-        mode = resolved.cache
-        reliability = self._job_kwargs(resolved)
 
-        self._admit_session(session)
+        # Per-session backpressure: a backlogged session refuses the
+        # newcomer or drops its oldest still-queued batch job.
+        target = self._scheduler.session(session)
+        victim = None
+        if target.backlogged:
+            if self.overflow == "drop-oldest":
+                victim = target.oldest_queued()
+            if victim is None:
+                self._counts["jobs_refused"] += 1
+                raise SessionBacklogFull(
+                    f"session {session!r} is at its queue limit "
+                    f"({target.queue_limit} active jobs); overflow policy "
+                    f"is {self.overflow!r}"
+                )
+        plans, dropped = spec.plan(events) if batch else ((), 0)
+        if victim is not None:
+            victim.error = "dropped by overflow policy 'drop-oldest'"
+            victim.finish(JobState.DROPPED, at=self._clock())
+            self._counts["jobs_dropped"] += 1
+            self._retire(victim)
 
-        plans, dropped = spec.plan(events)
+        now = self._clock()
+        stream = deadline_at = None
+        if not batch:
+            # A stream's deadline arms at close() instead of now.
+            stream = StreamState(spec.stream_planner(), voxel_size, max_pending_chunks)
+        elif resolved.deadline_s is not None:
+            deadline_at = now + resolved.deadline_s
         job = Job(
             job_id=new_job_id(session),
             session=session,
@@ -548,64 +587,25 @@ class ReconstructionService:
             plans=tuple(plans),
             dropped_tail=dropped,
             voxel_size=voxel_size,
-            min_observations=min_observations,
-            submitted_at=self._clock(),
-            **reliability,
+            min_observations=resolved.min_observations,
+            stream=stream,
+            submitted_at=now,
+            retry=resolved.retry,
+            deadline_s=resolved.deadline_s,
+            deadline_at=deadline_at,
+            segment_deadline_s=resolved.segment_deadline_s,
+            allow_partial=bool(resolved.allow_partial),
+            fault_plan=resolved.faults,
+            integrity=bool(resolved.integrity),
+            cache_mode=resolved.cache,
         )
-        if job.deadline_s is not None:
-            job.deadline_at = self._clock() + job.deadline_s
-        if mode != "off" and self.segment_cache.enabled:
-            # Admission sweep of the segment tier: key every planned
-            # segment by its content (the plan's frame-aligned event
-            # slice digests without materializing it), and complete the
-            # already-known ones on the spot — a fully warm job never
-            # touches the pool.  ``refresh`` keys but never reads.
-            for plan in plans:
-                skey = segment_key(
-                    spec, events.content_digest(plan.start_event, plan.end_event)
-                )
-                job.segment_keys[plan.index] = skey
-                if mode == "on":
-                    hit = self.segment_cache.get(skey, verify=job.integrity)
-                    if hit is not None:
-                        job.outcomes[plan.index] = (plan.index, list(hit[0]), hit[1])
-                        job.segments_cached += 1
         self._scheduler.admit(job)
         self._jobs[job.job_id] = job
         self._counts["jobs_submitted"] += 1
-        if job.complete:
-            # Every segment came out of the segment cache at admission,
-            # or the stream is too short for a single frame (an
-            # accounted empty result): fuse now instead of parking a
-            # never-schedulable job.
-            self._finalize(job)
-        return job.job_id
-
-    def _admit_session(self, session: str) -> Session:
-        """Enforce the per-session backpressure bound; return the session.
-
-        A backlogged session either refuses the newcomer
-        (:class:`SessionBacklogFull`) or drops its oldest still-queued
-        batch job, per the service's overflow policy — the shared
-        admission step of :meth:`submit` and :meth:`open_stream`.
-        """
-        target = self._scheduler.session(session)
-        if target.backlogged:
-            victim = (
-                target.oldest_queued() if self.overflow == "drop-oldest" else None
-            )
-            if victim is None:
-                self._counts["jobs_refused"] += 1
-                raise SessionBacklogFull(
-                    f"session {session!r} is at its queue limit "
-                    f"({target.queue_limit} active jobs); overflow policy "
-                    f"is {self.overflow!r}"
-                )
-            victim.error = "dropped by overflow policy 'drop-oldest'"
-            victim.finish(JobState.DROPPED, at=self._clock())
-            self._counts["jobs_dropped"] += 1
-            self._retire(victim)
-        return target
+        if not batch:
+            self._streams.append(job)
+            self._counts["streams_opened"] += 1
+        return job
 
     def _retire(self, job: Job) -> None:
         """Drop a terminal job from its session's scan list.
@@ -659,40 +659,9 @@ class ReconstructionService:
         open stream can always grow, so there is no meaningful total
         budget until the input ends.
         """
-        if self._closed:
-            raise ServeError("service is closed")
-        self._prune_terminal()
-        if not isinstance(spec, EngineSpec):
-            raise TypeError("open_stream() takes an EngineSpec (see EngineSpec.build)")
-        if max_pending_chunks < 1:
-            raise ValueError("max_pending_chunks must be >= 1")
-        resolved = self._resolve_job_options(options)
-        voxel_size = resolved.voxel_size
-        if voxel_size is None:
-            voxel_size = default_voxel_size(spec.depth_range)
-        min_observations = resolved.min_observations
-        reliability = self._job_kwargs(resolved)
-        self._admit_session(session)
-        job = Job(
-            job_id=new_job_id(session),
-            session=session,
-            spec=spec,
-            events=None,
-            plans=(),
-            dropped_tail=0,
-            voxel_size=voxel_size,
-            min_observations=min_observations,
-            stream=StreamState(
-                spec.stream_planner(), voxel_size, max_pending_chunks
-            ),
-            submitted_at=self._clock(),
-            **reliability,
+        job = self._admit(
+            spec, session, options, max_pending_chunks=max_pending_chunks
         )
-        self._scheduler.admit(job)
-        self._jobs[job.job_id] = job
-        self._streams.append(job)
-        self._counts["jobs_submitted"] += 1
-        self._counts["streams_opened"] += 1
         return StreamingSession(self, job)
 
     def _feed_stream(self, job: Job, events: EventArray) -> None:
@@ -824,26 +793,17 @@ class ReconstructionService:
     ) -> None:
         """Append one freshly cut segment to a streaming job's plan.
 
-        The segment probes the segment cache first (the streaming twin
-        of :meth:`submit`'s admission sweep): a hit lands the outcome —
-        and emits every update it unblocks — without ever buffering the
-        slice for dispatch.  The stream's slices are cut at the same
-        frame-aligned boundaries a batch plan uses, so the keys match a
-        prior ``submit`` of the same content.
+        The segment then probes the segment cache (the streaming twin of
+        :meth:`submit`'s admission sweep): a hit lands the outcome —
+        releasing the slice and emitting every update it unblocks —
+        before the slice is ever dispatched.  The stream's slices are
+        cut at the same frame-aligned boundaries a batch plan uses, so
+        the keys match a prior ``submit`` of the same content.
         """
         job.plans = job.plans + (plan,)
         job.stream.feed_times[plan.index] = fed_at
-        if job.cache_mode != "off" and self.segment_cache.enabled:
-            skey = segment_key(job.spec, segment_events.content_digest())
-            job.segment_keys[plan.index] = skey
-            if job.cache_mode == "on":
-                hit = self.segment_cache.get(skey, verify=job.integrity)
-                if hit is not None:
-                    job.outcomes[plan.index] = (plan.index, list(hit[0]), hit[1])
-                    job.segments_cached += 1
-                    self._emit_stream_updates(job)
-                    return
         job.stream.segment_events[plan.index] = segment_events
+        self._probe(job, plan.index, segment_events)
 
     def _emit_stream_updates(self, job: Job) -> None:
         """Fold landed outcomes into the fused map, in segment order.
@@ -901,21 +861,12 @@ class ReconstructionService:
                 break
             job = decision.job
             index = decision.task.index
-            if job.cache_mode == "on":
-                # Dispatch-time cache consult: an outcome that appeared
-                # after admission (typically computed by an overlapping
-                # job in the meantime) completes the segment without
-                # consuming a pool slot.  Not counted as a miss — the
-                # admission sweep already charged this segment once.
-                skey = job.segment_keys.get(index)
-                if skey is not None:
-                    hit = self.segment_cache.get(
-                        skey, count_miss=False, verify=job.integrity
-                    )
-                    if hit is not None:
-                        self._land_cached_segment(job, index, hit)
-                        dispatched = True
-                        continue
+            if self._probe(job, index):
+                # An outcome that appeared after admission (typically
+                # computed by an overlapping job in the meantime)
+                # completes the segment without consuming a pool slot.
+                dispatched = True
+                continue
             directive = None
             if job.fault_plan is not None:
                 directive = job.fault_plan.directive(index, decision.attempt - 1)
@@ -947,22 +898,76 @@ class ReconstructionService:
             dispatched = True
         return dispatched
 
-    def _land_cached_segment(self, job: Job, index: int, payload: tuple) -> None:
-        """Complete one segment from the segment cache, pool untouched.
+    def _probe(
+        self,
+        job: Job,
+        index: int,
+        events: EventArray | None = None,
+        start: int | None = None,
+        stop: int | None = None,
+    ) -> bool:
+        """The one segment-cache probe; returns whether the segment landed.
 
-        The dispatch-time twin of :meth:`_collect_done`'s success path:
-        the payload becomes the segment's outcome, a stream releases the
-        slice and emits the updates it unblocks, and a job whose last
-        segment this was finalizes.
+        Given the segment's ``events`` (a batch job's stream with the
+        plan's ``start``/``stop``, or a stream's cut slice), the segment
+        is first keyed by its content — the admission sweep and the
+        stream cut.  Without them the stored key is re-probed at
+        dispatch time, and a miss is not counted again: the first probe
+        already charged it.  ``refresh`` keys but never reads.
         """
-        keyframes, profile = payload
-        job.outcomes[index] = (index, list(keyframes), profile)
-        job.segments_cached += 1
+        if job.cache_mode == "off" or not self.segment_cache.enabled:
+            return False
+        if events is not None:
+            job.segment_keys[index] = segment_key(
+                job.spec, events.content_digest(start, stop)
+            )
+        key = job.segment_keys.get(index)
+        if job.cache_mode != "on" or key is None:
+            return False
+        hit = self.segment_cache.get(
+            key, count_miss=events is not None, verify=job.integrity
+        )
+        if hit is None:
+            return False
+        self._settle(job, index, (index, list(hit[0]), hit[1]), cached=True)
+        return True
+
+    def _settle(
+        self,
+        job: Job,
+        index: int,
+        outcome: SegmentOutcome | None,
+        *,
+        cached: bool = False,
+    ) -> None:
+        """The one place a segment lands — or is abandoned (``None``).
+
+        A computed or ``cached`` outcome enters the job's outcome table;
+        an abandoned segment enters the ``missing`` manifest.  Either
+        way a stream releases the slice (no longer needed for dispatch
+        or pool-break requeue) and emits every update this unblocked,
+        and a job with every segment accounted for finalizes.
+        """
+        if outcome is None:
+            job.missing.add(index)
+        else:
+            job.outcomes[index] = outcome
+            if cached:
+                job.segments_cached += 1
         if job.stream is not None:
             job.stream.segment_events.pop(index, None)
             self._emit_stream_updates(job)
         if job.complete:
             self._finalize(job)
+
+    def _fail(self, job: Job, error: str, tb: str | None = None) -> None:
+        """The one ``FAILED`` transition: record, count, cancel, retire."""
+        job.error = error
+        job.traceback = tb
+        job.finish(JobState.FAILED, at=self._clock())
+        self._counts["jobs_failed"] += 1
+        self._scheduler.cancel_job(job)
+        self._retire(job)
 
     def _collect_done(self) -> bool:
         collected = False
@@ -1040,27 +1045,15 @@ class ReconstructionService:
                     "(payload digest mismatch)",
                 )
                 continue
-            job.outcomes[outcome[0]] = outcome
-            if (
-                not flight.faulted
-                and job.cache_mode != "off"
-                and self.segment_cache.enabled
-            ):
-                # Store only final good outcomes: the integrity gate
-                # above already passed, and a faulted attempt's payload
-                # may have been tampered (CORRUPT) without integrity
-                # armed, so it never enters the cache.
-                skey = job.segment_keys.get(index)
-                if skey is not None:
-                    self.segment_cache.put(skey, (outcome[1], outcome[2]))
-            if job.stream is not None:
-                # The segment's slice is no longer needed for dispatch
-                # (or pool-break requeue); release it and emit every
-                # update this outcome unblocked.
-                job.stream.segment_events.pop(index, None)
-                self._emit_stream_updates(job)
-            if job.complete:
-                self._finalize(job)
+            # Store only final good outcomes: the integrity gate above
+            # already passed, and a faulted attempt's payload may have
+            # been tampered (CORRUPT) without integrity armed, so it
+            # never enters the cache.  A segment has a key only when its
+            # job caches (see _probe).
+            skey = job.segment_keys.get(index)
+            if skey is not None and not flight.faulted:
+                self.segment_cache.put(skey, (outcome[1], outcome[2]))
+            self._settle(job, index, outcome)
         return collected
 
     def _segment_failed(
@@ -1089,23 +1082,11 @@ class ReconstructionService:
                 job.requeued.append(index)
             return
         if job.allow_partial:
-            job.missing.add(index)
-            if job.stream is not None:
-                job.stream.segment_events.pop(index, None)
-                self._emit_stream_updates(job)
-            if job.complete:
-                self._finalize(job)
+            self._settle(job, index, None)
             return
-        job.error = (
-            error
-            if failures <= 1
-            else f"{error} (segment {index} failed {failures} attempts)"
-        )
-        job.traceback = tb
-        job.finish(JobState.FAILED, at=self._clock())
-        self._counts["jobs_failed"] += 1
-        self._scheduler.cancel_job(job)
-        self._retire(job)
+        if failures > 1:
+            error = f"{error} (segment {index} failed {failures} attempts)"
+        self._fail(job, error, tb)
 
     # ------------------------------------------------------------------
     # Reliability: deadlines, retries, watchdog
@@ -1222,21 +1203,18 @@ class ReconstructionService:
             # the job can reach a terminal state.
             stream.pending_chunks.clear()
             stream.flushed = True
-        if job.allow_partial:
-            job.missing.update(unlanded)
-            if stream is not None:
-                for index in unlanded:
-                    stream.segment_events.pop(index, None)
-                self._emit_stream_updates(job)
-            self._finalize(job)
+        if not job.allow_partial:
+            self._fail(
+                job,
+                f"job deadline exceeded ({job.deadline_s} s); "
+                f"{len(unlanded)} of {job.n_segments} segments unfinished",
+            )
             return
-        job.error = (
-            f"job deadline exceeded ({job.deadline_s} s); "
-            f"{len(unlanded)} of {job.n_segments} segments unfinished"
-        )
-        job.finish(JobState.FAILED, at=self._clock())
-        self._counts["jobs_failed"] += 1
-        self._retire(job)
+        for index in unlanded:
+            self._settle(job, index, None)
+        if not unlanded:
+            # A stream cut short with every cut segment landed.
+            self._finalize(job)
 
     def _kill_pool(self) -> None:
         """Kill a pool wedged by a hung worker and requeue the innocents.

@@ -140,27 +140,41 @@ BATCH_POLICIES = [
 ]
 
 
-def assert_backend_bit_exact(seq, policy, backend):
-    """Run ``backend`` against ``numpy-reference`` and compare bitwise.
+def run_policy(seq, policy, backend):
+    """Run ``backend`` under ``policy`` over a multi-keyframe slice."""
+    events = seq.events.time_slice(0.4, 1.6)
+    config = EMVSConfig(n_depth_planes=64, frame_size=1024, keyframe_distance=0.12)
+    engine = ReconstructionEngine(
+        seq.camera,
+        seq.trajectory,
+        config,
+        depth_range=seq.depth_range,
+        policy=policy,
+        backend=backend,
+    )
+    return engine.run(events)
+
+
+@pytest.fixture(scope="module", params=BATCH_POLICIES, ids=lambda p: p.name)
+def policy_reference(request, seq_3planes_fast):
+    """``(policy, numpy-reference result)`` for one policy corner.
+
+    Module-scoped, so the batch and native classes compare against one
+    reference run per corner instead of recomputing it per backend.
+    """
+    policy = request.param
+    return policy, run_policy(seq_3planes_fast, policy, "numpy-reference")
+
+
+def assert_backend_bit_exact(seq, policy_reference, backend):
+    """Run ``backend`` and compare it bitwise with ``numpy-reference``.
 
     The shared acceptance check of the batching substrates: identical
     profile counters, depth maps and global map across a multi-keyframe
     slice under the given policy corner.
     """
-    events = seq.events.time_slice(0.4, 1.6)
-    config = EMVSConfig(n_depth_planes=64, frame_size=1024, keyframe_distance=0.12)
-    results = {}
-    for name in ("numpy-reference", backend):
-        engine = ReconstructionEngine(
-            seq.camera,
-            seq.trajectory,
-            config,
-            depth_range=seq.depth_range,
-            policy=policy,
-            backend=name,
-        )
-        results[name] = engine.run(events)
-    ref, other = results["numpy-reference"], results[backend]
+    policy, ref = policy_reference
+    other = run_policy(seq, policy, backend)
 
     # Identical profile counters...
     assert other.profile.votes_cast == ref.profile.votes_cast
@@ -189,9 +203,8 @@ def assert_backend_bit_exact(seq, policy, backend):
 class TestBatchBackendBitExact:
     """numpy-batch vs numpy-reference over the whole policy design space."""
 
-    @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.name)
-    def test_bit_exact_across_policies(self, seq_3planes_fast, policy):
-        assert_backend_bit_exact(seq_3planes_fast, policy, "numpy-batch")
+    def test_bit_exact_across_policies(self, seq_3planes_fast, policy_reference):
+        assert_backend_bit_exact(seq_3planes_fast, policy_reference, "numpy-batch")
 
     def test_matches_hardware_model(self, setup, reference):
         """Transitivity check: batch == reference == hardware datapath."""
@@ -218,9 +231,8 @@ class TestNativeBackendBitExact:
     or counter may differ.
     """
 
-    @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.name)
-    def test_bit_exact_across_policies(self, seq_3planes_fast, policy):
-        assert_backend_bit_exact(seq_3planes_fast, policy, "native-batch")
+    def test_bit_exact_across_policies(self, seq_3planes_fast, policy_reference):
+        assert_backend_bit_exact(seq_3planes_fast, policy_reference, "native-batch")
 
     def test_matches_hardware_model(self, setup, reference):
         """Transitivity check: native == reference == hardware datapath."""

@@ -296,6 +296,62 @@ class TestGracefulDegradation:
                 service.result(job)
 
 
+    @pytest.mark.parametrize("allow_partial", [True, False])
+    def test_stream_deadline_arms_at_close_on_fake_clock(
+        self, served, allow_partial
+    ):
+        """A stream's job deadline arms at ``close()``, not at open:
+        an open stream outlives its budget, a closed one expires — to
+        ``PARTIAL`` (updates flow past the gap, the map equals a
+        degraded batch job's) or, without ``allow_partial``, ``FAILED``."""
+        _, events, _, spec = served
+        clock = FakeClock()
+        plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
+        with ReconstructionService(
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(mem_mb=0),
+            clock=clock,
+        ) as service:
+            stream = service.open_stream(
+                spec,
+                options=JobOptions(
+                    faults=plan,
+                    deadline_s=10.0,
+                    allow_partial=allow_partial,
+                    retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                ),
+            )
+            stream.feed(events)
+            clock.advance(20.0)  # twice the budget, but the stream is open
+            assert stream.status().state is JobState.RUNNING
+            stream.close()
+            clock.advance(10.5)  # past the deadline armed at close()
+            status = stream.status()
+            if not allow_partial:
+                assert status.state is JobState.FAILED
+                assert "job deadline exceeded" in status.error
+                with pytest.raises(JobFailed, match="deadline"):
+                    stream.result()
+                return
+            assert status.state is JobState.PARTIAL
+            assert status.missing_segments == (0,)
+            stream_result = stream.result()
+            assert stream_result.missing_segments == (0,)
+            updates = stream.poll_updates()
+            assert sorted({u.segment_index for u in updates}) == [1, 2, 3, 4]
+            assert len(updates) == len(stream_result.keyframes)
+
+            batch = service.submit(
+                events,
+                spec,
+                options=JobOptions(faults=plan, allow_partial=True),
+            )
+            batch_result = service.result(batch)
+            assert batch_result.missing_segments == (0,)
+            assert_results_bit_identical(stream_result, batch_result)
+
+
 class TestSegmentDeadlines:
     def test_slow_attempt_times_out_and_retry_heals(self, served, direct):
         """A slow first attempt trips the per-segment watchdog; the

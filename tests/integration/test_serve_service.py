@@ -434,3 +434,34 @@ class TestFailurePaths:
             service.drain()
             assert service.poll(second).state is JobState.DONE
             assert service.stats().jobs_dropped == 1
+
+    def test_malformed_submission_evicts_no_queued_job(self, served, direct):
+        """Every check of the caller's input runs before a drop-oldest
+        eviction: a submission that raises costs no queued job its slot."""
+        _, events, _, spec = served
+        with ReconstructionService(
+            workers=1,
+            queue_limit=1,
+            cache=CacheConfig(mem_mb=0),
+            overflow="drop-oldest",
+        ) as service:
+            first = service.submit(events, spec, session="s")
+            with pytest.raises(TypeError):
+                service.submit(None, spec, session="s")
+            assert service.jobs[first].state is JobState.QUEUED
+            stats = service.stats()
+            assert stats.jobs_dropped == 0 and stats.jobs_submitted == 1
+            assert_results_bit_identical(service.result(first), direct)
+
+    def test_refusal_is_decided_before_planning(self, served):
+        """Under ``refuse`` a full session refuses even a submission that
+        planning would reject: refusing costs no planning."""
+        _, events, _, spec = served
+        with ReconstructionService(
+            workers=1, queue_limit=1, cache=CacheConfig(mem_mb=0)
+        ) as service:
+            service.submit(events, spec, session="s")
+            with pytest.raises(SessionBacklogFull):
+                service.submit(None, spec, session="s")
+            stats = service.stats()
+            assert stats.jobs_refused == 1 and stats.jobs_dropped == 0
