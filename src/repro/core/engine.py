@@ -77,8 +77,6 @@ from repro.events.packetizer import (
     ChunkBuffer,
     EventFrame,
     Packetizer,
-    frame_midtimes,
-    n_full_frames,
     segment_slice,
 )
 from repro.geometry.camera import PinholeCamera
@@ -160,6 +158,14 @@ def register_backend(name: str):
     return decorator
 
 
+def _backend_factory(name: str) -> Callable[["ReconstructionEngine"], ExecutionBackend]:
+    """The registered factory of ``name``; unknown names list the registry."""
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
+
+
 def create_backend(
     backend: str | ExecutionBackend, engine: "ReconstructionEngine"
 ) -> ExecutionBackend:
@@ -167,13 +173,7 @@ def create_backend(
     if isinstance(backend, ExecutionBackend):
         instance = backend
     else:
-        try:
-            factory = BACKENDS[backend]
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {backend!r}; known: {sorted(BACKENDS)}"
-            ) from None
-        instance = factory(engine)
+        instance = _backend_factory(backend)(engine)
     instance.bind(engine)
     return instance
 
@@ -449,6 +449,7 @@ class EngineSpec:
                 "EngineSpec holds a backend registry name; engine builders "
                 "each construct their own backend instance"
             )
+        _backend_factory(self.backend)  # unknown names fail here, not in a worker
         object.__setattr__(self, "policy", resolve_policy(self.policy))
         object.__setattr__(self, "config", self.config or EMVSConfig())
         object.__setattr__(
@@ -535,12 +536,10 @@ def plan_segments(
     frame mid-span timestamps, and those only on event timestamps and
     ``frame_size`` — none of which the voting dataflow touches.  So one
     cheap pose-only pass (no back-projection, no DSI) predicts the exact
-    segment boundaries of :meth:`ReconstructionEngine.run`.  The selector
-    reads only positions, so the pass interpolates every frame's position
-    in one vectorized lerp (:meth:`Trajectory.positions`, bit-identical to
-    the translation of the engine's scalar ``trajectory.sample``) and runs
-    the same :class:`KeyframeSelector` arithmetic over them; no rotation
-    is ever interpolated.
+    segment boundaries of :meth:`ReconstructionEngine.run`.  The pass is
+    the one-chunk case of :class:`StreamSegmentPlanner` (one ``push`` of
+    the whole stream, then ``finish``); its cuts are views, so nothing
+    is copied.
     Per-keyframe segments are embarrassingly parallel; this plan is what a
     :class:`repro.core.mapping.MappingOrchestrator` shards across workers.
 
@@ -550,30 +549,14 @@ def plan_segments(
     no complete frame) and the trailing partial-frame event count the run
     would drop at stream end.
     """
-    n_frames = n_full_frames(events, config.frame_size)
-    dropped = len(events) - n_frames * config.frame_size
-    if n_frames == 0:
-        return [], dropped
-    midtimes = frame_midtimes(events, config.frame_size)
-    positions = trajectory.positions(midtimes)
-    selector = KeyframeSelector(config.keyframe_distance)
-    starts = [i for i in range(n_frames) if selector.is_new_keyframe(positions[i])]
-    bounds = starts + [n_frames]
-    plans = [
-        SegmentPlan(
-            index=k,
-            start_frame=bounds[k],
-            end_frame=bounds[k + 1],
-            frame_size=config.frame_size,
-            t_ref=float(midtimes[bounds[k]]),
-        )
-        for k in range(len(starts))
-    ]
-    return plans, dropped
+    planner = StreamSegmentPlanner(trajectory, config)
+    cuts = planner.push(events)
+    tail, dropped = planner.finish()
+    return [plan for plan, _ in cuts + tail], dropped
 
 
 class StreamSegmentPlanner:
-    """Incremental :func:`plan_segments`: feed chunks, harvest closed segments.
+    """The one key-frame planner: feed chunks, harvest closed segments.
 
     Segment planning is a pose-only pass — key-frame boundaries depend
     only on frame mid-span timestamps and the trajectory positions there
@@ -589,9 +572,14 @@ class StreamSegmentPlanner:
     ``push``/``finish`` output equals ``plan_segments(whole_stream, ...)``
     exactly — same :class:`SegmentPlan` values (frame indices are global,
     relative to the whole planned stream), same event slices, same
-    dropped-tail count.  The same scalar mid-time arithmetic and the same
-    stateful :class:`~repro.core.keyframes.KeyframeSelector` decisions
-    guarantee it; ``tests/unit/test_engine.py`` pins it per chunk size.
+    dropped-tail count — :func:`plan_segments` is the one-chunk case.
+    The mid-times are :func:`~repro.events.packetizer.frame_midtimes`'
+    ``0.5 * (t_first + t_last)`` in float64, the selector reads only the
+    vectorized :meth:`Trajectory.positions` lerp (bit-identical to the
+    translation of the engine's scalar ``trajectory.sample``; no rotation
+    is interpolated), and one stateful
+    :class:`~repro.core.keyframes.KeyframeSelector` decides across
+    pushes; ``tests/unit/test_stream_planner.py`` pins it per chunk size.
 
     One :class:`~repro.serve.StreamingSession` holds one planner; the
     serve layer dispatches each closed segment onto the shared worker
@@ -636,21 +624,6 @@ class StreamSegmentPlanner:
         return len(self._buffer)
 
     # ------------------------------------------------------------------
-    def _frame_midtime(self, local_frame: int) -> float:
-        """Mid-span timestamp of a complete buffered frame.
-
-        Scalar evaluation of the exact :func:`frame_midtimes` arithmetic
-        (``0.5 * (t_first + t_last)`` in float64) over the buffer's
-        copy-free :meth:`~repro.events.packetizer.ChunkBuffer.timestamp`
-        probes — no merge per boundary check, so fine-grained chunking
-        cannot turn planning quadratic — and bit-identical to the
-        one-shot plan's decisions.
-        """
-        lo = local_frame * self._frame_size
-        t_first = self._buffer.timestamp(lo)
-        t_last = self._buffer.timestamp(lo + self._frame_size - 1)
-        return float(0.5 * (t_first + t_last))
-
     def _cut(self, n_frames: int) -> tuple[SegmentPlan, EventArray]:
         """Close the open segment at ``n_frames`` buffered frames."""
         plan = SegmentPlan(
@@ -678,13 +651,18 @@ class StreamSegmentPlanner:
             raise RuntimeError("planner already finished; build a new one")
         self._buffer.push(events)
         closed: list[tuple[SegmentPlan, EventArray]] = []
-        n_full = len(self._buffer) // self._frame_size
         # Cuts only drop whole frames ahead of the unchecked ones, so every
-        # new frame's mid-time can be read (and its position interpolated)
-        # before the loop cuts anything.
-        midtimes = [self._frame_midtime(i) for i in range(self._checked, n_full)]
-        positions = self._trajectory.positions(np.asarray(midtimes, dtype=float))
-        for t_mid, position in zip(midtimes, positions):
+        # new frame's mid-time is read (one gather of its first and last
+        # timestamps) and its position interpolated before anything is cut.
+        firsts = self._frame_size * np.arange(
+            self._checked, len(self._buffer) // self._frame_size, dtype=np.int64
+        )
+        ends = self._buffer.timestamps(
+            np.concatenate([firsts, firsts + (self._frame_size - 1)])
+        ).reshape(2, -1)
+        midtimes = 0.5 * (ends[0] + ends[1])
+        positions = self._trajectory.positions(midtimes)
+        for t_mid, position in zip(midtimes.tolist(), positions):
             if self._selector.is_new_keyframe(position):
                 if self._checked > 0:
                     closed.append(self._cut(self._checked))

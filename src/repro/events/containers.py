@@ -8,6 +8,7 @@ events as a numpy structured array for cache-friendly bulk processing.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Sequence
 
 import numpy as np
@@ -191,10 +192,14 @@ class EventArray:
         return len(self) / self.duration
 
     def time_slice(self, t0: float, t1: float) -> "EventArray":
-        """Events with ``t0 <= t < t1`` (binary search, O(log n) + view)."""
+        """Events with ``t0 <= t < t1`` (binary search, O(log n) + view).
+
+        ``bisect`` probes the strided ``t`` field in place, where
+        ``np.searchsorted`` would first copy the whole column.  A NaN
+        bound sorts past every timestamp, as it does in numpy.
+        """
         ts = self._data["t"]
-        i0 = int(np.searchsorted(ts, t0, side="left"))
-        i1 = int(np.searchsorted(ts, t1, side="left"))
+        i0, i1 = (len(ts) if t != t else bisect.bisect_left(ts, t) for t in (t0, t1))
         return EventArray(self._data[i0:i1], validate=False)
 
     def crop_to_sensor(self, width: int, height: int) -> "EventArray":

@@ -154,7 +154,7 @@ class ChunkBuffer:
 
     def __init__(self):
         self._parts: list[EventArray] = []
-        #: Cumulative end index of each part (for :meth:`timestamp`).
+        #: Cumulative end index of each part (for :meth:`timestamps`).
         self._offsets: list[int] = []
         self._count = 0
         self._merged: EventArray | None = None
@@ -171,20 +171,28 @@ class ChunkBuffer:
         self._offsets.append(self._count)
         self._merged = None
 
-    def timestamp(self, index: int) -> float:
-        """Timestamp of the ``index``-th buffered event, without merging.
+    def timestamps(self, indices: np.ndarray) -> np.ndarray:
+        """Timestamps of the buffered events at ``indices``, without merging.
 
-        A binary search over the parts' cumulative offsets — O(log P)
-        and copy-free, so per-frame probes (the streaming planner's
-        boundary checks) stay cheap however finely the stream was
-        chunked.  The value is the exact float64 the merged array would
-        hold at the same index.
+        One vectorized gather per part the indices touch (the parts are
+        found by a binary search over their cumulative offsets), so the
+        streaming planner's per-frame probes stay copy-free however
+        finely the stream was chunked.  The values are the exact
+        float64s the merged array holds at the same indices.
         """
-        if not 0 <= index < self._count:
-            raise IndexError(f"event {index} of a buffer of {self._count}")
-        part_index = bisect.bisect_right(self._offsets, index)
-        start = self._offsets[part_index - 1] if part_index else 0
-        return float(self._parts[part_index].t[index - start])
+        indices = np.asarray(indices, dtype=np.int64)
+        out = np.empty(len(indices), dtype=np.float64)
+        if len(indices) == 0:
+            return out
+        lo, hi = int(indices.min()), int(indices.max())
+        if lo < 0 or hi >= self._count:
+            raise IndexError(f"event index out of a buffer of {self._count}")
+        first, last = (bisect.bisect_right(self._offsets, i) for i in (lo, hi))
+        for part in range(first, last + 1):
+            start = self._offsets[part - 1] if part else 0
+            inside = (indices >= start) & (indices < self._offsets[part])
+            out[inside] = self._parts[part].t[indices[inside] - start]
+        return out
 
     def merged(self) -> EventArray:
         """Everything buffered, as one contiguous array (cached)."""
@@ -284,9 +292,10 @@ def frame_midtimes(
     Computes, without materializing any :class:`EventFrame`, exactly the
     ``timestamp`` values a :class:`Packetizer` would stamp on the frames of
     ``events``: ``0.5 * (t_first + t_last)`` of each ``frame_size`` slice,
-    evaluated in the same float64 arithmetic.  Segment planners
-    (:func:`repro.core.engine.plan_segments`) rely on this bit-exactness to
-    predict key-frame boundaries without running the pipeline.
+    evaluated in the same float64 arithmetic.  The segment planner
+    (:class:`repro.core.engine.StreamSegmentPlanner`) evaluates it over
+    :meth:`ChunkBuffer.timestamps` to predict key-frame boundaries
+    without running the pipeline.
     """
     n = n_full_frames(events, frame_size)
     if n == 0:

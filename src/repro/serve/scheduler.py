@@ -110,15 +110,9 @@ class RoundRobinScheduler:
             job.attempts[index] = attempt
             del self._rotation[position]
             self._rotation.append(name)
-            plan = job.plans[index]
-            if job.stream is not None:
-                # Streaming jobs hold no whole-stream array; the planner
-                # already cut the segment's slice.  Kept (not popped)
-                # until the outcome lands so a pool break can requeue.
-                events = job.stream.segment_events[plan.index]
-            else:
-                events = plan.slice(job.events)
-            task = SegmentTask(plan.index, events, job.spec)
+            # The slice stays in segment_events until the outcome lands,
+            # so a pool break can requeue it.
+            task = SegmentTask(index, job.segment_events[index], job.spec)
             return Dispatch(job=job, task=task, attempt=attempt)
         return None
 

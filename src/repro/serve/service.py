@@ -74,6 +74,7 @@ Semantics in one breath:
 
 from __future__ import annotations
 
+import math
 import time
 import traceback as traceback_module
 from collections import Counter
@@ -506,12 +507,11 @@ class ReconstructionService:
         finalizes (fuses) before ``submit`` returns.
         """
         job = self._admit(spec, session, options, events=events)
-        # Admission sweep: key every planned segment by its content (the
-        # plan's frame-aligned event slice digests without materializing
-        # it) and land the already-known ones on the spot — a fully warm
-        # job finalizes here and never touches the pool.
+        # Admission sweep: key every planned segment by its content and
+        # land the already-known ones on the spot — a fully warm job
+        # finalizes here and never touches the pool.
         for plan in job.plans:
-            self._probe(job, plan.index, events, plan.start_event, plan.end_event)
+            self._probe(job, plan.index)
         if job.n_segments == 0:
             # Too short for a single frame: an accounted empty result.
             self._finalize(job)
@@ -583,8 +583,8 @@ class ReconstructionService:
             job_id=new_job_id(session),
             session=session,
             spec=spec,
-            events=events,
             plans=tuple(plans),
+            segment_events={plan.index: plan.slice(events) for plan in plans},
             dropped_tail=dropped,
             voxel_size=voxel_size,
             min_observations=resolved.min_observations,
@@ -744,48 +744,41 @@ class ReconstructionService:
         return job.n_segments - job.next_segment + len(job.requeued)
 
     def _absorb_streams(self) -> bool:
-        """Move buffered chunks through the planners; cut ready segments.
-
-        Absorption is paced by the dispatch backlog: a stream stops
-        planning ahead once it holds ``queue_limit`` undispatched
-        segments, so a fast producer cannot turn the bounded chunk
-        buffer into an unbounded segment queue — chunks wait (and
-        eventually overflow) at the feed side instead.  A closing
-        stream flushes its trailing segment once its buffer drains.
-        """
+        """Absorb every active stream's buffered chunks (see :meth:`_absorb`)."""
         progressed = False
-        retired = False
         for job in self._streams:
-            stream = job.stream
-            if job.state in TERMINAL_STATES:
-                retired = True
-                continue
-            while (
-                stream.pending_chunks
-                and self._stream_backlog(job) < self._scheduler.queue_limit
-            ):
-                chunk, fed_at = stream.pending_chunks.popleft()
-                for plan, segment_events in stream.planner.push(chunk):
-                    self._add_stream_segment(job, plan, segment_events, fed_at)
-                progressed = True
-            if not stream.open and not stream.flushed and not stream.pending_chunks:
-                tail, dropped = stream.planner.finish()
-                for plan, segment_events in tail:
-                    self._add_stream_segment(
-                        job, plan, segment_events, stream.closed_at
-                    )
-                job.dropped_tail = dropped
-                stream.flushed = True
-                progressed = True
-                if job.complete:
-                    # A stream can settle with nothing in flight (all
-                    # outcomes already in, or no complete frame at all).
-                    self._finalize(job)
-                    retired = True
-        if retired:
-            self._streams = [
-                job for job in self._streams if job.state not in TERMINAL_STATES
-            ]
+            if job.state not in TERMINAL_STATES:
+                progressed = self._absorb(job, self._scheduler.queue_limit) or progressed
+        self._streams = [job for job in self._streams if job.state not in TERMINAL_STATES]
+        return progressed
+
+    def _absorb(self, job: Job, limit: float) -> bool:
+        """Move one stream's buffered chunks through its planner; cut segments.
+
+        Absorption is paced by the dispatch backlog: the stream stops
+        planning ahead once it holds ``limit`` undispatched segments, so
+        a fast producer cannot turn the bounded chunk buffer into an
+        unbounded segment queue — chunks wait (and eventually overflow)
+        at the feed side instead.  A closed stream flushes its trailing
+        segment once its buffer drains.
+        """
+        stream = job.stream
+        progressed = False
+        while stream.pending_chunks and self._stream_backlog(job) < limit:
+            chunk, fed_at = stream.pending_chunks.popleft()
+            for plan, segment_events in stream.planner.push(chunk):
+                self._add_stream_segment(job, plan, segment_events, fed_at)
+            progressed = True
+        if not stream.open and not stream.flushed and not stream.pending_chunks:
+            tail, job.dropped_tail = stream.planner.finish()
+            for plan, segment_events in tail:
+                self._add_stream_segment(job, plan, segment_events, stream.closed_at)
+            stream.flushed = True
+            progressed = True
+            if job.complete:
+                # A stream can settle with nothing in flight (all
+                # outcomes already in, or no complete frame at all).
+                self._finalize(job)
         return progressed
 
     def _add_stream_segment(
@@ -796,14 +789,14 @@ class ReconstructionService:
         The segment then probes the segment cache (the streaming twin of
         :meth:`submit`'s admission sweep): a hit lands the outcome —
         releasing the slice and emitting every update it unblocks —
-        before the slice is ever dispatched.  The stream's slices are
-        cut at the same frame-aligned boundaries a batch plan uses, so
-        the keys match a prior ``submit`` of the same content.
+        before the slice is ever dispatched.  The planner cuts a stream
+        at the frame-aligned boundaries a batch plan uses, so the keys
+        match a prior ``submit`` of the same content.
         """
         job.plans = job.plans + (plan,)
         job.stream.feed_times[plan.index] = fed_at
-        job.stream.segment_events[plan.index] = segment_events
-        self._probe(job, plan.index, segment_events)
+        job.segment_events[plan.index] = segment_events
+        self._probe(job, plan.index)
 
     def _emit_stream_updates(self, job: Job) -> None:
         """Fold landed outcomes into the fused map, in segment order.
@@ -898,35 +891,26 @@ class ReconstructionService:
             dispatched = True
         return dispatched
 
-    def _probe(
-        self,
-        job: Job,
-        index: int,
-        events: EventArray | None = None,
-        start: int | None = None,
-        stop: int | None = None,
-    ) -> bool:
+    def _probe(self, job: Job, index: int) -> bool:
         """The one segment-cache probe; returns whether the segment landed.
 
-        Given the segment's ``events`` (a batch job's stream with the
-        plan's ``start``/``stop``, or a stream's cut slice), the segment
-        is first keyed by its content — the admission sweep and the
-        stream cut.  Without them the stored key is re-probed at
-        dispatch time, and a miss is not counted again: the first probe
-        already charged it.  ``refresh`` keys but never reads.
+        The first probe of a segment (the admission sweep, the stream
+        cut) keys it by the digest of its slice in ``segment_events``.
+        The dispatch-time re-probe reads the stored key, and a miss is
+        not counted again: the first probe already charged it.
+        ``refresh`` keys but never reads.
         """
         if job.cache_mode == "off" or not self.segment_cache.enabled:
             return False
-        if events is not None:
-            job.segment_keys[index] = segment_key(
-                job.spec, events.content_digest(start, stop)
-            )
         key = job.segment_keys.get(index)
-        if job.cache_mode != "on" or key is None:
+        first = key is None
+        if first:
+            key = job.segment_keys[index] = segment_key(
+                job.spec, job.segment_events[index].content_digest()
+            )
+        if job.cache_mode != "on":
             return False
-        hit = self.segment_cache.get(
-            key, count_miss=events is not None, verify=job.integrity
-        )
+        hit = self.segment_cache.get(key, count_miss=first, verify=job.integrity)
         if hit is None:
             return False
         self._settle(job, index, (index, list(hit[0]), hit[1]), cached=True)
@@ -944,9 +928,9 @@ class ReconstructionService:
 
         A computed or ``cached`` outcome enters the job's outcome table;
         an abandoned segment enters the ``missing`` manifest.  Either
-        way a stream releases the slice (no longer needed for dispatch
-        or pool-break requeue) and emits every update this unblocked,
-        and a job with every segment accounted for finalizes.
+        way the job releases the slice (no longer needed for dispatch
+        or pool-break requeue), a stream emits every update this
+        unblocked, and a job with every segment accounted for finalizes.
         """
         if outcome is None:
             job.missing.add(index)
@@ -954,8 +938,8 @@ class ReconstructionService:
             job.outcomes[index] = outcome
             if cached:
                 job.segments_cached += 1
+        job.segment_events.pop(index, None)
         if job.stream is not None:
-            job.stream.segment_events.pop(index, None)
             self._emit_stream_updates(job)
         if job.complete:
             self._finalize(job)
@@ -1178,7 +1162,10 @@ class ReconstructionService:
         In-flight attempts are abandoned (hung process workers force a
         pool kill), undispatched work is cancelled, and the job ends
         ``PARTIAL`` — with everything unlanded in the missing manifest —
-        when it allows partial results, ``FAILED`` otherwise.
+        when it allows partial results, ``FAILED`` otherwise.  A closed
+        stream's input not yet cut into segments (buffered chunks, the
+        planner's open tail) is cut first and never run, so it counts as
+        unlanded instead of vanishing.
         """
         needs_kill = False
         for future, flight in list(self._inflight.items()):
@@ -1190,19 +1177,18 @@ class ReconstructionService:
                 needs_kill = True
         if needs_kill:
             self._kill_pool()
+        if job.stream is not None and not job.stream.flushed:
+            # Only a closed stream arms its deadline, so all of its input
+            # can be cut now; what never ran is then listed as unlanded.
+            self._absorb(job, limit=math.inf)
+            if job.state in TERMINAL_STATES:
+                return  # every cut segment landed from the cache
         unlanded = [
             i
             for i in range(job.n_segments)
             if i not in job.outcomes and i not in job.missing
         ]
         self._scheduler.cancel_job(job)
-        stream = job.stream
-        if stream is not None and not stream.flushed:
-            # The deadline outran chunks still buffered: they are
-            # abandoned wholesale, and the stream is marked flushed so
-            # the job can reach a terminal state.
-            stream.pending_chunks.clear()
-            stream.flushed = True
         if not job.allow_partial:
             self._fail(
                 job,
@@ -1212,9 +1198,6 @@ class ReconstructionService:
             return
         for index in unlanded:
             self._settle(job, index, None)
-        if not unlanded:
-            # A stream cut short with every cut segment landed.
-            self._finalize(job)
 
     def _kill_pool(self) -> None:
         """Kill a pool wedged by a hung worker and requeue the innocents.

@@ -12,8 +12,9 @@ A *job* is one independent event-stream reconstruction request.  A
 (:func:`repro.core.engine.plan_segments`); a *streaming* job (opened via
 ``open_stream``) grows its plan incrementally as chunks arrive, carrying
 its live state in a :class:`~repro.serve.stream.StreamState`.  Either
-way the scheduler shards the planned segments onto the shared worker
-pool, and the service fuses the outcomes in segment order.
+way each planned segment's event slice waits in ``Job.segment_events``
+until it lands, the scheduler shards the segments onto the shared
+worker pool, and the service fuses the outcomes in segment order.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class Job:
     job_id: str
     session: str
     spec: EngineSpec
-    #: The submitted stream; released (set to None) once the job is
-    #: terminal — segments are sliced from it only at dispatch time.
-    events: EventArray | None
     plans: tuple[SegmentPlan, ...]
     dropped_tail: int
     voxel_size: float
@@ -95,9 +93,14 @@ class Job:
     requeued: list[int] = field(default_factory=list)
     #: Completed segment outcomes, keyed by segment index.
     outcomes: dict[int, SegmentOutcome] = field(default_factory=dict)
+    #: Event slice of every planned-but-unlanded segment, keyed by
+    #: segment index: views of a batch job's stream made at admission,
+    #: the planner's cuts for a stream.  Kept until the segment lands
+    #: or is abandoned, so a pool break can requeue it.
+    segment_events: dict[int, EventArray] = field(default_factory=dict)
     #: Live state of a streaming job (``None`` for batch jobs): the
-    #: incremental planner, the bounded chunk buffer, per-segment event
-    #: slices and the incrementally fused map.
+    #: incremental planner, the bounded chunk buffer and the
+    #: incrementally fused map.
     stream: StreamState | None = None
     #: Retry budget for failed segment attempts (``None`` = fail fast).
     retry: "RetryPolicy | None" = None
@@ -205,16 +208,14 @@ class Job:
     def finish(self, state: JobState, at: float | None = None) -> None:
         """Move to a terminal state and release the input event buffers.
 
-        The raw stream is only needed to slice segments at dispatch
-        time; terminal jobs keep their (fused) result, not the input
-        events — a long-lived service must not pin every stream it
-        ever served.  Streaming jobs likewise drop their buffered
-        chunks and undispatched segment slices (un-polled updates and
-        the fused map survive for the client), and their ``open`` flag
-        flips off — a terminal stream accepts no more feeds, and its
-        result must be claimable without a prior explicit ``close()``
-        (a stream whose segments all failed would otherwise wait on
-        updates that can never arrive).
+        Terminal jobs keep their (fused) result, not the segment slices
+        — a long-lived service must not pin every stream it ever
+        served.  Streaming jobs likewise drop their buffered chunks
+        (un-polled updates and the fused map survive for the client),
+        and their ``open`` flag flips off — a terminal stream accepts
+        no more feeds, and its result must be claimable without a prior
+        explicit ``close()`` (a stream whose segments all failed would
+        otherwise wait on updates that can never arrive).
 
         ``at`` is the terminal instant on the owning service's clock;
         the service always passes its injected ``clock`` reading so
@@ -223,12 +224,11 @@ class Job:
         """
         self.state = state
         self.finished_at = time.perf_counter() if at is None else at
-        self.events = None
+        self.segment_events.clear()
         self.retry_backlog.clear()
         if self.stream is not None:
             self.stream.open = False
             self.stream.pending_chunks.clear()
-            self.stream.segment_events.clear()
             self.stream.feed_times.clear()
 
 

@@ -90,9 +90,6 @@ class StreamState:
         #: Chunks fed but not yet absorbed by the planner, with their
         #: feed timestamps (the bounded in-flight buffer).
         self.pending_chunks: deque[tuple[EventArray, float]] = deque()
-        #: Planned-but-uncompleted segments' event slices, keyed by
-        #: segment index; released when the segment's outcome lands.
-        self.segment_events: dict[int, EventArray] = {}
         #: Feed timestamp of the chunk that closed each segment.
         self.feed_times: dict[int, float] = {}
         #: Incrementally fused world map (key frames in stream order).

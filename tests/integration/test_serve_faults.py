@@ -351,6 +351,48 @@ class TestGracefulDegradation:
             assert batch_result.missing_segments == (0,)
             assert_results_bit_identical(stream_result, batch_result)
 
+    @pytest.mark.parametrize("allow_partial", [True, False])
+    def test_stream_deadline_lists_the_uncut_tail(self, served, allow_partial):
+        """A deadline that fires inside ``close()``, before the planner's
+        open tail is cut, still plans that tail and counts it as
+        unfinished: ``PARTIAL`` with the tail in the manifest, or a
+        ``FAILED`` message counting it — never a map claiming to be
+        complete."""
+        _, events, config, spec = served
+        spec = dataclasses.replace(
+            spec, config=dataclasses.replace(config, keyframe_distance=0.1)
+        )
+
+        def run(options):
+            with ReconstructionService(
+                workers=1, executor="inline", cache=CacheConfig(mem_mb=0)
+            ) as service:
+                stream = service.open_stream(spec, options=options)
+                stream.feed(events)
+                stream.close()
+                status = stream.status()
+                try:
+                    return status, stream.result()
+                except JobFailed:
+                    return status, None
+
+        status, full = run(None)
+        assert status.state is JobState.DONE
+        assert status.segments_total == 3
+        assert len(full.keyframes) == 3
+
+        status, result = run(JobOptions(deadline_s=1e-9, allow_partial=allow_partial))
+        assert status.segments_total == 3
+        if not allow_partial:
+            assert status.state is JobState.FAILED
+            assert "1 of 3 segments unfinished" in status.error
+            return
+        assert status.state is JobState.PARTIAL
+        assert status.missing_segments == (2,)
+        assert result.missing_segments == (2,)
+        assert len(result.keyframes) == 2
+        assert result.profile.dropped_events == full.profile.dropped_events
+
 
 class TestSegmentDeadlines:
     def test_slow_attempt_times_out_and_retry_heals(self, served, direct):

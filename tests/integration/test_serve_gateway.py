@@ -481,6 +481,24 @@ class TestHttpContract:
         assert isinstance(json.loads(data)["error"], str)
         assert health == (200, b'{"status": "ok"}')
 
+    def test_unknown_backend_gets_400_and_admits_nothing(self):
+        """``POST /jobs`` naming an unregistered backend is refused at
+        the request (400 naming it), not admitted to fail in a worker."""
+
+        async def run():
+            async with Gateway(gateway_config()) as gateway:
+                async with GatewayServer(gateway) as server:
+                    reply = await http_request(
+                        server.host, server.port, "POST", "/jobs",
+                        body={**GOOD_JOB, "backend": "cuda"},
+                    )
+                    return reply, (await gateway.stats())[0]
+
+        (code, data), stats = asyncio.run(run())
+        assert code == 400
+        assert "unknown backend 'cuda'" in json.loads(data)["error"]
+        assert stats.jobs_submitted == 0
+
     def test_http_request_raises_on_empty_reply(self):
         """A server that closes without answering is a ``ConnectionError``."""
 

@@ -19,11 +19,10 @@ class TestParser:
 
     def test_reconstruct_defaults(self):
         args = build_parser().parse_args(["reconstruct", "-s", "slider_far"])
-        assert args.pipeline == "reformulated"
         assert args.planes == 100
         assert args.frame_size == 1024
         assert args.backend == "numpy-reference"
-        assert args.policy is None
+        assert args.policy == "reformulated"
 
     def test_backend_and_policy_flags_parse(self):
         args = build_parser().parse_args(

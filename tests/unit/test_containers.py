@@ -108,6 +108,35 @@ class TestOperations:
         ev = make_events(10, dt=0.1)
         assert len(ev.time_slice(5.0, 6.0)) == 0
 
+    def test_time_slice_matches_searchsorted_bounds(self):
+        """Bounds on exact (and repeated) timestamps, between events,
+        outside the span and NaN select what ``np.searchsorted`` does."""
+        t = np.repeat(np.arange(50) * 0.1, 3)  # every timestamp thrice
+        ev = EventArray.from_arrays(t, np.zeros(150), np.zeros(150), np.ones(150))
+        bounds = [t[0], t[9], t[-1], t[9] + 0.05, -1.0, 10.0, np.nan, -np.inf, np.inf]
+        for t0 in bounds:
+            for t1 in bounds:
+                i0, i1 = np.searchsorted(t, [t0, t1], side="left")
+                assert ev.time_slice(t0, t1) == ev[i0:i1]
+
+    def test_time_slice_does_not_copy_the_time_column(self):
+        """A slice of a 1 M-event array allocates no column copy
+        (``np.searchsorted`` on the strided field would take 8 MB)."""
+        import tracemalloc
+
+        n = 1_000_000
+        ev = EventArray.from_arrays(
+            np.linspace(0.0, 1.0, n), np.zeros(n), np.zeros(n), np.ones(n)
+        )
+        tracemalloc.start()
+        try:
+            sub = ev.time_slice(0.25, 0.75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(sub) == int(np.searchsorted(ev.t, 0.75)) - int(np.searchsorted(ev.t, 0.25))
+
     def test_concatenate(self):
         a = make_events(5, t0=0.0)
         b = make_events(5, t0=1.0)

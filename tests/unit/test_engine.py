@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     BACKENDS,
     EMVSConfig,
+    EngineSpec,
     ORIGINAL_POLICY,
     REFORMULATED_POLICY,
     ReconstructionEngine,
@@ -51,6 +52,11 @@ class TestRegistry:
         seq, _ = scene
         with pytest.raises(ValueError, match="unknown backend"):
             make_engine(seq, config, backend="no-such-substrate")
+
+    def test_spec_rejects_unknown_backend_at_construction(self, scene, config):
+        seq, _ = scene
+        with pytest.raises(ValueError, match=r"unknown backend 'cuda'; known: \["):
+            EngineSpec(seq.camera, seq.trajectory, config, backend="cuda")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -264,25 +264,27 @@ class TestChunkBuffer:
         buffer.push(stream(100, t0=1.0))
         assert buffer.merged() is buffer.merged()
 
-    def test_timestamp_probes_without_merging(self):
-        """timestamp(i) equals the merged array's value, across parts."""
+    def test_timestamps_probe_without_merging(self):
+        """timestamps(i) equals the merged array's values, across parts."""
         buffer = ChunkBuffer()
         events = stream(500)
         for lo in range(0, 500, 7):  # many tiny parts
             buffer.push(events[lo : lo + 7])
-        for i in (0, 6, 7, 249, 499):
-            assert buffer.timestamp(i) == float(events.t[i])
+        probes = np.array([0, 6, 7, 249, 499])
+        np.testing.assert_array_equal(buffer.timestamps(probes), events.t[probes])
+        assert buffer.timestamps(np.array([], dtype=np.int64)).shape == (0,)
         assert buffer._merged is None  # probes did not force a merge
         with pytest.raises(IndexError):
-            buffer.timestamp(500)
+            buffer.timestamps(np.array([3, 500]))
         with pytest.raises(IndexError):
-            buffer.timestamp(-1)
+            buffer.timestamps(np.array([-1]))
 
-    def test_timestamp_consistent_after_split(self):
+    def test_timestamps_consistent_after_split(self):
         buffer = ChunkBuffer()
         events = stream(300)
         buffer.push(events[:200])
         buffer.push(events[200:])
         buffer.split(120)
-        assert buffer.timestamp(0) == float(events.t[120])
-        assert buffer.timestamp(179) == float(events.t[299])
+        np.testing.assert_array_equal(
+            buffer.timestamps(np.array([0, 179])), events.t[[120, 299]]
+        )

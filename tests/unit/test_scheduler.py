@@ -125,7 +125,7 @@ class TestResultHelpers:
 # ----------------------------------------------------------------------
 # Serve-layer drop-oldest victim selection
 # ----------------------------------------------------------------------
-def _serve_job(session: Session, spec, events, n_segments: int = 2) -> Job:
+def _serve_job(session: Session, spec, n_segments: int = 2) -> Job:
     """Admit a minimal batch job with ``n_segments`` planned segments."""
     plans = tuple(
         SegmentPlan(
@@ -138,7 +138,6 @@ def _serve_job(session: Session, spec, events, n_segments: int = 2) -> Job:
         job_id=new_job_id(session.name),
         session=session.name,
         spec=spec,
-        events=events,
         plans=plans,
         dropped_tail=0,
         voxel_size=0.01,
@@ -160,38 +159,35 @@ class TestDropOldestVictimSelection:
     job: never a job with dispatched segments and never a streaming job.
     """
 
-    def test_victim_is_oldest_untouched_job(self, serve_spec, make_stream):
+    def test_victim_is_oldest_untouched_job(self, serve_spec):
         session = Session("s", queue_limit=8)
-        events = make_stream(100)
-        first = _serve_job(session, serve_spec, events)
-        second = _serve_job(session, serve_spec, events)
+        first = _serve_job(session, serve_spec)
+        second = _serve_job(session, serve_spec)
         assert session.oldest_queued() is first
         # Once the first job has a segment on the pool it is exempt.
         first.take_next_index()
         first.state = JobState.RUNNING
         assert session.oldest_queued() is second
 
-    def test_streaming_job_is_never_victim(self, serve_spec, make_stream):
+    def test_streaming_job_is_never_victim(self, serve_spec):
         import types
 
         session = Session("s", queue_limit=8)
-        events = make_stream(100)
-        stream_job = _serve_job(session, serve_spec, events, n_segments=0)
+        stream_job = _serve_job(session, serve_spec, n_segments=0)
         stream_job.stream = types.SimpleNamespace(open=True)
-        batch = _serve_job(session, serve_spec, events)
+        batch = _serve_job(session, serve_spec)
         assert session.oldest_queued() is batch
         batch.take_next_index()
         batch.state = JobState.RUNNING
         assert session.oldest_queued() is None
 
-    def test_pending_segments_accounting(self, serve_spec, make_stream):
+    def test_pending_segments_accounting(self, serve_spec):
         """``pending_segments`` (the queue-depth gauge) tracks the tail.
 
         Plan tail + requeues + backed-off retries.
         """
         session = Session("s", queue_limit=8)
-        events = make_stream(100)
-        job = _serve_job(session, serve_spec, events, n_segments=3)
+        job = _serve_job(session, serve_spec, n_segments=3)
         assert session.pending_segments == 3
         job.take_next_index()
         assert session.pending_segments == 2

@@ -40,8 +40,8 @@ def make_job(session: str, n_segments: int, spec, events) -> Job:
         job_id=new_job_id(session),
         session=session,
         spec=spec,
-        events=events,
         plans=plans,
+        segment_events={plan.index: plan.slice(events) for plan in plans},
         dropped_tail=0,
         voxel_size=0.01,
         min_observations=1,
@@ -103,9 +103,9 @@ class TestSession:
 
     def test_terminal_jobs_release_their_events(self, spec, events):
         job = make_job("s", 2, spec, events)
-        assert job.events is not None
+        assert len(job.segment_events) == 2
         job.finish(JobState.DONE)
-        assert job.events is None
+        assert job.segment_events == {}
 
 
 class TestRoundRobinScheduler:
