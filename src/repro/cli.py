@@ -179,16 +179,19 @@ def _cmd_reconstruct_rig(args) -> int:
             else seq.keyframe_distance
         ),
     )
-    rig = CameraRig.from_trajectory(
-        seq.camera,
-        seq.trajectory,
-        config,
-        extrinsics=seq.extrinsics,
-        names=list(seq.camera_names),
-        depth_range=seq.depth_range,
-        policy=policy,
-        backend=args.backend,
-    )
+    try:
+        rig = CameraRig.from_trajectory(
+            seq.camera,
+            seq.trajectory,
+            config,
+            extrinsics=seq.extrinsics,
+            names=list(seq.camera_names),
+            depth_range=seq.depth_range,
+            policy=policy,
+            backend=args.backend,
+        )
+    except ValueError as e:  # a policy the backend cannot execute
+        raise SystemExit(str(e)) from None
     orchestrator = RigOrchestrator(
         rig,
         workers=args.workers,
@@ -430,14 +433,17 @@ def _sequence_job(args, name: str, policy):
         frame_size=args.frame_size,
         keyframe_distance=keyframe_distance,
     )
-    spec = EngineSpec(
-        seq.camera,
-        seq.trajectory,
-        config,
-        depth_range=seq.depth_range,
-        policy=policy,
-        backend=args.backend,
-    )
+    try:
+        spec = EngineSpec(
+            seq.camera,
+            seq.trajectory,
+            config,
+            depth_range=seq.depth_range,
+            policy=policy,
+            backend=args.backend,
+        )
+    except ValueError as e:  # a policy the backend cannot execute
+        raise SystemExit(str(e)) from None
     return seq, events, spec
 
 

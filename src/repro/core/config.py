@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -58,8 +59,9 @@ class EMVSConfig:
         Events per aggregated frame (1024 in the paper).
     keyframe_distance:
         Translation (metres) from the current reference view beyond which a
-        new key frame is selected and the DSI is re-seated.  ``None``
-        disables key-framing (single reference for the whole stream).
+        new key frame is selected and the DSI is re-seated; finite and
+        positive.  ``None`` disables key-framing (single reference for the
+        whole stream).
     detection:
         Stage ``D`` parameters.
     """
@@ -75,5 +77,7 @@ class EMVSConfig:
             raise ValueError("need at least 2 depth planes")
         if self.frame_size < 1:
             raise ValueError("frame_size must be positive")
-        if self.keyframe_distance is not None and self.keyframe_distance <= 0:
-            raise ValueError("keyframe_distance must be positive (or None)")
+        if self.keyframe_distance is not None and not (
+            0 < self.keyframe_distance < math.inf
+        ):
+            raise ValueError("keyframe_distance must be finite and positive (or None)")

@@ -356,6 +356,29 @@ class NumpyBatchBackend(_NumpyBackendBase):
         return super().read_dsi()
 
 
+def _check_backend_policy(backend: str, policy: DataflowPolicy) -> None:
+    """Reject a policy the named backend cannot execute (``ValueError``).
+
+    The PL datapath implements exactly one algorithmic point: quantized
+    arithmetic and nearest voting into saturating integer scores.  The
+    ``hardware-model`` backend refuses every other policy instead of
+    silently diverging from it; the software backends execute any policy.
+    """
+    if backend != "hardware-model":
+        return
+    if policy.voting is not VotingMethod.NEAREST:
+        raise ValueError(
+            "the hardware-model backend implements nearest voting only; "
+            f"policy {policy.name!r} requests {policy.voting}"
+        )
+    if not policy.integer_scores:
+        raise ValueError(
+            "the hardware-model backend stores integer DSI scores by design"
+        )
+    if not policy.schema.enabled:
+        raise ValueError("the hardware-model backend is quantized by design")
+
+
 @register_backend("hardware-model")
 def _make_hardware_backend(engine: "ReconstructionEngine") -> ExecutionBackend:
     """Cycle-accurate accelerator substrate (lazy import avoids a cycle).
@@ -368,18 +391,7 @@ def _make_hardware_backend(engine: "ReconstructionEngine") -> ExecutionBackend:
     from repro.hardware.accelerator import EventorSystem
     from repro.hardware.config import EventorConfig
 
-    # The PL datapath implements exactly one algorithmic point: nearest
-    # voting into saturating integer scores.  Reject policies the
-    # hardware cannot execute instead of silently diverging from them.
-    if engine.policy.voting is not VotingMethod.NEAREST:
-        raise ValueError(
-            "the hardware-model backend implements nearest voting only; "
-            f"policy {engine.policy.name!r} requests {engine.policy.voting}"
-        )
-    if not engine.policy.integer_scores:
-        raise ValueError(
-            "the hardware-model backend stores integer DSI scores by design"
-        )
+    _check_backend_policy("hardware-model", engine.policy)
     system = EventorSystem(
         engine.camera,
         emvs_config=engine.config,
@@ -411,7 +423,10 @@ class EngineSpec:
 
     ``policy`` may be given as a preset name; it is resolved at
     construction, so a spec always carries the concrete
-    :class:`~repro.core.policy.DataflowPolicy`.
+    :class:`~repro.core.policy.DataflowPolicy`.  An unknown backend, or
+    a policy the backend cannot execute (anything but quantized nearest
+    voting into integer scores on ``hardware-model``), raises
+    ``ValueError`` here rather than in a worker.
 
     Examples
     --------
@@ -451,6 +466,7 @@ class EngineSpec:
             )
         _backend_factory(self.backend)  # unknown names fail here, not in a worker
         object.__setattr__(self, "policy", resolve_policy(self.policy))
+        _check_backend_policy(self.backend, self.policy)
         object.__setattr__(self, "config", self.config or EMVSConfig())
         object.__setattr__(
             self, "depth_range", tuple(float(z) for z in self.depth_range)

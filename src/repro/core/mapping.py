@@ -6,11 +6,11 @@ they are embarrassingly parallel.  This module exploits that:
 
 * :func:`repro.core.engine.plan_segments` predicts the exact key-frame
   segments of a stream from a cheap pose-only pass;
-* :class:`MappingOrchestrator` shards the stream along that plan, runs
-  each segment's :class:`~repro.core.engine.ReconstructionEngine` on a
-  ``concurrent.futures`` worker pool built by :class:`PoolSpec` (inline
-  for one worker, processes for the numpy backends, threads for the
-  in-process hardware model), and
+* :class:`MappingOrchestrator` maps one stream as one job on a private
+  :class:`~repro.serve.ReconstructionService`, whose worker pool is built
+  by the orchestrator's :class:`PoolSpec` (inline for one worker,
+  processes for the numpy backends, threads for the in-process hardware
+  model), and
 * :class:`GlobalMap` fuses the per-keyframe depth maps into one global
   point map with voxel-hash deduplication and confidence-weighted
   averaging, in the spirit of multi-view event-camera depth fusion
@@ -24,19 +24,19 @@ or N workers.
 
 The per-segment unit (:class:`SegmentTask` / :func:`run_segment_task`)
 and the reduction tail (:func:`merge_outcomes` / :func:`fuse_keyframes`)
-are module-level building blocks shared with the serving layer
-(:mod:`repro.serve`): a job served by the multi-session
-:class:`~repro.serve.ReconstructionService` travels the exact code path
-of an orchestrator run, which is why the two are bit-identical by
-construction.  :class:`PoolSpec` is the one executor seam of all three
-pool owners (both orchestrators and the service).
+are module-level building blocks of the serving layer
+(:mod:`repro.serve`).  The service is the one place segments reach a
+pool and a :class:`MappingResult` is built; the orchestrators are its
+clients, so an orchestrator run and a service job are bit-identical by
+construction.  :class:`PoolSpec` is the one executor seam: the service
+builds its pool from one, and each orchestrator holds one that sizes its
+private service.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import (
     Executor,
     Future,
@@ -48,7 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import EMVSConfig
-from repro.core.engine import EngineSpec, SegmentPlan, plan_segments
+from repro.core.engine import EngineSpec, SegmentPlan
+# The perfbench tracer patches ``mapping.plan_segments`` by module
+# lookup; nothing here calls it.
+from repro.core.engine import plan_segments  # noqa: F401
 from repro.core.pointcloud import PointCloud
 from repro.core.policy import DataflowPolicy, REFORMULATED_POLICY, resolve_policy
 from repro.core.results import KeyframeReconstruction, PipelineProfile
@@ -256,10 +259,11 @@ class GlobalMap:
 
 @dataclass(frozen=True)
 class MappingResult:
-    """Output of a :class:`MappingOrchestrator` run.
+    """Output of a reconstruction job, e.g. a :class:`MappingOrchestrator` run.
 
-    Duck-compatible with :class:`~repro.core.results.EMVSResult` where it
-    matters (``keyframes``, ``cloud``, ``profile``, ``n_points``), with
+    Built in one place, the service's finalize step.  Duck-compatible
+    with :class:`~repro.core.results.EMVSResult` where it matters
+    (``keyframes``, ``cloud``, ``profile``, ``n_points``), with
     ``cloud`` holding the *fused* global map.
 
     ``missing_segments`` is the degradation manifest of the serve
@@ -267,6 +271,10 @@ class MappingResult:
     never landed (deadline, exhausted retries).  Empty — a complete
     result — everywhere outside a ``PARTIAL`` serve job; the fused map
     of a partial result covers exactly the completed key frames.
+
+    ``workers`` is the width of the pool that ran the job (not capped by
+    the segment count); ``wall_seconds`` runs from the job's admission
+    to its fusion.
     """
 
     keyframes: list[KeyframeReconstruction]
@@ -295,9 +303,8 @@ class MappingResult:
 def default_voxel_size(depth_range: tuple[float, float]) -> float:
     """Default fusion voxel edge: 1 % of the mean DSI depth.
 
-    One definition shared by :class:`MappingOrchestrator` and the serving
-    layer, so a service job and a direct orchestrator run fuse identically
-    by construction.
+    The serving layer's per-job default, which :class:`MappingOrchestrator`
+    and the rig's per-camera jobs inherit.
     """
     return 0.01 * 0.5 * (depth_range[0] + depth_range[1])
 
@@ -308,22 +315,14 @@ class SegmentTask:
 
     ``index`` orders the outcome back into the stream's segment sequence;
     ``events`` is the frame-aligned slice the plan cut; ``spec`` carries
-    the full engine configuration.  Both the parallel orchestrator and the
-    reconstruction service shard streams into these, so their per-segment
-    execution is the *same code path* — the determinism equivalence
-    between the two is structural.
-
-    ``camera`` is an optional provenance tag (the rig camera name a
-    multi-camera orchestrator sharded this segment for).  It never enters
-    :meth:`content_digest`: the computation is fully determined by
-    ``spec`` + ``events``, so a rig camera's segment and the identical
-    monocular segment share one cache entry.
+    the full engine configuration.  The reconstruction service shards
+    every job into these — the orchestrators' jobs included — so
+    per-segment execution is one code path.
     """
 
     index: int
     events: EventArray
     spec: EngineSpec
-    camera: str = ""
 
     def content_digest(self) -> str:
         """Content-addressed identity of this task's *computation*.
@@ -419,7 +418,7 @@ def fuse_camera_keyframes(
 
 
 # ----------------------------------------------------------------------
-# Segment pools — the one executor seam of the orchestrators and the service
+# Segment pools — the one executor seam
 # ----------------------------------------------------------------------
 #: Executor kinds a segment pool can be built as.
 EXECUTOR_KINDS = ("inline", "thread", "process")
@@ -474,10 +473,9 @@ class PoolSpec:
                 "executor must be 'inline', 'thread', 'process' or None"
             )
 
-    def width(self, n_tasks: int | None = None) -> int:
-        """Pool width, capped by ``n_tasks`` when given (never below 1)."""
-        width = self.workers or os.cpu_count() or 1
-        return width if n_tasks is None else max(1, min(width, n_tasks))
+    def width(self) -> int:
+        """Pool width: ``workers``, or the machine's CPU count."""
+        return self.workers or os.cpu_count() or 1
 
     def kind(self, width: int) -> str:
         """The executor kind a pool of ``width`` workers is built as."""
@@ -497,6 +495,27 @@ class PoolSpec:
         return ProcessPoolExecutor(max_workers=width)
 
 
+def _private_service(pool_spec: PoolSpec, n_jobs: int):
+    """A fresh :class:`~repro.serve.ReconstructionService` for one run.
+
+    The service an orchestrator maps on: the width and executor kind of
+    ``pool_spec`` (threads for ``hardware-model`` included), room for
+    ``n_jobs`` jobs in its one session, and both segment-cache tiers off
+    — so no slice is digested and ``REPRO_CACHE_DIR`` is ignored.
+    """
+    # Runtime import: core must stay importable without serve.
+    from repro.serve.options import CacheConfig
+    from repro.serve.service import ReconstructionService
+
+    width = pool_spec.width()
+    return ReconstructionService(
+        workers=width,
+        executor=pool_spec.kind(width),
+        queue_limit=n_jobs,
+        cache=CacheConfig(mem_mb=0, disk_mb=0),
+    )
+
+
 class MappingOrchestrator:
     """Shard a stream into key-frame segments and map them in parallel.
 
@@ -505,9 +524,9 @@ class MappingOrchestrator:
     Parameters
     ----------
     workers:
-        Worker-pool width.  ``None`` uses the machine's CPU count capped
-        by the segment count; ``1`` runs inline (still through the
-        segment plan, so results are identical to any parallel width).
+        Worker-pool width.  ``None`` uses the machine's CPU count; ``1``
+        runs inline (still through the segment plan, so results are
+        identical to any parallel width).
     voxel_size:
         :class:`GlobalMap` fusion voxel edge in metres.  Defaults to 1 %
         of the mean DSI depth.
@@ -520,7 +539,15 @@ class MappingOrchestrator:
         from pickling across processes).
 
     The backend must be a registry *name* (workers construct their own
-    instances; a bound backend instance cannot be shared across pools).
+    instances; a bound backend instance cannot be shared across pools),
+    and the policy one the backend can execute: both are checked here,
+    by :class:`~repro.core.engine.EngineSpec`.
+
+    :meth:`run` is one job on a private
+    :class:`~repro.serve.ReconstructionService` built from :attr:`pool_spec`,
+    so an orchestrator run and a service job of the same stream are
+    bit-identical by construction.  Its configuration lives in
+    :attr:`spec`.
 
     Examples
     --------
@@ -573,66 +600,25 @@ class MappingOrchestrator:
             policy=resolve_policy(policy),
             backend=backend,
         )
-        # Derive the default from the spec-normalized (float) depth range
-        # so the serving layer — which only sees the spec — computes the
-        # exact same voxel edge and stays bit-identical.
+        # Derived from the spec-normalized (float) depth range, exactly
+        # as the service derives a job's default.
         self.voxel_size = (
             voxel_size
             if voxel_size is not None
             else default_voxel_size(self.spec.depth_range)
         )
 
-    # Constructor-parameter views onto the spec (the public surface
-    # predates EngineSpec and stays stable).
-    @property
-    def camera(self) -> PinholeCamera:
-        """Sensor calibration (spec view)."""
-        return self.spec.camera
-
-    @property
-    def trajectory(self) -> Trajectory:
-        """Pose source (spec view)."""
-        return self.spec.trajectory
-
-    @property
-    def config(self) -> EMVSConfig:
-        """Shared EMVS parameters (spec view)."""
-        return self.spec.config
-
-    @property
-    def depth_range(self) -> tuple[float, float]:
-        """DSI depth bounds (spec view)."""
-        return self.spec.depth_range
-
-    @property
-    def policy(self) -> DataflowPolicy:
-        """Resolved dataflow policy (spec view)."""
-        return self.spec.policy
-
-    @property
-    def backend(self) -> str:
-        """Execution-backend registry name (spec view)."""
-        return self.spec.backend
-
-    # ------------------------------------------------------------------
+    # The perfbench tracer wraps this method by name.
     def run(self, events: EventArray) -> MappingResult:
-        """Plan, execute (possibly in parallel) and fuse one stream."""
-        t_wall = time.perf_counter()
-        plans, dropped = plan_segments(events, self.trajectory, self.config)
-        tasks = segment_tasks(plans, events, self.spec)
-        workers = self.pool_spec.width(len(plans))
-        with self.pool_spec.create(workers) as pool:
-            outcomes = list(pool.map(run_segment_task, tasks))
-        # Deterministic fusion: segment order, whatever the pool's
-        # completion order was.
-        keyframes, profile = merge_outcomes(outcomes, dropped)
-        global_map = fuse_keyframes(keyframes, self.camera, self.voxel_size)
-        return MappingResult(
-            keyframes=keyframes,
-            global_map=global_map,
-            cloud=global_map.fused_cloud(),
-            profile=profile,
-            segments=tuple(plans),
-            workers=workers,
-            wall_seconds=time.perf_counter() - t_wall,
-        )
+        """Plan, execute (possibly in parallel) and fuse one stream.
+
+        A worker's exception ends the job: ``run`` raises
+        :class:`~repro.serve.JobFailed` carrying the worker's error
+        message, with its traceback text as a note.
+        """
+        # Runtime import: core must stay importable without serve.
+        from repro.serve.options import JobOptions
+
+        options = JobOptions(voxel_size=self.voxel_size)
+        with _private_service(self.pool_spec, 1) as service:
+            return service.result(service.submit(events, self.spec, options=options))

@@ -11,40 +11,43 @@ already has:
   whose trajectory is the rig body's trajectory composed with the
   camera's mounting extrinsic (``T_w_cam(t) = T_w_rig(t) @ T_rig_cam``,
   see :meth:`~repro.geometry.trajectory.Trajectory.transformed`);
-* each camera's stream shards into the same
-  :class:`~repro.core.mapping.SegmentTask` unit as monocular mapping —
-  segments from different cameras are just more embarrassingly-parallel
-  work for one pool (or for the serving layer, where they memoize under
-  the very same :func:`~repro.serve.cache.segment_key` entries a
-  monocular run of that camera would);
+* each camera's stream is one ordinary job on a
+  :class:`~repro.serve.ReconstructionService` — segments from different
+  cameras are just more embarrassingly-parallel work for one pool, and
+  they memoize under the very same :func:`~repro.serve.cache.segment_key`
+  entries a monocular run of that camera would;
 * the per-camera key-frame depth maps — already world-frame, because the
   composed trajectories are — fuse into one
   :class:`~repro.core.mapping.GlobalMap` whose per-voxel distinct-source
   counts drive ``min_cameras`` cross-camera outlier rejection.
 
 Determinism is structural, exactly as for monocular mapping: each
-camera's solo :class:`~repro.core.mapping.MappingResult` travels the
-same plan → task → merge → fuse path as a
-:class:`~repro.core.mapping.MappingOrchestrator` run of that camera, and
-rig fusion is an order-fixed reduction over the per-camera key frames in
-rig order — so the fused rig map is bit-identical across worker counts
-and executors, and bit-identical whether the per-camera work ran on a
-local pool or through :class:`~repro.serve.ReconstructionService`.
+camera's solo :class:`~repro.core.mapping.MappingResult` is a service
+job, as a :class:`~repro.core.mapping.MappingOrchestrator` run of that
+camera is, and rig fusion is an order-fixed reduction over the
+per-camera key frames in rig order — so the fused rig map is
+bit-identical across worker counts and executors, and
+:meth:`RigOrchestrator.run` (``collect`` of ``submit`` on a private
+service) equals the same rig routed through a caller's service.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.engine import EngineSpec
 from repro.core.mapping import (
     GlobalMap,
     MappingResult,
     PoolSpec,
-    SegmentTask,
+    _private_service,
     default_voxel_size,
+)
+# The perfbench tracer patches these ``rig.*`` names by module lookup;
+# of the four, only fuse_camera_keyframes is called here.
+from repro.core.mapping import (  # noqa: F401
     fuse_camera_keyframes,
     fuse_keyframes,
     merge_outcomes,
@@ -260,13 +263,13 @@ class RigJobHandle:
 class RigOrchestrator:
     """Plan, execute and fuse a multi-camera rig reconstruction.
 
-    Each camera's stream is planned independently
-    (:meth:`EngineSpec.plan` — a pose-only pass on *its* composed
-    trajectory), sharded into camera-tagged
-    :class:`~repro.core.mapping.SegmentTask`\\ s, and executed on one
-    shared pool; the per-camera key frames then fuse into a single
+    Each camera's stream is one job on a reconstruction service —
+    planned independently (:meth:`EngineSpec.plan`, a pose-only pass on
+    *its* composed trajectory) and executed on the service's one pool;
+    the per-camera key frames then fuse into a single
     :class:`~repro.core.mapping.GlobalMap` with cross-camera agreement
-    filtering.
+    filtering.  :meth:`run` does this on a private service built from
+    :attr:`pool_spec`; :meth:`submit` / :meth:`collect` on a caller's.
 
     Parameters
     ----------
@@ -274,8 +277,8 @@ class RigOrchestrator:
         The :class:`CameraRig` to reconstruct.
     workers:
         Pool width over the union of all cameras' segments (``None``:
-        CPU count capped by the total segment count).  Any width
-        produces bit-identical results.
+        the machine's CPU count).  Any width produces bit-identical
+        results.
     voxel_size:
         Fusion voxel edge for the rig map.  ``None`` derives
         :func:`~repro.core.mapping.default_voxel_size` from the rig's
@@ -333,14 +336,6 @@ class RigOrchestrator:
         self.min_cameras = int(min_cameras)
 
     # ------------------------------------------------------------------
-    def _camera_voxel(self, spec: EngineSpec) -> float:
-        # Per-camera maps fuse exactly like a monocular orchestrator run
-        # of that camera: explicit rig voxel if one was given, else the
-        # camera's own spec-derived default.
-        if self._explicit_voxel is not None:
-            return self._explicit_voxel
-        return default_voxel_size(spec.depth_range)
-
     def _check_events(self, events_by_camera: Mapping[str, EventArray]) -> None:
         have = set(events_by_camera)
         want = set(self.rig.names)
@@ -351,56 +346,22 @@ class RigOrchestrator:
             )
 
     # ------------------------------------------------------------------
+    # The perfbench tracer wraps this method by name.
     def run(self, events_by_camera: Mapping[str, EventArray]) -> RigMappingResult:
-        """Reconstruct every camera on one shared pool, then fuse.
+        """Reconstruct every camera on one private service, then fuse.
 
         ``events_by_camera`` maps each rig camera name to its event
-        stream; the key set must match the rig exactly.
+        stream; the key set must match the rig exactly.  This is
+        :meth:`collect` of :meth:`submit` on a fresh service with one
+        job slot per camera and no segment cache, so a worker's
+        exception raises :class:`~repro.serve.JobFailed` (the worker's
+        error message, its traceback text as a note).  The result's
+        ``wall_seconds`` spans the whole call.
         """
         t_wall = time.perf_counter()
-        self._check_events(events_by_camera)
-
-        # Plan each camera independently; shard everything into one
-        # camera-tagged task list (camera-major, segment order within).
-        per_camera_plans: dict[str, tuple] = {}
-        tasks: list[SegmentTask] = []
-        for cam in self.rig:
-            events = events_by_camera[cam.name]
-            plans, dropped = cam.spec.plan(events)
-            per_camera_plans[cam.name] = (plans, dropped)
-            tasks.extend(
-                SegmentTask(
-                    plan.index, plan.slice(events), cam.spec, camera=cam.name
-                )
-                for plan in plans
-            )
-
-        workers = self.pool_spec.width(len(tasks))
-        with self.pool_spec.create(workers) as pool:
-            outcomes = list(pool.map(run_segment_task, tasks))
-
-        # pool.map preserves input order, so zipping tasks back onto
-        # outcomes attributes each one to its camera deterministically.
-        grouped: dict[str, list] = {name: [] for name in self.rig.names}
-        for task, outcome in zip(tasks, outcomes):
-            grouped[task.camera].append(outcome)
-
-        per_camera: dict[str, MappingResult] = {}
-        for cam in self.rig:
-            plans, dropped = per_camera_plans[cam.name]
-            keyframes, profile = merge_outcomes(grouped[cam.name], dropped)
-            voxel = self._camera_voxel(cam.spec)
-            global_map = fuse_keyframes(keyframes, cam.spec.camera, voxel)
-            per_camera[cam.name] = MappingResult(
-                keyframes=keyframes,
-                global_map=global_map,
-                cloud=global_map.fused_cloud(),
-                profile=profile,
-                segments=tuple(plans),
-                workers=workers,
-                wall_seconds=time.perf_counter() - t_wall,
-            )
-        return self._fused_result(per_camera, workers, t_wall)
+        with _private_service(self.pool_spec, self.rig.n_cameras) as service:
+            result = self.collect(service, self.submit(service, events_by_camera))
+        return replace(result, wall_seconds=time.perf_counter() - t_wall)
 
     # ------------------------------------------------------------------
     def submit(
@@ -444,28 +405,16 @@ class RigOrchestrator:
     ) -> RigMappingResult:
         """Block on every per-camera job, then fuse into the rig result.
 
-        The per-camera results come back bit-identical to local
-        orchestrator runs (the serve ≡ orchestrator invariant), so the
-        collected rig result is bit-identical to :meth:`run` on the same
-        events.
+        Each per-camera result is an ordinary service job, bit-identical
+        to a :class:`~repro.core.mapping.MappingOrchestrator` run of that
+        camera; rig fusion is an order-fixed reduction over their key
+        frames in rig order, so the collected result is bit-identical to
+        :meth:`run` on the same events, whatever service computed it.
         """
         t_wall = time.perf_counter()
         per_camera: dict[str, MappingResult] = {}
         for cam_name, job_id in handle.job_ids:
             per_camera[cam_name] = service.result(job_id, timeout=timeout)
-        workers = max(result.workers for result in per_camera.values())
-        return self._fused_result(per_camera, workers, t_wall)
-
-    # ------------------------------------------------------------------
-    def _fused_result(
-        self,
-        per_camera: dict[str, MappingResult],
-        workers: int,
-        t_wall: float,
-    ) -> RigMappingResult:
-        # Rig-order, order-fixed fusion of the per-camera key frames;
-        # identical input key frames => bit-identical fused arrays,
-        # however (and wherever) the cameras were computed.
         streams = [
             (cam.spec.camera, per_camera[cam.name].keyframes)
             for cam in self.rig
@@ -483,6 +432,6 @@ class RigOrchestrator:
             profile=profile,
             min_observations=self.min_observations,
             min_cameras=self.min_cameras,
-            workers=workers,
+            workers=max(result.workers for result in per_camera.values()),
             wall_seconds=time.perf_counter() - t_wall,
         )

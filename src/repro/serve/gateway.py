@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -666,10 +667,14 @@ class GatewayServer:
             t_start = request.get("t_start")
             t_end = request.get("t_end")
             if t_start is not None or t_end is not None:
-                events = events.time_slice(
-                    events.t_start if t_start is None else float(t_start),
-                    events.t_end if t_end is None else float(t_end),
-                )
+                t0 = events.t_start if t_start is None else float(t_start)
+                t1 = events.t_end if t_end is None else float(t_end)
+                # json.loads parses NaN and Infinity; neither bounds a window.
+                if not (math.isfinite(t0) and math.isfinite(t1)):
+                    raise ValueError(f"time window [{t0}, {t1}] must be finite")
+                if t0 > t1:
+                    raise ValueError(f"time window [{t0}, {t1}] is reversed")
+                events = events.time_slice(t0, t1)
             # ``None`` (the paper sequences' default) is a one-key-frame job.
             keyframe_distance = request.get("keyframe_distance", seq.keyframe_distance)
             config = EMVSConfig(

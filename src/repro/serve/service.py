@@ -3,13 +3,12 @@
 :class:`ReconstructionService` accepts many independent event-stream
 jobs (``submit``), shards each job's pre-planned key-frame segments onto
 one shared bounded worker pool with fair round-robin scheduling across
-sessions, and fuses per-segment outcomes into the same
-:class:`~repro.core.mapping.MappingResult` a direct
-:class:`~repro.core.mapping.MappingOrchestrator` run would produce —
-bit-identically, because both layers execute the *same*
-:func:`~repro.core.mapping.run_segment_task` /
-:func:`~repro.core.mapping.merge_outcomes` /
-:func:`~repro.core.mapping.fuse_keyframes` path.
+sessions, and fuses per-segment outcomes into a
+:class:`~repro.core.mapping.MappingResult`.  It is the one place
+segments reach a pool and results are built: a
+:class:`~repro.core.mapping.MappingOrchestrator` or
+:class:`~repro.core.rig.RigOrchestrator` run is a job on a private
+service, so the two are bit-identical by construction.
 
 Semantics in one breath:
 
@@ -1235,7 +1234,7 @@ class ReconstructionService:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _finalize(self, job: Job) -> None:
-        """Fuse a job's segment outcomes — the orchestrator-identical tail.
+        """Fuse a job's segment outcomes: the one place a result is built.
 
         Streaming jobs reuse their incrementally fused map instead of
         re-fusing from scratch: the emit cursor inserted every key frame
@@ -1328,8 +1327,9 @@ class ReconstructionService:
         """Block until the job finishes; return its fused result.
 
         Raises :class:`JobFailed` for failed or dropped jobs (carrying
-        the worker's error), ``TimeoutError`` past ``timeout`` seconds,
-        and ``KeyError`` for unknown ids.
+        the worker's error, and its traceback text as a note),
+        ``TimeoutError`` past ``timeout`` seconds, and ``KeyError`` for
+        unknown ids.
         """
         return self._result_job(self._job(job_id), timeout)
 
@@ -1399,9 +1399,14 @@ class ReconstructionService:
             self._pump()
         if job.state in (JobState.DONE, JobState.PARTIAL):
             return job.result
-        raise JobFailed(
+        failure = JobFailed(
             f"job {job_id!r} {job.state.value}: {job.error or 'no error recorded'}"
         )
+        if job.traceback:
+            # The worker's traceback text, as a note (what 3.11's
+            # add_note appends to; 3.10 keeps it without printing it).
+            failure.__notes__ = [job.traceback]
+        raise failure
 
     def drain(self, timeout: float | None = None) -> int:
         """Run every admitted job to a terminal state; returns #completed.

@@ -448,12 +448,17 @@ class TestHttpContract:
             {**GOOD_JOB, "session": {"tenant": 1}},
             {**GOOD_JOB, "quality": 3},
             {**GOOD_JOB, "quality": "bogus"},
+            {**GOOD_JOB, "t_start": float("nan"), "t_end": 1.0},
+            {**GOOD_JOB, "t_start": 0.7, "t_end": 0.5},
+            {**GOOD_JOB, "t_start": 0.5, "t_end": 0.7,
+             "keyframe_distance": float("nan")},
             "POST /jobs HTTP/1.1\r\nContent-Length: many\r\n\r\n",
             "POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         ],
         ids=[
             "t_start-not-numeric", "t_end-not-numeric", "sequence-not-string",
             "session-not-string", "quality-not-string", "quality-unknown",
+            "t_start-nan", "window-reversed", "keyframe_distance-nan",
             "content-length-not-numeric", "content-length-negative",
         ],
     )

@@ -1,5 +1,7 @@
 """Unit tests for the streaming ReconstructionEngine and its registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core import (
 from repro.core.engine import ExecutionBackend, create_backend, register_backend
 from repro.core.policy import resolve_policy
 from repro.events.containers import EventArray
+from repro.fixedpoint.quantize import FLOAT_SCHEMA
 
 
 # `engine_config` / `engine_scene` are the session-scoped builders in
@@ -57,6 +60,35 @@ class TestRegistry:
         seq, _ = scene
         with pytest.raises(ValueError, match=r"unknown backend 'cuda'; known: \["):
             EngineSpec(seq.camera, seq.trajectory, config, backend="cuda")
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ("original", "nearest voting only"),
+            (
+                dataclasses.replace(REFORMULATED_POLICY, integer_scores=False),
+                "integer DSI scores",
+            ),
+            (
+                dataclasses.replace(REFORMULATED_POLICY, schema=FLOAT_SCHEMA),
+                "quantized by design",
+            ),
+        ],
+        ids=["bilinear-voting", "float-scores", "float-schema"],
+    )
+    def test_spec_rejects_policy_the_backend_cannot_execute(
+        self, scene, config, policy, message
+    ):
+        """The hardware model's policy checks run at construction, not
+        when a worker first builds the engine."""
+        seq, _ = scene
+        with pytest.raises(ValueError, match=message):
+            EngineSpec(
+                seq.camera, seq.trajectory, config,
+                policy=policy, backend="hardware-model",
+            )
+        # The software backends execute any policy.
+        EngineSpec(seq.camera, seq.trajectory, config, policy=policy)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import EMVSConfig
 from repro.core.keyframes import KeyframeSelector
 
 
@@ -65,3 +66,19 @@ class TestKeyframeSelector:
                 fired_at = 0.01 * i
                 break
         assert fired_at == pytest.approx(0.11)
+
+
+class TestKeyframeDistanceConfig:
+    @pytest.mark.parametrize(
+        "distance", [0.0, -0.1, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_rejects_non_finite_or_non_positive(self, distance):
+        """A NaN distance never re-keys (every comparison with it is
+        False), so it must be refused like a non-positive one."""
+        with pytest.raises(ValueError, match="keyframe_distance"):
+            EMVSConfig(keyframe_distance=distance)
+
+    @pytest.mark.parametrize("distance", [None, 1e-9, 0.1, 1e9])
+    def test_accepts_finite_positive_or_none(self, distance):
+        assert EMVSConfig(keyframe_distance=distance).keyframe_distance == distance

@@ -19,7 +19,8 @@ from repro.geometry.se3 import SE3
 from repro.serve import ReconstructionService
 
 
-#: The three segment-pool owners sharing the ``PoolSpec`` seam.
+#: The three ``PoolSpec`` holders: the service builds its pool from its
+#: spec, and each orchestrator sizes its private service with its own.
 POOL_OWNERS = ["mapping", "rig", "service"]
 
 EXECUTOR_MESSAGE = "executor must be 'inline', 'thread', 'process' or None"
@@ -204,7 +205,7 @@ class TestOrchestratorValidation:
     def test_rejects_bad_executor(
         self, simple_trajectory, davis_camera, owner, kwargs, message
     ):
-        """All three pool owners share one validator and one message."""
+        """All three ``PoolSpec`` holders share one validator and one message."""
         with pytest.raises(ValueError) as exc:
             make_owner(owner, davis_camera, simple_trajectory, **kwargs)
         assert str(exc.value) == message
@@ -258,21 +259,38 @@ class TestOrchestratorValidation:
         # The orchestrator and the serving layer share one definition.
         assert orch.voxel_size == default_voxel_size((1.0, 3.0))
 
-    def test_constructor_views_delegate_to_spec(
+    def test_rejects_policy_the_backend_cannot_execute(
         self, simple_trajectory, davis_camera
     ):
-        from repro.core import EngineSpec, REFORMULATED_POLICY
+        """Refused at construction, not by the first worker's engine."""
+        with pytest.raises(ValueError, match="nearest voting only"):
+            MappingOrchestrator(
+                davis_camera, simple_trajectory,
+                policy="original", backend="hardware-model",
+            )
 
-        orch = MappingOrchestrator(
-            davis_camera, simple_trajectory, backend="numpy-reference"
+
+class TestOrchestratorRun:
+    def test_worker_error_ends_run_as_job_failed(
+        self, simple_trajectory, davis_camera, make_stream, monkeypatch
+    ):
+        """A worker's exception leaves ``run`` as ``JobFailed`` naming
+        the error, with the worker's traceback text attached as a note."""
+        import repro.serve.faults
+        from repro.serve import JobFailed
+
+        def explode(task):
+            raise RuntimeError(f"segment {task.index} exploded")
+
+        monkeypatch.setattr(repro.serve.faults, "run_segment_task", explode)
+        orchestrator = MappingOrchestrator(
+            davis_camera, simple_trajectory,
+            EMVSConfig(n_depth_planes=8, frame_size=100), workers=1,
         )
-        assert isinstance(orch.spec, EngineSpec)
-        assert orch.camera is orch.spec.camera is davis_camera
-        assert orch.trajectory is orch.spec.trajectory
-        assert orch.config is orch.spec.config
-        assert orch.depth_range == orch.spec.depth_range
-        assert orch.policy is REFORMULATED_POLICY
-        assert orch.backend == "numpy-reference"
+        with pytest.raises(JobFailed, match="RuntimeError: segment 0 exploded") as exc:
+            orchestrator.run(make_stream(300))
+        notes = "".join(getattr(exc.value, "__notes__", []))
+        assert "Traceback" in notes and "in explode" in notes
 
 
 class TestSegmentHelpers:

@@ -343,6 +343,45 @@ class TestRigOrchestratorValidation:
             handle.job_id("ghost")
 
 
+class TestRigRun:
+    def test_rig_wider_than_the_default_queue_limit(self):
+        """A 9-camera rig (one more than a service's default per-session
+        job bound) runs, and every camera's result equals a monocular
+        orchestrator run of its stream."""
+        from repro.core import MappingOrchestrator
+        from repro.events.scenes import slider_scene
+
+        camera = PinholeCamera.ideal(32, 24)
+        traj = linear_trajectory([-0.1, 0, 0], [0.1, 0, 0], 0.5, 11)
+        extrinsics = [
+            SE3(np.eye(3), np.array([0.01 * i, 0.0, 0.0])) for i in range(9)
+        ]
+        events = simulate_rig(
+            slider_scene(0.9, seed=3), camera, traj, extrinsics,
+            SimulatorConfig(contrast_threshold=0.2, n_render_steps=12, seed=7),
+        )
+        rig = CameraRig.from_trajectory(
+            camera, traj,
+            EMVSConfig(n_depth_planes=8, frame_size=256, keyframe_distance=0.05),
+            extrinsics=extrinsics, depth_range=(0.5, 2.0),
+            backend="numpy-batch",
+        )
+        result = RigOrchestrator(rig, workers=1).run(events)
+        assert result.n_cameras == 9
+        for cam in rig:
+            spec = cam.spec
+            solo = MappingOrchestrator(
+                spec.camera, spec.trajectory, spec.config,
+                depth_range=spec.depth_range, policy=spec.policy,
+                backend=spec.backend, workers=1,
+            ).run(events[cam.name])
+            mine = result.camera_result(cam.name)
+            assert len(mine.keyframes) == len(solo.keyframes) > 0, cam.name
+            assert mine.segments == solo.segments
+            assert np.array_equal(mine.cloud.points, solo.cloud.points)
+            assert mine.profile.counters() == solo.profile.counters()
+
+
 class TestSimulateRig:
     def test_per_camera_noise_is_uncorrelated(self):
         from repro.events.scenes import slider_scene

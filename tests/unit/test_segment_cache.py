@@ -474,15 +474,3 @@ class TestRigCacheKeys:
         assert segment_key(wider.camera("cam2").spec, digest) != segment_key(
             wider.camera("cam1").spec, digest
         )
-
-    def test_camera_tag_never_enters_the_task_digest(self, rig_and_spec):
-        """`SegmentTask.camera` is provenance, not identity."""
-        from repro.core import SegmentTask
-
-        rig, spec, events = rig_and_spec
-        plans, _ = spec.plan(events)
-        plan = plans[0]
-        sliced = plan.slice(events)
-        untagged = SegmentTask(plan.index, sliced, spec)
-        tagged = SegmentTask(plan.index, sliced, spec, camera="cam0")
-        assert untagged.content_digest() == tagged.content_digest()
