@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,6 +34,7 @@ def _cmd_info(args) -> int:
     import os
 
     from repro.core import BACKENDS, POLICIES
+    from repro.core.engine import default_backend
     from repro.events.datasets import (
         RIG_SCENARIO_NAMES,
         SCENARIO_NAMES,
@@ -72,8 +74,9 @@ def _cmd_info(args) -> int:
            "unset (pass --cache-dir or set REPRO_CACHE_DIR)")
     )
     print(f"per-job cache modes: {', '.join(CACHE_MODES)}")
-    print("\nDefault configuration: 1024-event frames, Nz=100 planes,")
-    print("nearest voting + Table 1 quantization (reformulated pipeline).")
+    print("\nDefault job: 1024-event frames, Nz=48 planes (reconstruct: 100),")
+    print("nearest voting + Table 1 quantization (reformulated pipeline),")
+    print(f"backend {default_backend()} (the fastest registered).")
     return 0
 
 
@@ -99,8 +102,8 @@ def _load_input(args):
 
         try:
             seq = load_sequence(args.sequence, quality=args.quality)
-        except KeyError as e:
-            # load_sequence's message already lists the available names.
+        except (KeyError, ValueError) as e:
+            # The message names the unknown sequence or quality.
             raise SystemExit(e.args[0]) from None
         return seq.events, seq.trajectory, seq.camera, seq
     if args.dataset:
@@ -111,28 +114,23 @@ def _load_input(args):
     raise SystemExit("one of --sequence or --dataset is required")
 
 
-def _resolve_backend(name: str):
-    """Validate a backend name against the live registry (helpful error)."""
-    from repro.core import BACKENDS
-
-    if name not in BACKENDS:
-        raise SystemExit(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(sorted(BACKENDS))}"
-        )
-    return name
+@contextmanager
+def _exit_on_invalid():
+    """Turn a ``ValueError``/``TypeError`` on user input into a one-line exit 1."""
+    try:
+        yield
+    except (ValueError, TypeError) as e:
+        raise SystemExit(str(e)) from None
 
 
-def _resolve_policy(name: str):
-    """Validate a policy name against the live registry (helpful error)."""
-    from repro.core import POLICIES
+def _check_engine_names(args):
+    """The ``--policy`` preset, with ``--backend``, checked against the registries."""
+    from repro.core.engine import _backend_factory
+    from repro.core.policy import resolve_policy
 
-    if name not in POLICIES:
-        raise SystemExit(
-            f"unknown policy {name!r}; registered policies: "
-            f"{', '.join(sorted(POLICIES))}"
-        )
-    return POLICIES[name]
+    with _exit_on_invalid():
+        _backend_factory(args.backend)
+        return resolve_policy(args.policy)
 
 
 def _save_cloud(path: str, cloud) -> None:
@@ -153,16 +151,16 @@ def _cmd_reconstruct_rig(args) -> int:
     from repro.core import CameraRig, EMVSConfig, RigOrchestrator
     from repro.eval.metrics import compare_rig_to_monocular
     from repro.events.datasets import load_rig_sequence
+    from repro.serve.request import SEQUENCE_DEFAULT
 
     if args.sequence or args.dataset:
         raise SystemExit("--rig names its own scenario; drop --sequence/--dataset")
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
+    policy = _check_engine_names(args)
     try:
         seq = load_rig_sequence(args.rig, quality=args.quality)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:  # an unknown name or quality
         raise SystemExit(e.args[0]) from None
     n_events = sum(len(ev) for ev in seq.events.values())
     print(
@@ -170,16 +168,13 @@ def _cmd_reconstruct_rig(args) -> int:
         f"({', '.join(seq.camera_names)}), {n_events} events total"
     )
 
-    config = EMVSConfig(
-        n_depth_planes=args.planes,
-        frame_size=args.frame_size,
-        keyframe_distance=(
-            args.keyframe_distance
-            if args.keyframe_distance is not None
-            else seq.keyframe_distance
-        ),
-    )
-    try:
+    with _exit_on_invalid():
+        distance = args.keyframe_distance
+        if distance is SEQUENCE_DEFAULT:  # the scenario's recommendation
+            distance = seq.keyframe_distance
+        config = EMVSConfig(
+            n_depth_planes=args.planes, frame_size=args.frame_size, keyframe_distance=distance
+        )
         rig = CameraRig.from_trajectory(
             seq.camera,
             seq.trajectory,
@@ -190,14 +185,12 @@ def _cmd_reconstruct_rig(args) -> int:
             policy=policy,
             backend=args.backend,
         )
-    except ValueError as e:  # a policy the backend cannot execute
-        raise SystemExit(str(e)) from None
-    orchestrator = RigOrchestrator(
-        rig,
-        workers=args.workers,
-        voxel_size=args.fuse_voxel,
-        min_cameras=args.min_cameras,
-    )
+        orchestrator = RigOrchestrator(
+            rig,
+            workers=args.workers,
+            voxel_size=args.fuse_voxel,
+            min_cameras=args.min_cameras,
+        )
     result = orchestrator.run(seq.events)
     print(
         f"mapped {seq.n_cameras} cameras on {result.workers} worker(s) "
@@ -228,69 +221,52 @@ def _cmd_reconstruct_rig(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    import dataclasses
+
     from repro.core import EMVSConfig, MappingOrchestrator, ReconstructionEngine
+    from repro.serve.request import SEQUENCE_DEFAULT, time_window
 
     if args.rig:
         return _cmd_reconstruct_rig(args)
     if args.min_cameras is not None:
         raise SystemExit("--min-cameras requires --rig")
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
+    policy = _check_engine_names(args)
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     if args.fuse_voxel is not None and args.fuse_voxel <= 0:
         raise SystemExit("--fuse-voxel must be positive")
 
     events, trajectory, camera, seq = _load_input(args)
-    if args.t_start is not None or args.t_end is not None:
-        t0 = events.t_start if args.t_start is None else args.t_start
-        t1 = events.t_end if args.t_end is None else args.t_end
-        events = events.time_slice(t0, t1)
-    print(f"input: {len(events)} events over {events.duration:.2f} s")
-
-    depth_range = (
-        seq.depth_range if seq is not None else (args.z_min, args.z_max)
-    )
+    depth_range = seq.depth_range if seq is not None else (args.z_min, args.z_max)
     keyframe_distance = args.keyframe_distance
-    if keyframe_distance is None and seq is not None:
-        keyframe_distance = seq.keyframe_distance  # scenario recommendation
-    config = EMVSConfig(
-        n_depth_planes=args.planes,
-        frame_size=args.frame_size,
-        keyframe_distance=keyframe_distance,
-    )
-    if args.batch_frames is not None:
-        import dataclasses
-
-        if args.batch_frames < 1:
-            raise SystemExit("--batch-frames must be >= 1")
-        policy = dataclasses.replace(policy, batch_frames=args.batch_frames)
-    if args.backend == "hardware-model" and not policy.schema.enabled:
-        raise SystemExit(
-            "the hardware-model backend is quantized by design; "
-            "use --policy reformulated"
-        )
-
+    if keyframe_distance is SEQUENCE_DEFAULT:  # the scenario's recommendation
+        keyframe_distance = None if seq is None else seq.keyframe_distance
     # An explicit fusion voxel is a request to fuse.
     fused = args.fuse or args.workers > 1 or args.fuse_voxel is not None
-    if fused:
-        if args.workers > 1 and keyframe_distance is None:
-            print(
-                "note: no key-frame distance set — the stream is a single "
-                "segment, so extra workers cannot help; pass "
-                "--keyframe-distance to shard it"
-            )
-        orchestrator = MappingOrchestrator(
-            camera,
-            trajectory,
-            config,
-            depth_range=depth_range,
-            policy=policy,
-            backend=args.backend,
-            workers=args.workers,
-            voxel_size=args.fuse_voxel,
+    with _exit_on_invalid():
+        events = time_window(events, args.t_start, args.t_end)
+        config = EMVSConfig(
+            n_depth_planes=args.planes, frame_size=args.frame_size, keyframe_distance=keyframe_distance
         )
-        result = orchestrator.run(events)
+        if args.batch_frames is not None:
+            policy = dataclasses.replace(policy, batch_frames=args.batch_frames)
+        engine = dict(depth_range=depth_range, policy=policy, backend=args.backend)
+        if fused:
+            runner = MappingOrchestrator(
+                camera, trajectory, config,
+                workers=args.workers, voxel_size=args.fuse_voxel, **engine,
+            )
+        else:
+            runner = ReconstructionEngine(camera, trajectory, config, **engine)
+    print(f"input: {len(events)} events over {events.duration:.2f} s")
+    if fused and args.workers > 1 and keyframe_distance is None:
+        print(
+            "note: no key-frame distance set — the stream is a single "
+            "segment, so extra workers cannot help; pass "
+            "--keyframe-distance to shard it"
+        )
+    result = runner.run(events)
+    if fused:
         print(
             f"mapped {len(result.segments)} segment(s) on "
             f"{result.workers} worker(s) in {result.wall_seconds:.2f} s"
@@ -302,15 +278,6 @@ def _cmd_reconstruct(args) -> int:
             f"[policy={policy.name}, backend={args.backend}]"
         )
     else:
-        engine = ReconstructionEngine(
-            camera,
-            trajectory,
-            config,
-            depth_range=depth_range,
-            policy=policy,
-            backend=args.backend,
-        )
-        result = engine.run(events)
         print(
             f"reconstructed {result.n_points} points across "
             f"{len(result.keyframes)} key frame(s) "
@@ -342,53 +309,33 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _validate_serve_limits(args) -> None:
-    """Shared numeric validation of the serving knobs (registry-error style)."""
-    from repro.serve import OVERFLOW_POLICIES
+def _jobs(args, jobs) -> list:
+    """``(request, events, spec)`` per ``(sequence, session)`` of the job flags.
 
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    if args.queue_limit < 1:
-        raise SystemExit("--queue-limit must be >= 1")
-    if args.overflow not in OVERFLOW_POLICIES:
-        raise SystemExit(
-            f"unknown overflow policy {args.overflow!r}; "
-            f"known policies: {', '.join(OVERFLOW_POLICIES)}"
-        )
+    Every :class:`JobRequest` is checked before any sequence loads.
+    """
+    from repro.serve.request import JobRequest
+
     if getattr(args, "repeat", 1) < 1:
         raise SystemExit("--repeat must be >= 1")
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        raise SystemExit("--deadline-ms must be positive")
-    if args.segment_deadline_ms is not None and args.segment_deadline_ms <= 0:
-        raise SystemExit("--segment-deadline-ms must be positive")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.retry_backoff_ms < 0:
-        raise SystemExit("--retry-backoff-ms must be >= 0")
-    if args.cache_mem_mb is not None and args.cache_mem_mb < 0:
-        raise SystemExit("--cache-mem-mb must be >= 0 (0 disables the tier)")
-    if args.cache_disk_mb < 0:
-        raise SystemExit("--cache-disk-mb must be >= 0 (0 disables the tier)")
+    with _exit_on_invalid():
+        requests = [JobRequest.from_flags(args, name, session or None) for name, session in jobs]
+        return [(request, *request.build()) for request in requests]
 
 
 def _service_config(args):
-    """Build the one :class:`ServiceConfig` every serve command runs on.
+    """The one :class:`ServiceConfig` every serve command runs on.
 
-    The single construction point of the CLI's service configuration:
-    engine-independent pool/admission knobs, the cache tiers, and the
-    default per-job options all land in one value object that
-    ``ReconstructionService.from_config`` consumes.
+    Its value objects check the flags they hold (retries, deadlines,
+    cache tiers); the service checks the pool and admission knobs.
     """
     from repro.serve import CacheConfig, JobOptions, RetryPolicy, ServiceConfig
 
-    retry = None
-    if args.retries > 0:
-        retry = RetryPolicy(
+    options = JobOptions(
+        retry=RetryPolicy(
             max_attempts=args.retries + 1,
             backoff_s=args.retry_backoff_ms * 1e-3,
-        )
-    options = JobOptions(
-        retry=retry,
+        ),
         deadline_s=None if args.deadline_ms is None else args.deadline_ms * 1e-3,
         segment_deadline_s=(
             None
@@ -411,40 +358,17 @@ def _service_config(args):
     )
 
 
-def _sequence_job(args, name: str, policy):
-    """Load a named sequence and build its (events, EngineSpec) pair."""
-    from repro.core import EMVSConfig, EngineSpec
-    from repro.events.datasets import load_sequence
+def _service(args):
+    """The service a serve command runs on (an invalid flag exits 1)."""
+    from repro.serve import ReconstructionService
 
-    try:
-        seq = load_sequence(name, quality=args.quality)
-    except KeyError as e:
-        raise SystemExit(e.args[0]) from None
-    events = seq.events
-    if args.t_start is not None or args.t_end is not None:
-        t0 = events.t_start if args.t_start is None else args.t_start
-        t1 = events.t_end if args.t_end is None else args.t_end
-        events = events.time_slice(t0, t1)
-    keyframe_distance = args.keyframe_distance
-    if keyframe_distance is None:
-        keyframe_distance = seq.keyframe_distance
-    config = EMVSConfig(
-        n_depth_planes=args.planes,
-        frame_size=args.frame_size,
-        keyframe_distance=keyframe_distance,
-    )
-    try:
-        spec = EngineSpec(
-            seq.camera,
-            seq.trajectory,
-            config,
-            depth_range=seq.depth_range,
-            policy=policy,
-            backend=args.backend,
-        )
-    except ValueError as e:  # a policy the backend cannot execute
-        raise SystemExit(str(e)) from None
-    return seq, events, spec
+    with _exit_on_invalid():
+        return ReconstructionService.from_config(_service_config(args))
+
+
+def _demo_jobs(args) -> list:
+    """The ``--job SEQUENCE[:SESSION]`` pairs (default: two demo streams)."""
+    return [t.partition(":")[::2] for t in args.job or ["slider_long", "corridor_sweep"]]
 
 
 def _print_service_report(service, job_ids) -> None:
@@ -499,27 +423,21 @@ def _print_service_report(service, job_ids) -> None:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serve import ReconstructionService, SessionBacklogFull
+    from repro.serve import SessionBacklogFull
 
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
-    _validate_serve_limits(args)
-    job_tokens = args.job or ["slider_long", "corridor_sweep"]
-
-    with ReconstructionService.from_config(_service_config(args)) as service:
+    with _service(args) as service:
+        jobs = _jobs(args, _demo_jobs(args))
         submitted = []
-        for token in job_tokens:
-            name, _, session = token.partition(":")
-            _, events, spec = _sequence_job(args, name, policy)
+        for request, events, spec in jobs:
             for _ in range(args.repeat):
                 try:
                     submitted.append(
-                        service.submit(events, spec, session=session or name)
+                        service.submit(events, spec, session=request.session)
                     )
                 except SessionBacklogFull as e:
-                    print(f"refused {name!r}: {e}")
+                    print(f"refused {request.sequence!r}: {e}")
         print(
-            f"serving {len(submitted)} job(s) from {len(job_tokens)} stream(s) "
+            f"serving {len(submitted)} job(s) from {len(jobs)} stream(s) "
             f"on {service.workers} worker(s) [{service.executor}]"
         )
         service.drain()
@@ -553,34 +471,32 @@ def _cmd_gateway(args) -> int:
         http_request,
     )
 
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
-    _validate_serve_limits(args)
-    job_tokens = args.job or ["slider_long", "corridor_sweep"]
-    config = GatewayConfig(
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        max_inflight=args.max_inflight,
-        port=args.port,
-        service=_service_config(args),
-    )
+    with _exit_on_invalid():
+        config = GatewayConfig(
+            tenant_rate=args.tenant_rate,
+            tenant_burst=args.tenant_burst,
+            max_inflight=args.max_inflight,
+            port=args.port,
+            service=_service_config(args),
+        )
 
     async def run() -> int:
-        async with Gateway(config) as gateway:
+        gateway = Gateway(config)
+        with _exit_on_invalid():
+            await gateway.start()  # builds the service: checks its flags
+        async with gateway:
+            jobs = _jobs(args, _demo_jobs(args))
             async with GatewayServer(gateway) as server:
                 print(f"gateway: HTTP on {server.host}:{server.port}")
                 submitted = []
-                for token in job_tokens:
-                    name, _, session = token.partition(":")
-                    session = session or name
-                    _, events, spec = _sequence_job(args, name, policy)
+                for request, events, spec in jobs:
                     for _ in range(args.repeat):
                         try:
                             submitted.append(await gateway.submit(
-                                events, spec, session=session
+                                events, spec, session=request.session
                             ))
                         except GatewayRefused as e:
-                            print(f"refused {name!r}: {e}")
+                            print(f"refused {request.sequence!r}: {e}")
                 completed = await gateway.drain()
                 for job_id in submitted:
                     status = await gateway.poll(job_id)
@@ -613,17 +529,11 @@ def _cmd_gateway(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.serve import ReconstructionService
+    from repro.serve import JobFailed, SessionBacklogFull
 
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
-    _validate_serve_limits(args)
-
-    _, events, spec = _sequence_job(args, args.sequence, policy)
-    print(f"input: {len(events)} events over {events.duration:.2f} s")
-    with ReconstructionService.from_config(_service_config(args)) as service:
-        from repro.serve import JobFailed, SessionBacklogFull
-
+    with _service(args) as service:
+        [(_, events, spec)] = _jobs(args, [(args.sequence, args.session)])
+        print(f"input: {len(events)} events over {events.duration:.2f} s")
         job_ids = []
         for _ in range(args.repeat):
             try:
@@ -644,23 +554,19 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    from repro.serve import ReconstructionService, StreamBacklogFull
+    from repro.serve import StreamBacklogFull
 
-    _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy)
-    _validate_serve_limits(args)
     if args.chunk_ms <= 0:
         raise SystemExit("--chunk-ms must be positive")
     if args.max_pending_chunks < 1:
         raise SystemExit("--max-pending-chunks must be >= 1")
-
-    _, events, spec = _sequence_job(args, args.sequence, policy)
-    chunk = args.chunk_ms * 1e-3
-    print(
-        f"input: {len(events)} events over {events.duration:.2f} s, "
-        f"streamed in {args.chunk_ms:.0f} ms chunks"
-    )
-    with ReconstructionService.from_config(_service_config(args)) as service:
+    with _service(args) as service:
+        [(_, events, spec)] = _jobs(args, [(args.sequence, args.session)])
+        chunk = args.chunk_ms * 1e-3
+        print(
+            f"input: {len(events)} events over {events.duration:.2f} s, "
+            f"streamed in {args.chunk_ms:.0f} ms chunks"
+        )
         with service.open_stream(
             spec, session=args.session, max_pending_chunks=args.max_pending_chunks
         ) as stream:
@@ -737,6 +643,8 @@ def _cmd_models(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve.request import add_flags
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Eventor (DAC 2022) reproduction: event-based multi-view stereo",
@@ -766,19 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct cameras that must agree on a fused voxel (--rig "
              "only; default 2 when the rig has at least two cameras)",
     )
-    p_rec.add_argument("--quality", choices=("full", "fast"), default="full")
-    # --policy/--backend are validated against the live registries at run
-    # time (not argparse choices), so registered extensions are accepted
-    # and unknown names get an error listing what exists.
-    p_rec.add_argument(
-        "--policy", default="reformulated",
-        help="dataflow policy preset (see `repro info`)",
-    )
-    p_rec.add_argument(
-        "--backend",
-        default="numpy-reference",
-        help="execution backend from the engine registry (see `repro info`)",
-    )
+    add_flags(p_rec, quality="full", planes=100)
     p_rec.add_argument(
         "--workers", type=int, default=1,
         help="worker-pool width for parallel multi-keyframe mapping; "
@@ -799,38 +695,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="frames buffered per flush for batching backends "
              "(numpy-batch; results are bit-identical for any value)",
     )
-    p_rec.add_argument("--planes", type=int, default=100, help="DSI depth planes")
-    p_rec.add_argument("--frame-size", type=int, default=1024)
-    p_rec.add_argument("--keyframe-distance", type=float, default=None)
     p_rec.add_argument("--z-min", type=float, default=0.5)
     p_rec.add_argument("--z-max", type=float, default=5.0)
-    p_rec.add_argument("--t-start", type=float, default=None)
-    p_rec.add_argument("--t-end", type=float, default=None)
     p_rec.add_argument("--filter-radius", type=float, default=0.0)
     p_rec.add_argument("--output", "-o", help="cloud output (.ply or .xyz)")
     p_rec.add_argument("--depth-map", help="last key frame depth map (.pgm)")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
-    def add_serve_options(p, *, default_backend="numpy-batch", repeat=True):
-        """Engine + service knobs shared by `serve`, `submit` and `stream`."""
-        p.add_argument("--quality", choices=("full", "fast"), default="full")
-        p.add_argument(
-            "--policy", default="reformulated",
-            help="dataflow policy preset (see `repro info`)",
-        )
-        p.add_argument(
-            "--backend", default=default_backend,
-            help="execution backend from the engine registry (see `repro info`)",
-        )
-        p.add_argument("--planes", type=int, default=100, help="DSI depth planes")
-        p.add_argument("--frame-size", type=int, default=1024)
-        p.add_argument(
-            "--keyframe-distance", type=float, default=None,
-            help="key-frame translation threshold (default: the sequence's "
-                 "recommendation)",
-        )
-        p.add_argument("--t-start", type=float, default=None)
-        p.add_argument("--t-end", type=float, default=None)
+    def add_serve_options(p, *, repeat=True):
+        """Job flags plus the service knobs of `serve`, `gateway`, `submit`, `stream`."""
+        add_flags(p)
         p.add_argument(
             "--workers", type=int, default=None,
             help="shared worker-pool width (default: one per CPU core)",

@@ -166,6 +166,12 @@ def _backend_factory(name: str) -> Callable[["ReconstructionEngine"], ExecutionB
         raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
 
 
+def default_backend() -> str:
+    """The fastest exact backend registered: ``native-batch`` when its
+    kernels load, else ``numpy-batch`` (bit-identical either way)."""
+    return "native-batch" if "native-batch" in BACKENDS else "numpy-batch"
+
+
 def create_backend(
     backend: str | ExecutionBackend, engine: "ReconstructionEngine"
 ) -> ExecutionBackend:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -49,6 +48,7 @@ from repro.serve.metrics import (
     status_snapshot,
 )
 from repro.serve.options import GatewayConfig, JobOptions
+from repro.serve.request import JobRequest
 from repro.serve.service import (
     ReconstructionService,
     ServeError,
@@ -524,7 +524,6 @@ class GatewayServer:
         self.host = host if host is not None else gateway.config.host
         self.port = port if port is not None else gateway.config.port
         self._server: asyncio.base_events.Server | None = None
-        self._sequences: dict[tuple[str, str], object] = {}
 
     async def start(self) -> "GatewayServer":
         """Bind and start serving; resolves an ephemeral port."""
@@ -630,74 +629,19 @@ class GatewayServer:
             "error": status.error,
         }
 
-    def _load_sequence(self, name: str, quality: str):
-        """Load (and memoize) a registry sequence for HTTP submissions."""
-        key = (name, quality)
-        if key not in self._sequences:
-            from repro.events.datasets import load_sequence
-
-            self._sequences[key] = load_sequence(name, quality=quality)
-        return self._sequences[key]
-
     async def _submit(self, body: bytes) -> tuple[int, object, str]:
-        """``POST /jobs``: build a job from a named sequence and submit it."""
-        from repro.core import EMVSConfig, EngineSpec
-
+        """``POST /jobs``: parse a :class:`JobRequest`, build and submit it."""
         try:
-            request = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return 400, {"error": "body must be a JSON object"}, "json"
-        if not isinstance(request, dict) or "sequence" not in request:
-            return 400, {"error": "missing required field 'sequence'"}, "json"
-        name = request["sequence"]
-        session = request.get("session", name)
-        quality = request.get("quality", "fast")
-        for field, value in (("sequence", name), ("session", session), ("quality", quality)):
-            if not isinstance(value, str):
-                return 400, {"error": f"field {field!r} must be a string"}, "json"
-        try:
+            request = JobRequest.from_json(body)
             loop = asyncio.get_running_loop()
-            seq = await loop.run_in_executor(None, self._load_sequence, name, quality)
-        except KeyError as exc:
-            return 400, {"error": str(exc.args[0])}, "json"
-        except ValueError as exc:
+            events, spec = await loop.run_in_executor(None, request.build)
+        except (TypeError, ValueError) as exc:
             return 400, {"error": str(exc)}, "json"
         try:
-            events = seq.events
-            t_start = request.get("t_start")
-            t_end = request.get("t_end")
-            if t_start is not None or t_end is not None:
-                t0 = events.t_start if t_start is None else float(t_start)
-                t1 = events.t_end if t_end is None else float(t_end)
-                # json.loads parses NaN and Infinity; neither bounds a window.
-                if not (math.isfinite(t0) and math.isfinite(t1)):
-                    raise ValueError(f"time window [{t0}, {t1}] must be finite")
-                if t0 > t1:
-                    raise ValueError(f"time window [{t0}, {t1}] is reversed")
-                events = events.time_slice(t0, t1)
-            # ``None`` (the paper sequences' default) is a one-key-frame job.
-            keyframe_distance = request.get("keyframe_distance", seq.keyframe_distance)
-            config = EMVSConfig(
-                n_depth_planes=int(request.get("planes", 48)),
-                frame_size=int(request.get("frame_size", 1024)),
-                keyframe_distance=(
-                    None if keyframe_distance is None else float(keyframe_distance)
-                ),
-            )
-            spec = EngineSpec(
-                seq.camera,
-                seq.trajectory,
-                config,
-                depth_range=seq.depth_range,
-                backend=request.get("backend", "numpy-batch"),
-            )
-        except (TypeError, ValueError, KeyError) as exc:
-            return 400, {"error": f"invalid job parameters: {exc}"}, "json"
-        try:
-            job_id = await self.gateway.submit(events, spec, session=session)
+            job_id = await self.gateway.submit(events, spec, session=request.session)
         except GatewayRefused as refusal:
             return refusal.status, refusal.to_payload(), "json"
-        return 202, {"job_id": job_id, "session": session}, "json"
+        return 202, {"job_id": job_id, "session": request.session}, "json"
 
     @staticmethod
     async def _respond(

@@ -297,7 +297,8 @@ class ReconstructionService:
             raise ValueError("retain_jobs must be >= 1")
         if overflow not in OVERFLOW_POLICIES:
             raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
+                f"unknown overflow policy {overflow!r}; "
+                f"known: {', '.join(OVERFLOW_POLICIES)}"
             )
         self.workers = self.pool_spec.width()
         self.executor = self.pool_spec.kind(self.workers)
@@ -500,10 +501,10 @@ class ReconstructionService:
         ``options`` overrides the service-wide default
         :class:`~repro.serve.options.JobOptions` for this job (``None``
         fields inherit).  The job's deadline clock starts now (at
-        admission).  When the segment cache holds outcomes for some (or
-        all) of the job's segments, those segments complete at admission
-        without ever touching the pool; a job with every segment cached
-        finalizes (fuses) before ``submit`` returns.
+        admission, before planning).  When the segment cache holds
+        outcomes for some (or all) of the job's segments, those segments
+        complete at admission without ever touching the pool; a job with
+        every segment cached finalizes (fuses) before ``submit`` returns.
         """
         job = self._admit(spec, session, options, events=events)
         # Admission sweep: key every planned segment by its content and
@@ -532,8 +533,11 @@ class ReconstructionService:
         plus the executor check) and batch planning — runs before a
         ``drop-oldest`` eviction, so a malformed submission never costs
         an innocent queued job its slot.  A refusal is decided before
-        planning: refusing costs nothing.  Then the job is built,
-        scheduled, registered and counted.
+        planning: refusing costs nothing.  The job's clock
+        (``submitted_at``) starts before planning, so its
+        ``latency_seconds``, its ``MappingResult.wall_seconds`` and its
+        ``deadline_s`` budget include the planning pass.  Then the job
+        is built, scheduled, registered and counted.
         """
         if self._closed:
             raise ServeError("service is closed")
@@ -564,6 +568,7 @@ class ReconstructionService:
                     f"({target.queue_limit} active jobs); overflow policy "
                     f"is {self.overflow!r}"
                 )
+        now = self._clock()
         plans, dropped = spec.plan(events) if batch else ((), 0)
         if victim is not None:
             victim.error = "dropped by overflow policy 'drop-oldest'"
@@ -571,7 +576,6 @@ class ReconstructionService:
             self._counts["jobs_dropped"] += 1
             self._retire(victim)
 
-        now = self._clock()
         stream = deadline_at = None
         if not batch:
             # A stream's deadline arms at close() instead of now.

@@ -250,6 +250,8 @@ class JobStatus:
     #: touched the pool).
     cache_hit: bool
     error: str | None
+    #: Admission-to-terminal seconds (``None`` in flight).  Admission
+    #: starts before segment planning, so planning is included.
     latency_seconds: float | None
     #: Abandoned segment indices of a ``PARTIAL`` (or degrading) job.
     missing_segments: tuple[int, ...] = ()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.engine import default_backend
 
 
 class TestParser:
@@ -21,7 +22,7 @@ class TestParser:
         args = build_parser().parse_args(["reconstruct", "-s", "slider_far"])
         assert args.planes == 100
         assert args.frame_size == 1024
-        assert args.backend == "numpy-reference"
+        assert args.backend == default_backend()
         assert args.policy == "reformulated"
 
     def test_backend_and_policy_flags_parse(self):
@@ -87,7 +88,7 @@ class TestServeParser:
         assert args.queue_limit == 8
         assert args.cache_mem_mb is None  # CacheConfig's default applies
         assert args.overflow == "refuse"
-        assert args.backend == "numpy-batch"
+        assert args.backend == default_backend()
 
     def test_service_config_cache_tiers(self):
         from repro.cli import _service_config
@@ -131,11 +132,12 @@ class TestServeParser:
         assert "drop-oldest" in message
 
     def test_serve_bad_limits_rejected(self):
-        with pytest.raises(SystemExit, match="--workers"):
+        # The bounds are the config objects' own; the exit names the field.
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
             main(["serve", "--workers", "0"])
-        with pytest.raises(SystemExit, match="--queue-limit"):
+        with pytest.raises(SystemExit, match="queue_limit must be >= 1"):
             main(["serve", "--queue-limit", "0"])
-        with pytest.raises(SystemExit, match="--cache-mem-mb"):
+        with pytest.raises(SystemExit, match="mem_mb must be >= 0"):
             main(["serve", "--cache-mem-mb", "-1"])
         with pytest.raises(SystemExit, match="--repeat"):
             main(["serve", "--repeat", "0"])
@@ -158,7 +160,7 @@ class TestStreamParser:
         assert args.chunk_ms == 20.0
         assert args.max_pending_chunks == 64
         assert args.overflow == "refuse"
-        assert args.backend == "numpy-batch"
+        assert args.backend == default_backend()
 
     def test_stream_requires_sequence(self):
         with pytest.raises(SystemExit):
@@ -169,7 +171,7 @@ class TestStreamParser:
             main(["stream", "-s", "corridor_sweep", "--chunk-ms", "0"])
         with pytest.raises(SystemExit, match="--max-pending-chunks"):
             main(["stream", "-s", "corridor_sweep", "--max-pending-chunks", "0"])
-        with pytest.raises(SystemExit, match="--workers"):
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
             main(["stream", "-s", "corridor_sweep", "--workers", "0"])
 
     def test_stream_unknown_names_rejected_with_listing(self):
@@ -388,3 +390,25 @@ class TestCommands:
     def test_reconstruct_rejects_both_inputs(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["reconstruct", "-s", "x", "-d", str(tmp_path)])
+
+
+class TestJobWindows:
+    """The CLI front doors refuse the windows ``POST /jobs`` refuses."""
+
+    @pytest.mark.parametrize("command", ["submit", "reconstruct"])
+    @pytest.mark.parametrize(
+        "window",
+        [["--t-start", "nan", "--t-end", "1.0"], ["--t-start", "0.7", "--t-end", "0.5"]],
+        ids=["t_start-nan", "reversed"],
+    )
+    def test_bad_window_exits_1(self, command, window):
+        # A string exit code is printed and exits with status 1.
+        with pytest.raises(SystemExit, match="time window") as exc:
+            main([command, "-s", "simulation_3planes", "--quality", "fast", *window])
+        assert isinstance(exc.value.code, str)
+
+    def test_retry_flags_are_checked_by_the_retry_policy(self):
+        with pytest.raises(SystemExit, match="max_attempts must be >= 1"):
+            main(["submit", "-s", "simulation_3planes", "--retries", "-1"])
+        with pytest.raises(SystemExit, match="backoff_s must be >= 0"):
+            main(["submit", "-s", "simulation_3planes", "--retry-backoff-ms", "-1"])

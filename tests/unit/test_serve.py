@@ -283,6 +283,23 @@ class TestServiceValidation:
             # The sub-frame tail is accounted, not silently discarded.
             assert result.profile.dropped_events == 10
 
+    def test_planning_counts_toward_latency(self, spec, make_stream, monkeypatch):
+        """The job's clock starts before ``spec.plan``: a 50 ms plan shows
+        in its latency and in the result's wall time."""
+        import time
+
+        plan = EngineSpec.plan
+
+        def slow_plan(self, events):
+            time.sleep(0.05)
+            return plan(self, events)
+
+        monkeypatch.setattr(EngineSpec, "plan", slow_plan)
+        with ReconstructionService(workers=1) as service:
+            job_id = service.submit(make_stream(10), spec)
+            assert service.poll(job_id).latency_seconds >= 0.05
+            assert service.result(job_id).wall_seconds >= 0.05
+
 
 class TestEngineSpec:
     def test_resolves_policy_names(self, davis_camera, simple_trajectory):
