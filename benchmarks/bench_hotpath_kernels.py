@@ -24,7 +24,7 @@ import pytest
 from benchmarks.conftest import update_bench_json, write_result
 from repro.core.backprojection import BackProjector, BatchFrameParameters
 from repro.core.config import DetectionConfig
-from repro.core.detection import detect_structure
+from repro.core.detection import adaptive_threshold_mask, detect_structure
 from repro.core.dsi import DSI, depth_planes
 from repro.core.voting import (
     BatchedNearestVoter,
@@ -40,7 +40,11 @@ from repro.geometry.homography import (
 )
 from repro.geometry.se3 import SE3, Quaternion, stack_poses
 from repro.native import get_kernels
-from tests.detection_oracles import detect_structure_reference
+from tests.detection_oracles import (
+    argmax_projection_reference,
+    detect_structure_reference,
+    median_reject_reference,
+)
 
 #: Workload shape: one 1024-event frame against a paper-sized DSI.
 N_EVENTS = 1024
@@ -439,6 +443,12 @@ def test_detection_stage_baseline(benchmark):
     formulation: a saturated int64 copy of the volume for two argmax
     passes, and a whole-image stack of NaN-filled shifts for the median.
     The library must produce the identical depth map at least 2x faster.
+
+    When the kernels load, the native rows time ``native-batch``'s stage
+    ``D`` on the same votes held as its int32 count window: the argmax
+    projection, the median rejection and the whole stage (the numpy
+    Gaussian threshold included).  They are a report, not a gate, but
+    must equal the oracle bit for bit.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     dsi = synthetic_keyframe_dsi()
@@ -454,26 +464,83 @@ def test_detection_stage_baseline(benchmark):
 
     speedup = t_oracle / t_library
     table = Table(
-        "Detection stage D (one 48x180x240 int64 key-frame DSI)",
+        "Detection stage D (one 48x180x240 key-frame DSI)",
         ["path", "ms"],
     )
     table.add_row("oracle (saturated copy + shift stack)", f"{t_oracle:.3f}")
     table.add_row("detect_structure", f"{t_library:.3f}")
+    report = {
+        "shape": list(DETECT_SHAPE),
+        "detected_fraction": depth_map.density,
+        "oracle_ms": t_oracle,
+        "library_ms": t_library,
+        "speedup": speedup,
+    }
+    kernels = get_kernels()
+    if kernels is not None:
+        report["native"] = native_detection_rows(kernels, dsi, config, oracle, table)
     table.add_note(
         f"{depth_map.density:.1%} of pixels detected; speedup {speedup:.2f}x, "
         "identical depth maps"
     )
     write_result("hotpath_detection", table.render())
-    update_bench_json(
-        "BENCH_backends.json",
-        {
-            "detection": {
-                "shape": list(DETECT_SHAPE),
-                "detected_fraction": depth_map.density,
-                "oracle_ms": t_oracle,
-                "library_ms": t_library,
-                "speedup": speedup,
-            }
-        },
-    )
+    update_bench_json("BENCH_backends.json", {"detection": report})
     assert speedup >= 2.0
+
+
+def native_detection_rows(kernels, dsi, config, oracle, table) -> dict:
+    """Time native stage ``D`` on ``dsi``'s votes as an int32 window.
+
+    Adds the rows to ``table`` and returns their milliseconds; asserts
+    every native output equals the oracle's.
+    """
+    window = DSI(
+        dsi.camera, dsi.T_w_ref, dsi.depths,
+        score_limit=dsi.score_limit, scores=dsi.scores.astype(np.int32),
+    )
+    nz, h, w = window.shape
+    confidence, mid = np.empty((h, w)), np.empty((h, w), dtype=np.int64)
+
+    def project(d=window):
+        return kernels.argmax_projection(d.scores, d.shape, d.score_limit, confidence, mid)
+
+    ref_confidence, ref_mid = argmax_projection_reference(dsi)
+    project()
+    np.testing.assert_array_equal(confidence, ref_confidence)
+    np.testing.assert_array_equal(mid, ref_mid)
+
+    depth = window.depths[mid]
+    mask = adaptive_threshold_mask(confidence, config)
+    out = np.empty_like(mask)
+    kernels.median_reject(depth, mask, config.median_size, out)
+    np.testing.assert_array_equal(out, median_reject_reference(depth, mask, config))
+
+    def detect():
+        return detect_structure(
+            window, config,
+            project=lambda d: kernels.argmax_projection(
+                d.scores, d.shape, d.score_limit,
+                np.empty((h, w)), np.empty((h, w), dtype=np.int64),
+            ),
+            reject=lambda depth, mask, c: kernels.median_reject(
+                depth, mask, c.median_size, np.empty_like(mask)
+            ),
+        )
+
+    native = detect()
+    np.testing.assert_array_equal(native.mask, oracle.mask)
+    np.testing.assert_array_equal(native.confidence, oracle.confidence)
+    np.testing.assert_array_equal(native.depth, oracle.depth)
+
+    rows = {
+        "argmax_ms": best_of(project, repeats=15) * 1e3,
+        "median_ms": best_of(
+            lambda: kernels.median_reject(depth, mask, config.median_size, out),
+            repeats=15,
+        ) * 1e3,
+        "detect_ms": best_of(detect, repeats=15) * 1e3,
+    }
+    table.add_row("native argmax_projection (int32 window)", f"{rows['argmax_ms']:.3f}")
+    table.add_row("native median_reject", f"{rows['median_ms']:.3f}")
+    table.add_row("native-batch stage D", f"{rows['detect_ms']:.3f}")
+    return rows

@@ -12,6 +12,8 @@ runs on the *confidence map* (per-pixel maximum score along depth):
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 from scipy import ndimage
 
@@ -102,13 +104,23 @@ def refine_subvoxel(dsi: DSI, indices: np.ndarray) -> np.ndarray:
     return 1.0 / inv_refined
 
 
-def detect_structure(dsi: DSI, config: DetectionConfig) -> SemiDenseDepthMap:
-    """Extract the semi-dense depth map from a voted DSI."""
-    confidence, indices = dsi.argmax_projection()
+def detect_structure(
+    dsi: DSI,
+    config: DetectionConfig,
+    project: Callable[[DSI], tuple[np.ndarray, np.ndarray]] = DSI.argmax_projection,
+    reject: Callable[..., np.ndarray] = median_reject,
+) -> SemiDenseDepthMap:
+    """Extract the semi-dense depth map from a voted DSI.
+
+    ``project`` (the tie-centred argmax projection) and ``reject`` (the
+    median rejection) default to the numpy steps; a backend passes
+    bit-identical compiled ones (``native-batch``).
+    """
+    confidence, indices = project(dsi)
     depth = dsi.depths[indices]
     if config.subvoxel:
         depth = refine_subvoxel(dsi, indices)
     mask = adaptive_threshold_mask(confidence, config)
-    mask = median_reject(depth, mask, config)
+    mask = reject(depth, mask, config)
     depth_out = np.where(mask, depth, np.nan)
     return SemiDenseDepthMap(depth=depth_out, confidence=confidence, mask=mask)

@@ -55,8 +55,12 @@ class DSI:
         Saturation bound of the score registers (65535 for the paper's
         16-bit DSI scores).  Because votes are non-negative, clamping the
         running totals at read-out is arithmetically identical to the
-        hardware's saturate-on-every-add, so the backing store can stay
-        int64 for fast scatter-adds.
+        hardware's saturate-on-every-add, so the backing store only has
+        to be wide enough for the unclamped counts.
+    scores:
+        An existing ``(Nz, H, W)`` volume to wrap without a copy (the
+        ``native-batch`` backend's int32 vote window); by default a
+        zeroed int64 (``integer_scores``) or float64 volume.
     """
 
     def __init__(
@@ -66,6 +70,7 @@ class DSI:
         depths: np.ndarray,
         integer_scores: bool = False,
         score_limit: int | None = None,
+        scores: np.ndarray | None = None,
     ):
         depths = np.asarray(depths, dtype=float)
         if depths.ndim != 1 or depths.shape[0] < 2:
@@ -78,10 +83,13 @@ class DSI:
         self.T_w_ref = T_w_ref
         self.depths = depths
         self.score_limit = score_limit
-        dtype = np.int64 if integer_scores else np.float64
-        self.scores = np.zeros(
-            (depths.shape[0], camera.height, camera.width), dtype=dtype
-        )
+        shape = (depths.shape[0], camera.height, camera.width)
+        if scores is None:
+            dtype = np.int64 if integer_scores else np.float64
+            scores = np.zeros(shape, dtype=dtype)
+        elif scores.shape != shape:
+            raise ValueError(f"scores must be {shape}, got {scores.shape}")
+        self.scores = scores
 
     # ------------------------------------------------------------------
     @property

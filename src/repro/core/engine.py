@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backprojection import BackProjector
-from repro.core.config import EMVSConfig
+from repro.core.config import DetectionConfig, EMVSConfig
 from repro.core.depthmap import SemiDenseDepthMap
 from repro.core.detection import detect_structure
 from repro.core.dsi import DSI, depth_planes
@@ -134,9 +134,18 @@ class ExecutionBackend(abc.ABC):
     def read_dsi(self) -> DSI:
         """The voted DSI of the current segment, ready for detection.
 
-        Must be non-destructive: the engine also calls this for depth-map
+        Must be non-destructive: detection also runs for depth-map
         previews of unfinished segments.
         """
+
+    def detect(self, config: DetectionConfig) -> SemiDenseDepthMap:
+        """Stage ``D`` over the current segment's votes.
+
+        The default runs the numpy :func:`detect_structure` on
+        :meth:`read_dsi`; a backend that keeps its votes elsewhere
+        overrides it with a bit-identical path over its own storage.
+        """
+        return detect_structure(self.read_dsi(), config)
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +204,12 @@ class _NumpyBackendBase(ExecutionBackend):
         self._dsi: DSI | None = None
         self._projector: BackProjector | None = None
 
-    def start_reference(self, T_w_ref: SE3) -> None:
-        """Allocate a fresh DSI and projector at the new reference view."""
+    def start_reference(self, T_w_ref: SE3, scores: np.ndarray | None = None) -> None:
+        """Seat a DSI and projector at the new reference view.
+
+        The DSI is fresh, or wraps ``scores`` (a zeroed volume the
+        backend owns) without a copy.
+        """
         e = self.engine
         self._dsi = DSI(
             e.camera,
@@ -204,6 +217,7 @@ class _NumpyBackendBase(ExecutionBackend):
             e.depths,
             integer_scores=e.policy.integer_scores,
             score_limit=e.policy.score_limit(),
+            scores=scores,
         )
         self._projector = BackProjector(
             e.camera, T_w_ref, e.depths, schema=e.policy.schema
@@ -353,11 +367,13 @@ class NumpyBatchBackend(_NumpyBackendBase):
         return votes, misses
 
     def read_dsi(self) -> DSI:
-        """Materialize the batch voter's counts, then return the DSI."""
+        """Materialize the batch voter's counts, then return the DSI.
+
+        Detection is the only reader, so the copy is timed as part of
+        ``D``, like the hardware model's read-back from DRAM.
+        """
         if self._dirty:
-            t0 = time.perf_counter()
             self._voter.materialize_into(super().read_dsi().flat_scores)
-            self.engine.profile.add_time("P_Zi_R", time.perf_counter() - t0)
             self._dirty = False
         return super().read_dsi()
 
@@ -787,7 +803,8 @@ class ReconstructionEngine:
         self._events_pushed = 0
         self._events_in_ref = 0
         self._frames_in_ref = 0
-        self._reference_open = False
+        #: Pose of the open reference segment (None before the first key frame).
+        self._T_w_ref: SE3 | None = None
         self._finished = False
         #: Frames buffered for a batching backend (always within one
         #: reference segment; flushed on keyframe, preview and finish).
@@ -851,7 +868,7 @@ class ReconstructionEngine:
             frame.is_keyframe = True
             self._finalize_segment()
             self.backend.start_reference(frame.T_wc)
-            self._reference_open = True
+            self._T_w_ref = frame.T_wc
             self.profile.n_keyframes += 1
         if self.backend.buffers_frames:
             self._pending_frames.append(frame)
@@ -938,12 +955,11 @@ class ReconstructionEngine:
         Lets a consumer preview depth before the key frame closes; the
         DSI keeps accumulating afterwards.
         """
-        if not self._reference_open or self._events_in_ref == 0:
+        if self._T_w_ref is None or self._events_in_ref == 0:
             return None
         self._flush_pending_frames()
-        dsi = self.backend.read_dsi()
         t0 = time.perf_counter()
-        depth_map = detect_structure(dsi, self.config.detection)
+        depth_map = self.backend.detect(self.config.detection)
         self.profile.add_time("D", time.perf_counter() - t0)
         return depth_map
 
@@ -954,16 +970,15 @@ class ReconstructionEngine:
         seed repeated across four call sites.
         """
         self._flush_pending_frames()
-        if not self._reference_open or self._events_in_ref == 0:
+        if self._T_w_ref is None or self._events_in_ref == 0:
             self._events_in_ref = 0
             self._frames_in_ref = 0
             return
-        dsi = self.backend.read_dsi()
         t0 = time.perf_counter()
-        depth_map = detect_structure(dsi, self.config.detection)
+        depth_map = self.backend.detect(self.config.detection)
         self.profile.add_time("D", time.perf_counter() - t0)
         reconstruction = KeyframeReconstruction(
-            T_w_ref=dsi.T_w_ref,
+            T_w_ref=self._T_w_ref,
             depth_map=depth_map,
             n_events=self._events_in_ref,
             n_frames=self._frames_in_ref,
@@ -971,7 +986,7 @@ class ReconstructionEngine:
         self._keyframes.append(reconstruction)
         t0 = time.perf_counter()
         self._cloud = self._cloud.merge(
-            PointCloud.from_depth_map(depth_map, self.camera, dsi.T_w_ref)
+            PointCloud.from_depth_map(depth_map, self.camera, self._T_w_ref)
         )
         self.profile.add_time("M", time.perf_counter() - t0)
         self._events_in_ref = 0

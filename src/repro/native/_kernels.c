@@ -21,15 +21,21 @@
  *                                 variant truncates each corner weight
  *                                 toward zero per addition, matching
  *                                 np.add.at into an int64 buffer)
+ *   - eventor_argmax_projection_i32
+ *                              == DSI.argmax_projection over the int32
+ *                                 count window (bit-exact: integer work)
+ *   - eventor_median_reject    == repro.core.detection.median_reject
+ *                                 (bit-exact: numpy's median arithmetic
+ *                                 and the same 15 % test)
  *
  * Bit-exactness relies on compiling WITHOUT floating-point contraction:
  * build with -ffp-contract=off (a fused multiply-add would round once
  * where numpy rounds twice).  No -ffast-math, ever.
  *
- * The two per-event kernels (canonical_q_batch, vote_nearest_batch) are
- * compiled as ISA clones (VECTOR_CLONES below); every clone performs the
- * same IEEE operations, so the contract holds for whichever one the
- * loader picks.
+ * The two per-event kernels (canonical_q_batch, vote_nearest_batch) and
+ * the per-voxel argmax projection are compiled as ISA clones
+ * (VECTOR_CLONES below); every clone performs the same operations, so
+ * the contract holds for whichever one the loader picks.
  *
  * The library is pure C99 + libm with a flat extern "C" ABI (no Python.h),
  * so it can be loaded through ctypes, cffi, or linked from any other
@@ -401,4 +407,115 @@ EXPORT ll eventor_vote_bilinear_batch_i64(
 {
     return bilinear_core(phi, uv0, valid, B, N, nz, h, w,
                          (double *)0, flat, su, sv, sfu, sfv, voted);
+}
+
+/* Pixels per tile of the argmax projection: three int32 running arrays
+ * (12 KiB) stay L1-resident while every plane streams past them. */
+#define ARGMAX_TILE 1024
+
+/* Stage D's tie-centred argmax projection, straight from the int32 count
+ * window (DSI.argmax_projection).
+ *
+ * One plane-major pass per tile of pixels keeps each pixel's saturated
+ * maximum and the first and last plane that reach it.  A plane ties when
+ * min(count, limit) equals the saturated maximum -- the same set as
+ * numpy's raw >= saturate(max), since saturation is monotone -- and an
+ * all-zero column ties everywhere, giving (nz-1)/2.  All integer work,
+ * so it is exact; restrict lets every clone vectorize the select loop.
+ *
+ *   counts:     (nz, hw) int32, plane-major
+ *   limit:      saturation bound (INT32_MAX for an unbounded DSI)
+ *   confidence: (hw,) output saturated maximum as float64
+ *   mid:        (hw,) output (first + last) / 2 as int64
+ */
+EXPORT VECTOR_CLONES void eventor_argmax_projection_i32(
+    const int32_t *restrict counts, ll nz, ll hw, int32_t limit,
+    double *restrict confidence, ll *restrict mid)
+{
+    int32_t best[ARGMAX_TILE];
+    int32_t first[ARGMAX_TILE];
+    int32_t last[ARGMAX_TILE];
+    for (ll p0 = 0; p0 < hw; p0 += ARGMAX_TILE) {
+        const int n = (int)(hw - p0 < ARGMAX_TILE ? hw - p0 : ARGMAX_TILE);
+        const int32_t *restrict c0 = counts + p0;
+        for (int i = 0; i < n; ++i) {
+            best[i] = c0[i] < limit ? c0[i] : limit;
+            first[i] = 0;
+            last[i] = 0;
+        }
+        for (ll z = 1; z < nz; ++z) {
+            const int32_t *restrict cz = counts + z * hw + p0;
+            const int32_t zi = (int32_t)z;
+            for (int i = 0; i < n; ++i) {
+                const int32_t c = cz[i] < limit ? cz[i] : limit;
+                const int32_t b = best[i];
+                first[i] = c > b ? zi : first[i];
+                last[i] = c >= b ? zi : last[i];
+                best[i] = c > b ? c : b;
+            }
+        }
+        for (int i = 0; i < n; ++i) {
+            confidence[p0 + i] = (double)best[i];
+            mid[p0 + i] = ((ll)first[i] + (ll)last[i]) / 2;
+        }
+    }
+}
+
+/* Stage D's median rejection (repro.core.detection.median_reject).
+ *
+ * Per masked pixel: insertion-sort the depths of the masked neighbours
+ * in its (2r+1)^2 window, clipped at the border (NaN depths stand for
+ * missing pixels, as numpy's NaN padding does), take numpy's median
+ * (lo + hi) / 2.0 of the two middle values -- one value twice for an
+ * odd count, as numpy's masked median computes it -- and keep the pixel
+ * when fabs(d - m) <= 0.15 * fabs(m).  A lone pixel's window is itself.
+ * Radius 0 copies the mask (numpy returns it unfiltered).
+ *
+ *   depth:  (h, w) float64
+ *   mask:   (h, w) uint8 detected pixels
+ *   window: (2r+1)^2 float64 caller-owned scratch
+ *   out:    (h, w) uint8 surviving pixels
+ */
+EXPORT void eventor_median_reject(
+    const double *depth, const unsigned char *mask, ll h, ll w, ll radius,
+    double *window, unsigned char *out)
+{
+    if (radius <= 0) {
+        memcpy(out, mask, (size_t)(h * w));
+        return;
+    }
+    for (ll y = 0; y < h; ++y) {
+        const ll y0 = y - radius < 0 ? 0 : y - radius;
+        const ll y1 = y + radius >= h ? h - 1 : y + radius;
+        for (ll x = 0; x < w; ++x) {
+            const ll p = y * w + x;
+            if (!mask[p]) {
+                out[p] = 0;
+                continue;
+            }
+            const ll x0 = x - radius < 0 ? 0 : x - radius;
+            const ll x1 = x + radius >= w ? w - 1 : x + radius;
+            int n = 0;
+            for (ll yy = y0; yy <= y1; ++yy) {
+                for (ll xx = x0; xx <= x1; ++xx) {
+                    const ll q = yy * w + xx;
+                    const double v = depth[q];
+                    if (!mask[q] || v != v)
+                        continue;
+                    int j = n++;
+                    while (j > 0 && window[j - 1] > v) {
+                        window[j] = window[j - 1];
+                        --j;
+                    }
+                    window[j] = v;
+                }
+            }
+            if (n == 0) {
+                out[p] = 0; /* a NaN depth alone: numpy's NaN median fails */
+                continue;
+            }
+            const double m = (window[(n - 1) / 2] + window[n / 2]) / 2.0;
+            out[p] = (unsigned char)(fabs(depth[p] - m) <= 0.15 * fabs(m));
+        }
+    }
 }

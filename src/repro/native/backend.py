@@ -3,8 +3,9 @@
 Same segment-batched dataflow as ``numpy-batch`` — the engine buffers
 ``DataflowPolicy.batch_frames`` event frames and the backend executes
 each batch in fused passes — but the φ parameter stack, the quantized
-canonical projection and the fused proportional + vote scatter run in
-compiled code (see :mod:`repro.native.provider` for the cached kernel
+canonical projection, the fused proportional + vote scatter and, under
+nearest voting, detection's argmax projection and median rejection run
+in compiled code (see :mod:`repro.native.provider` for the cached kernel
 load and ``docs/NATIVE.md`` for the kernel ABI).
 
 The bit-exactness contract mirrors the other software backends: every
@@ -31,6 +32,10 @@ import time
 import numpy as np
 
 from repro.core.backprojection import BatchFrameParameters
+from repro.core.config import DetectionConfig
+from repro.core.depthmap import SemiDenseDepthMap
+from repro.core.detection import detect_structure
+from repro.core.dsi import DSI
 from repro.core.engine import BACKENDS, _NumpyBackendBase
 from repro.core.voting import VotingMethod
 from repro.events.packetizer import EventFrame
@@ -55,14 +60,24 @@ class NativeBatchBackend(_NumpyBackendBase):
        into instance-owned ``uv0``/``valid`` scratch when the
        schema's MACs are exact, numpy otherwise;
     2. ``P_Zi_R`` — one native fused proportional + vote call over the
-       whole batch: ``vote_nearest_batch`` accumulates into a
-       segment-lifetime int32 count buffer (materialized into the DSI
-       per key frame), ``vote_bilinear_batch`` scatters straight into
-       the DSI flat buffer in reference corner order, dispatching on the
-       policy's score dtype.
+       whole batch: ``vote_nearest_batch`` accumulates into an
+       instance-lifetime int32 count window, ``vote_bilinear_batch``
+       scatters straight into the DSI flat buffer in reference corner
+       order, dispatching on the policy's score dtype;
+    3. ``D`` — under nearest voting, :meth:`detect` runs
+       :func:`~repro.core.detection.detect_structure` with the native
+       ``argmax_projection`` (one pass over the count window) and
+       ``median_reject``; the Gaussian threshold stays numpy, and
+       sub-voxel refinement gathers its three planes from the window.
+       Bilinear policies detect through the numpy default.
 
-    All mutable buffers (counts, canonical and bilinear scratch) are
-    owned per instance; the shared kernel object is stateless, so
+    Under nearest voting the count window *is* the DSI: each
+    :meth:`start_reference` zeroes it and seats a
+    :class:`~repro.core.dsi.DSI` that wraps it, so :meth:`read_dsi`
+    copies nothing and no int64 volume is allocated.
+
+    All mutable buffers (count window, canonical and bilinear scratch)
+    are owned per instance; the shared kernel object is stateless, so
     concurrent engines — thread pools, process pools — never share
     state.
     """
@@ -80,23 +95,21 @@ class NativeBatchBackend(_NumpyBackendBase):
             )
         self._kernels = kernels
         self._native_canonical = engine.policy.schema.canonical_mac_exact
-        self._counts: np.ndarray | None = None
+        self._window: np.ndarray | None = None
         self._scratch: BilinearScratch | None = None
         self._uv0 = np.empty((0, 0, 2))
         self._valid = np.empty((0, 0), dtype=bool)
 
     def start_reference(self, T_w_ref: SE3) -> None:
-        """Seat the DSI and reset the segment-lifetime vote buffers."""
-        super().start_reference(T_w_ref)
-        self._dirty = False
+        """Seat the DSI; under nearest voting it wraps the zeroed window."""
         if self.engine.policy.voting is VotingMethod.NEAREST:
-            nz, h, w = self._dsi.shape
-            if self._counts is None or self._counts.shape[0] != nz * h * w:
-                self._counts = np.zeros(nz * h * w, dtype=np.int32)
+            e = self.engine
+            shape = (len(e.depths), e.camera.height, e.camera.width)
+            if self._window is None or self._window.shape != shape:
+                self._window = np.zeros(shape, dtype=np.int32)
             else:
-                self._counts[...] = 0
-        else:
-            self._counts = None
+                self._window[...] = 0
+        super().start_reference(T_w_ref, scores=self._window)
 
     def _frame_parameters_batch(
         self, rotations: np.ndarray, translations: np.ndarray
@@ -159,11 +172,10 @@ class NativeBatchBackend(_NumpyBackendBase):
 
         t0 = time.perf_counter()
         phi = np.ascontiguousarray(params.phi)
-        if self._counts is not None:
+        if self._window is not None:
             votes = self._kernels.vote_nearest_batch(
-                phi, uv0, valid, self._counts, self._dsi.shape
+                phi, uv0, valid, self._window, self._dsi.shape
             )
-            self._dirty = True
         else:
             n, nz = uv0.shape[1], self._dsi.shape[0]
             if self._scratch is None or (self._scratch.n, self._scratch.nz) != (n, nz):
@@ -185,14 +197,32 @@ class NativeBatchBackend(_NumpyBackendBase):
             self._valid = np.empty((b, n), dtype=bool)
         return self._uv0[:b], self._valid[:b]
 
-    def read_dsi(self):
-        """Materialize pending nearest-vote counts, then return the DSI."""
-        if self._dirty:
-            t0 = time.perf_counter()
-            super().read_dsi().flat_scores[...] = self._counts
-            self.engine.profile.add_time("P_Zi_R", time.perf_counter() - t0)
-            self._dirty = False
-        return super().read_dsi()
+    def detect(self, config: DetectionConfig) -> SemiDenseDepthMap:
+        """Stage ``D``; native over the count window under nearest voting."""
+        if self._window is None:
+            return super().detect(config)
+        return detect_structure(
+            self.read_dsi(), config, project=self._project, reject=self._reject
+        )
+
+    def _project(self, dsi: DSI) -> tuple[np.ndarray, np.ndarray]:
+        """Native :meth:`~repro.core.dsi.DSI.argmax_projection` of the window."""
+        h, w = dsi.shape[1:]
+        return self._kernels.argmax_projection(
+            dsi.scores,
+            dsi.shape,
+            dsi.score_limit,
+            np.empty((h, w)),
+            np.empty((h, w), dtype=np.int64),
+        )
+
+    def _reject(
+        self, depth: np.ndarray, mask: np.ndarray, config: DetectionConfig
+    ) -> np.ndarray:
+        """Native :func:`~repro.core.detection.median_reject`."""
+        return self._kernels.median_reject(
+            depth, mask, config.median_size, np.empty_like(mask)
+        )
 
 
 def register_native_backend(registry: dict | None = None) -> str | None:

@@ -167,6 +167,10 @@ class CExtensionKernels:
         ):
             fn.argtypes = [ptr, ptr, ptr, ll, ll, ll, ll, ll, ptr, ptr, ptr, ptr, ptr, ptr]
             fn.restype = ll
+        lib.eventor_argmax_projection_i32.argtypes = [ptr, ll, ll, ctypes.c_int32, ptr, ptr]
+        lib.eventor_argmax_projection_i32.restype = None
+        lib.eventor_median_reject.argtypes = [ptr, ptr, ll, ll, ll, ptr, ptr]
+        lib.eventor_median_reject.restype = None
         self._lib = lib
 
     # ------------------------------------------------------------------
@@ -360,6 +364,83 @@ class CExtensionKernels:
                 _ptr(scratch.voted),
             )
         )
+
+    def argmax_projection(
+        self,
+        counts: np.ndarray,
+        shape: tuple[int, int, int],
+        score_limit: int | None,
+        confidence: np.ndarray,
+        mid: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tie-centred argmax projection of an int32 count window.
+
+        Reads ``counts`` (the C-contiguous int32 ``Nz*H*W`` vote window)
+        in place and writes the saturated per-pixel maximum into
+        ``confidence`` (``(H, W)`` float64) and the centre of its tied
+        planes into ``mid`` (``(H, W)`` int64); returns both.  Bit-exact
+        with :meth:`~repro.core.dsi.DSI.argmax_projection` on a DSI
+        holding the same counts; ``score_limit=None`` is unbounded.
+        """
+        nz, h, w = (int(d) for d in shape)
+        if counts.dtype != np.int32 or not counts.flags.c_contiguous:
+            raise ValueError("counts must be a C-contiguous int32 buffer")
+        if counts.size != nz * h * w:
+            raise ValueError(
+                f"counts holds {counts.size} cells, shape {tuple(shape)} "
+                f"needs {nz * h * w}"
+            )
+        _check_image(confidence, "confidence", (h, w), (np.float64,))
+        _check_image(mid, "mid", (h, w), (np.int64,))
+        limit = np.iinfo(np.int32).max
+        if score_limit is not None:
+            limit = min(int(score_limit), limit)
+        self._lib.eventor_argmax_projection_i32(
+            _ptr(counts), nz, h * w, limit, _ptr(confidence), _ptr(mid)
+        )
+        return confidence, mid
+
+    def median_reject(
+        self,
+        depth: np.ndarray,
+        mask: np.ndarray,
+        median_size: int,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Median rejection of a detected depth map into ``out``.
+
+        ``depth`` is ``(H, W)`` float64, ``mask`` and ``out`` ``(H, W)``
+        bool or uint8, all C-contiguous; ``median_size`` is the odd
+        window width (``<= 1`` copies the mask).  Bit-exact with
+        :func:`repro.core.detection.median_reject`; returns ``out``.
+        """
+        if depth.ndim != 2:
+            raise ValueError(f"depth must be (H, W), got {depth.shape}")
+        _check_image(depth, "depth", depth.shape, (np.float64,))
+        _check_image(mask, "mask", depth.shape, (np.bool_, np.uint8))
+        _check_image(out, "out", depth.shape, (np.bool_, np.uint8))
+        if median_size % 2 != 1:
+            raise ValueError(f"median_size must be odd, got {median_size}")
+        if np.may_share_memory(out, mask) or np.may_share_memory(out, depth):
+            raise ValueError("out must not overlap depth or mask")
+        h, w = depth.shape
+        radius = max(int(median_size), 1) // 2
+        window = np.empty((2 * radius + 1) ** 2)
+        self._lib.eventor_median_reject(
+            _ptr(depth), _ptr(mask), h, w, radius, _ptr(window), _ptr(out)
+        )
+        return out
+
+
+def _check_image(array: np.ndarray, name: str, shape: tuple, dtypes: tuple) -> None:
+    """Validate one ``(H, W)`` detection operand before C indexes by it."""
+    if array.shape != tuple(shape):
+        raise ValueError(f"{name} must be {tuple(shape)}, got {array.shape}")
+    if array.dtype not in dtypes:
+        names = " or ".join(np.dtype(d).name for d in dtypes)
+        raise ValueError(f"{name} must be {names}, got {array.dtype}")
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
 
 
 def _check_vote_shapes(

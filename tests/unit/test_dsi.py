@@ -55,6 +55,16 @@ class TestDSI:
         with pytest.raises(ValueError):
             DSI(small_camera, SE3.identity(), np.array([2.0, 1.0]))
 
+    def test_wraps_existing_scores_without_copy(self, small_camera):
+        depths = depth_planes(1.0, 4.0, 8)
+        window = np.zeros((8, small_camera.height, small_camera.width), dtype=np.int32)
+        dsi = DSI(small_camera, SE3.identity(), depths, scores=window)
+        assert dsi.scores is window
+        window[2, 3, 4] = 7
+        assert dsi.flat_scores.max() == 7
+        with pytest.raises(ValueError, match="scores must be"):
+            DSI(small_camera, SE3.identity(), depths, scores=window[:, :-1])
+
     def test_accumulate_and_total(self, dsi):
         counts = np.zeros(dsi.shape)
         counts[3, 10, 20] = 5

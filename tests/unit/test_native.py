@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core.backprojection import BackProjector, BatchFrameParameters
-from repro.core.engine import BACKENDS
+from repro.core.config import EMVSConfig
+from repro.core.engine import BACKENDS, ReconstructionEngine
 from repro.core.voting import vote_bilinear_into, vote_nearest_into
 from repro.events.containers import EVENT_DTYPE
+from repro.events.datasets import load_sequence
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantize import (
     EVENTOR_SCHEMA,
@@ -264,6 +266,147 @@ class TestKernelExactness:
         scratch = BilinearScratch(N, SHAPE[0])
         with pytest.raises(ValueError):
             scratch.check(N + 1, SHAPE[0])
+
+
+#: A small detection geometry: (Nz, H, W) with H != W so a swapped axis shows.
+DETECT = (4, 5, 7)
+
+
+def _argmax_operands(case: str):
+    """``(counts, confidence, mid)`` with one operand broken per ``case``."""
+    nz, h, w = DETECT
+    counts = np.zeros(DETECT, dtype=np.int32)
+    confidence = np.empty((h, w))
+    mid = np.empty((h, w), dtype=np.int64)
+    if case == "counts_int64":
+        counts = counts.astype(np.int64)
+    elif case == "counts_strided":
+        counts = np.zeros((nz, h, 2 * w), dtype=np.int32)[:, :, ::2]
+    elif case == "counts_short":
+        counts = np.zeros(nz * h * w - 1, dtype=np.int32)
+    elif case == "confidence_transposed":
+        confidence = np.empty((w, h))
+    elif case == "confidence_float32":
+        confidence = np.empty((h, w), dtype=np.float32)
+    elif case == "mid_int32":
+        mid = np.empty((h, w), dtype=np.int32)
+    elif case == "mid_strided":
+        mid = np.empty((h, 2 * w), dtype=np.int64)[:, ::2]
+    return counts, confidence, mid
+
+
+def _median_operands(case: str):
+    """``(depth, mask, median_size, out)`` with one operand broken per ``case``."""
+    _, h, w = DETECT
+    depth = np.ones((h, w))
+    mask = np.ones((h, w), dtype=bool)
+    out = np.empty((h, w), dtype=bool)
+    size = 3
+    if case == "depth_float32":
+        depth = depth.astype(np.float32)
+    elif case == "depth_strided":
+        depth = np.ones((h, 2 * w))[:, ::2]
+    elif case == "depth_flat":
+        depth = np.ones(h * w)
+    elif case == "mask_int64":
+        mask = mask.astype(np.int64)
+    elif case == "mask_short":
+        mask = mask[:-1]
+    elif case == "out_short":
+        out = np.empty((h, w - 1), dtype=bool)
+    elif case == "out_strided":
+        out = np.empty((h, 2 * w), dtype=np.uint8)[:, ::2]
+    elif case == "even_size":
+        size = 4
+    elif case == "out_is_mask":
+        out = mask
+    return depth, mask, size, out
+
+
+@needs_kernels
+class TestDetectionBindings:
+    """The detection wrappers check every operand before C indexes by it:
+    a short or mistyped buffer would be read or written past its end."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("counts_int64", "counts must"),
+            ("counts_strided", "counts must"),
+            ("counts_short", "needs 140"),
+            ("confidence_transposed", "confidence must"),
+            ("confidence_float32", "confidence must"),
+            ("mid_int32", "mid must"),
+            ("mid_strided", "mid must"),
+        ],
+    )
+    def test_argmax_projection_rejects_bad_operands(self, case, message):
+        counts, confidence, mid = _argmax_operands(case)
+        with pytest.raises(ValueError, match=message):
+            get_kernels().argmax_projection(counts, DETECT, 100, confidence, mid)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("depth_float32", "depth must"),
+            ("depth_strided", "depth must"),
+            ("depth_flat", "depth must"),
+            ("mask_int64", "mask must"),
+            ("mask_short", "mask must"),
+            ("out_short", "out must"),
+            ("out_strided", "out must"),
+            ("even_size", "odd"),
+            ("out_is_mask", "overlap"),
+        ],
+    )
+    def test_median_reject_rejects_bad_operands(self, case, message):
+        depth, mask, size, out = _median_operands(case)
+        with pytest.raises(ValueError, match=message):
+            get_kernels().median_reject(depth, mask, size, out)
+
+    def test_well_formed_operands_pass(self):
+        counts, confidence, mid = _argmax_operands("ok")
+        get_kernels().argmax_projection(counts, DETECT, None, confidence, mid)
+        assert (confidence == 0).all() and (mid == (DETECT[0] - 1) // 2).all()
+        depth, mask, size, out = _median_operands("ok")
+        assert get_kernels().median_reject(depth, mask.view(np.uint8), size, out) is out
+        assert out.all()
+
+
+@needs_kernels
+class TestNativeDetection:
+    def test_nearest_dsi_wraps_the_count_window(self):
+        """Under nearest voting the DSI is the int32 window, with no copy,
+        and re-seating zeroes the same buffer."""
+        seq = load_sequence("simulation_3planes", quality="fast")
+        engine = ReconstructionEngine(
+            seq.camera, seq.trajectory, EMVSConfig(n_depth_planes=16),
+            seq.depth_range, policy="reformulated", backend="native-batch",
+        )
+        backend = engine.backend
+        backend.start_reference(SE3.identity())
+        dsi = backend.read_dsi()
+        assert dsi.scores.dtype == np.int32
+        assert dsi.scores is backend._window
+        dsi.scores[0, 0, 0] = 5
+        backend.start_reference(SE3.identity())
+        assert backend.read_dsi().scores is dsi.scores
+        assert dsi.scores[0, 0, 0] == 0
+
+    def test_bilinear_policy_keeps_the_numpy_detection(self, monkeypatch):
+        seq = load_sequence("simulation_3planes", quality="fast")
+        engine = ReconstructionEngine(
+            seq.camera, seq.trajectory, EMVSConfig(n_depth_planes=16),
+            seq.depth_range, policy="original", backend="native-batch",
+        )
+        calls = []
+        monkeypatch.setattr(
+            type(get_kernels()), "argmax_projection",
+            lambda *args: calls.append(1),
+        )
+        engine.run(seq.events.time_slice(0.95, 1.0))
+        assert engine.backend.read_dsi().scores.dtype == np.float64
+        assert not calls
 
 
 # ----------------------------------------------------------------------
