@@ -4,7 +4,8 @@ The engine-level benches measure end-to-end backends; this file times the
 individual kernels of the ``P(Z0->Zi)+R`` hot path in isolation — the
 proportional map (allocating vs. ``out=`` scratch), the nearest/bilinear
 voting kernels, and the batched stages behind ``numpy-batch`` — plus the
-detection stage ``D`` against its whole-volume oracle, so future kernel
+detection stage ``D`` against its whole-volume oracle and event ingest
+(``EventArray.from_arrays``) native against numpy, so future kernel
 changes have a per-component baseline to diff against instead of a
 single end-to-end number.
 
@@ -32,7 +33,7 @@ from repro.core.voting import (
     vote_nearest_into,
 )
 from repro.eval.reporting import Table
-from repro.events.containers import EVENT_DTYPE
+from repro.events.containers import EVENT_DTYPE, _from_arrays
 from repro.fixedpoint.quantize import EVENTOR_SCHEMA
 from repro.geometry.homography import (
     apply_proportional,
@@ -340,6 +341,51 @@ def test_native_kernel_baselines(benchmark, workload):
     assert t_near_nat < t_near_np
     assert t_miss_nat < t_miss_np
     assert t_bil_nat < t_bil_np
+
+
+#: Ingest sizes: one ``gateway_windows`` job and one ``rig_offline`` camera.
+INGEST_SIZES = (262_144, 937_777)
+
+
+@pytest.mark.skipif(
+    get_kernels() is None, reason="no native kernel provider on this host"
+)
+def test_native_ingest_baseline(benchmark):
+    """``EventArray.from_arrays`` native against numpy, from stride-17 columns.
+
+    The columns are the field views of a packed record array, as
+    perfbench's inputs pass them.  Both paths must give identical record
+    bytes; the times land in the ``ingest`` section of
+    ``BENCH_backends.json``.  A report, not a gate.
+    """
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    kernels = get_kernels()
+    table = Table(
+        "Event ingest (EventArray.from_arrays) from stride-17 columns",
+        ["events", "numpy ms", "native ms", "speedup"],
+    )
+    report = {}
+    rng = np.random.default_rng(2022)
+    for n in INGEST_SIZES:
+        source = np.empty(n, dtype=EVENT_DTYPE)
+        source["t"] = np.sort(rng.uniform(0.0, 2.0, n))
+        source["x"] = rng.uniform(0.0, 240.0, n)
+        source["y"] = rng.uniform(0.0, 180.0, n)
+        source["p"] = rng.choice([-1, 1], n)
+        columns = tuple(source[field] for field in "txyp")
+        assert columns[0].strides == (EVENT_DTYPE.itemsize,)
+        native = _from_arrays(*columns, False, kernels)
+        assert native.data.tobytes() == _from_arrays(*columns, False, None).data.tobytes()
+        assert native.data.tobytes() == source.tobytes()
+        t_numpy = best_of(lambda: _from_arrays(*columns, False, None)) * 1e3
+        t_native = best_of(lambda: _from_arrays(*columns, False, kernels)) * 1e3
+        table.add_row(f"{n:,}", f"{t_numpy:.2f}", f"{t_native:.2f}", f"{t_numpy / t_native:.2f}x")
+        report[str(n)] = {
+            "numpy_ms": t_numpy, "native_ms": t_native, "speedup": t_numpy / t_native,
+        }
+    table.add_note(f"provider: {kernels.name} ({kernels.origin})")
+    write_result("hotpath_ingest", table.render())
+    update_bench_json("BENCH_backends.json", {"ingest": {"provider": kernels.name, **report}})
 
 
 @pytest.mark.benchmark(group="hotpath")

@@ -127,12 +127,6 @@ class DSI:
         """Writable flat view for the in-place voting kernels."""
         return self.scores.reshape(-1)
 
-    def accumulate_counts(self, counts: np.ndarray) -> None:
-        """Add a per-voxel vote-count volume (already shaped like scores)."""
-        if counts.shape != self.scores.shape:
-            raise ValueError("vote volume shape mismatch")
-        self.scores += counts.astype(self.scores.dtype, copy=False)
-
     def saturate(self, values: np.ndarray) -> np.ndarray:
         """Raw ``values`` (any gathered subset) as read out (``score_limit``)."""
         if self.score_limit is None:

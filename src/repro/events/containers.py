@@ -20,12 +20,106 @@ EVENT_DTYPE = np.dtype(
 )
 
 
+#: Bits of the validation mask both ingest paths compute, one per check
+#: :class:`EventArray` enforces (the ``INGEST_*`` flags of the native
+#: ``eventor_ingest_events`` kernel).
+_T_NONFINITE, _XY_NONFINITE, _T_DECREASING, _P_INVALID = 1, 2, 4, 8
+
+
+def _native_kernels():
+    """The loaded native kernels, or ``None``.
+
+    Imported lazily, so ``repro.events`` stays importable without the
+    native layer; the provider caches its load for the process.
+    """
+    try:
+        from repro.native import get_kernels
+    except ImportError:
+        return None
+    return get_kernels()
+
+
+def _numpy_flags(data: np.ndarray) -> int:
+    """The validation mask of packed records, in numpy (the kernel's oracle).
+
+    Stops at the first non-finite column: :func:`_checked` raises on it
+    before it reads any later bit.
+    """
+    # NaN compares False, so the monotonicity check cannot see it.
+    if not np.all(np.isfinite(data["t"])):
+        return _T_NONFINITE
+    if not (np.all(np.isfinite(data["x"])) and np.all(np.isfinite(data["y"]))):
+        return _XY_NONFINITE
+    flags = 0
+    if len(data) > 1 and np.any(np.diff(data["t"]) < 0):
+        flags |= _T_DECREASING
+    p = data["p"]
+    if len(data) > 0 and not np.all((p == 1) | (p == -1)):
+        flags |= _P_INVALID
+    return flags
+
+
+def _record_flags(data: np.ndarray, kernels) -> int:
+    """The validation mask of packed records: one native pass, or numpy."""
+    if kernels is not None and data.ndim == 1:
+        return kernels.check_events(data)
+    return _numpy_flags(data)
+
+
+def _checked(data: np.ndarray, flags: int, sort: bool) -> np.ndarray:
+    """Raise the first failing check of ``flags``, or sort; the records.
+
+    The one error path of both ingest paths.  The checks run in a fixed
+    order (finite timestamps, finite coordinates, non-decreasing
+    timestamps, polarity); ``sort`` replaces the monotonicity error with
+    a stable sort by timestamp, made only when some timestamp decreases.
+    """
+    if flags & _T_NONFINITE:
+        raise ValueError("event timestamps must be finite")
+    if flags & _XY_NONFINITE:
+        raise ValueError("event coordinates must be finite")
+    if flags & _T_DECREASING:
+        if not sort:
+            raise ValueError("event timestamps must be non-decreasing")
+        data = data[np.argsort(data["t"], kind="stable")]
+    if flags & _P_INVALID:
+        raise ValueError("event polarity must be +1 or -1")
+    return data
+
+
+def _from_arrays(t, x, y, p, sort: bool, kernels) -> "EventArray":
+    """:meth:`EventArray.from_arrays` on ``kernels`` (``None``: numpy).
+
+    Casting is numpy's on both paths (float64 -> float32 rounding, int8
+    wrap, byte order), so the kernel only copies bytes; columns that are
+    not all 1-D of one length (scalars to broadcast, mismatches to
+    report) take numpy's assignment.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    n = t.shape[0]
+    x = np.asarray(x, dtype=np.float32)
+    y = np.asarray(y, dtype=np.float32)
+    p = np.asarray(p, dtype=np.int8)
+    data = np.empty(n, dtype=EVENT_DTYPE)
+    if kernels is not None and all(c.shape == (n,) for c in (t, x, y, p)):
+        flags = kernels.pack_events(t, x, y, p, data)
+    else:
+        data["t"] = t
+        data["x"] = x
+        data["y"] = y
+        data["p"] = p
+        flags = _numpy_flags(data)
+    return EventArray(_checked(data, flags, sort), validate=False)
+
+
 class EventArray:
     """Immutable time-sorted array of events.
 
     Construction validates finite monotonic timestamps, finite
-    coordinates and polarities;
-    all accessors return views where possible.
+    coordinates and polarities in one pass over the records: the native
+    ``eventor_ingest_events`` kernel when the kernels load, numpy
+    otherwise, with one error path (the same messages, in the same
+    order) for both.  All accessors return views where possible.
     """
 
     __slots__ = ("_data",)
@@ -38,19 +132,9 @@ class EventArray:
                 "use EventArray.from_arrays to build from columns"
             )
         if validate:
-            # NaN compares False, so the monotonicity check cannot see it.
-            if not np.all(np.isfinite(data["t"])):
-                raise ValueError("event timestamps must be finite")
-            if not (np.all(np.isfinite(data["x"])) and np.all(np.isfinite(data["y"]))):
-                raise ValueError("event coordinates must be finite")
-        if sort and len(data) > 1 and np.any(np.diff(data["t"]) < 0):
+            data = _checked(data, _record_flags(data, _native_kernels()), sort)
+        elif sort and len(data) > 1 and np.any(np.diff(data["t"]) < 0):
             data = data[np.argsort(data["t"], kind="stable")]
-        if validate and len(data) > 1 and np.any(np.diff(data["t"]) < 0):
-            raise ValueError("event timestamps must be non-decreasing")
-        if validate and len(data) > 0:
-            p = data["p"]
-            if not np.all((p == 1) | (p == -1)):
-                raise ValueError("event polarity must be +1 or -1")
         self._data = data
         self._data.setflags(write=False)
 
@@ -66,14 +150,17 @@ class EventArray:
         *,
         sort: bool = False,
     ) -> "EventArray":
-        t = np.asarray(t, dtype=np.float64)
-        n = t.shape[0]
-        data = np.empty(n, dtype=EVENT_DTYPE)
-        data["t"] = t
-        data["x"] = np.asarray(x, dtype=np.float32)
-        data["y"] = np.asarray(y, dtype=np.float32)
-        data["p"] = np.asarray(p, dtype=np.int8)
-        return EventArray(data, sort=sort)
+        """Pack ``(t, x, y, p)`` columns into validated event records.
+
+        Each column is cast by numpy (``t`` float64, ``x``/``y`` float32,
+        ``p`` int8); the native kernel then packs the 17-byte records and
+        validates them in one read of the columns, at any column stride
+        (strided field views of another record array included).  Without
+        the kernels numpy packs and validates, byte-identically.
+        ``sort=True`` stably sorts by timestamp instead of rejecting a
+        decreasing one.
+        """
+        return _from_arrays(t, x, y, p, sort, _native_kernels())
 
     @staticmethod
     def empty() -> "EventArray":
@@ -163,7 +250,7 @@ class EventArray:
             data = data[slice(start, stop)]
         digest = hashlib.sha256()
         digest.update(str(len(data)).encode())
-        digest.update(np.ascontiguousarray(data).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(data)).cast("B"))
         return digest.hexdigest()
 
     # ------------------------------------------------------------------

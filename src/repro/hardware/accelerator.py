@@ -167,16 +167,15 @@ class EventorSystem:
     # ------------------------------------------------------------------
     def read_out_dsi(self, T_w_ref) -> DSI:
         """ARM reads the voted DSI back from DRAM for detection."""
-        scores = self.dram.read_dsi()
-        dsi = DSI(
+        # read_dsi returns a fresh clamped int64 volume: wrap it, no copy.
+        return DSI(
             self.camera,
             T_w_ref,
             self.depths,
             integer_scores=True,
             score_limit=self.schema.dsi_score.raw_max,
+            scores=self.dram.read_dsi(),
         )
-        dsi.scores[...] = scores
-        return dsi
 
     # ------------------------------------------------------------------
     # One frame through the PL datapath

@@ -27,6 +27,10 @@
  *   - eventor_median_reject    == repro.core.detection.median_reject
  *                                 (bit-exact: numpy's median arithmetic
  *                                 and the same 15 % test)
+ *   - eventor_ingest_events    == EventArray.from_arrays' record packing
+ *                                 and EventArray's validation checks
+ *                                 (bit-exact: byte copies and IEEE
+ *                                 compares, no arithmetic)
  *
  * Bit-exactness relies on compiling WITHOUT floating-point contraction:
  * build with -ffp-contract=off (a fused multiply-add would round once
@@ -42,7 +46,8 @@
  * provider (e.g. a future Rust crate re-exporting the same symbols).
  * All arrays are dense row-major (C-contiguous) float64 / int64 / uint8,
  * except the event records P(Z0) reads in place (float32 x/y fields at
- * any record stride).
+ * any record stride) and the event columns ingest reads (any signed byte
+ * stride, unaligned).
  */
 
 #include <math.h>
@@ -518,4 +523,82 @@ EXPORT void eventor_median_reject(
             out[p] = (unsigned char)(fabs(depth[p] - m) <= 0.15 * fabs(m));
         }
     }
+}
+
+/* Event ingest: pack EventArray's 17-byte records and validate them in
+ * one read of the columns (EventArray.from_arrays + EventArray.__init__).
+ *
+ * Record layout (EVENT_DTYPE, packed): float64 t at byte 0, float32 x at
+ * 8, float32 y at 12, int8 p at 16.  Column i's element k is read at
+ * col + k * stride for any signed byte stride (a strided field view of
+ * another record array, a reversed view, a broadcast column with stride
+ * 0); every load and store goes through memcpy, so no alignment is
+ * assumed.  Casting (float64 -> float32 rounding, int8 wrap, byte order)
+ * happened in numpy before the call: the kernel only copies bytes, so
+ * -0.0, NaN payloads and infinities pass through bit for bit.
+ *
+ * The returned mask ORs, over all n events:
+ *   INGEST_T_NONFINITE   t is NaN or +-inf
+ *   INGEST_XY_NONFINITE  x or y is NaN or +-inf (the float32 values)
+ *   INGEST_T_DECREASING  some t[k] < t[k-1] (numpy's diff(t) < 0 on
+ *                        finite values: a - b < 0 iff a < b under IEEE
+ *                        gradual underflow)
+ *   INGEST_P_INVALID     some p is neither +1 nor -1
+ * out == NULL validates without packing (records already packed: the
+ * four columns are their field addresses at the record stride).
+ */
+#define INGEST_T_NONFINITE 1
+#define INGEST_XY_NONFINITE 2
+#define INGEST_T_DECREASING 4
+#define INGEST_P_INVALID 8
+#define EVENT_RECORD_BYTES 17
+
+static inline int ingest_columns(
+    const char *t, ll t_stride, const char *x, ll x_stride,
+    const char *y, ll y_stride, const char *p, ll p_stride,
+    ll n, unsigned char *out)
+{
+    int bad_t = 0, bad_xy = 0, decreasing = 0, bad_p = 0;
+    double prev = -INFINITY;
+    for (ll k = 0; k < n; ++k) {
+        double tv;
+        float xv, yv;
+        int8_t pv;
+        memcpy(&tv, t + k * t_stride, sizeof tv);
+        memcpy(&xv, x + k * x_stride, sizeof xv);
+        memcpy(&yv, y + k * y_stride, sizeof yv);
+        memcpy(&pv, p + k * p_stride, sizeof pv);
+        bad_t |= !isfinite(tv);
+        bad_xy |= !isfinite(xv) | !isfinite(yv);
+        decreasing |= tv < prev;
+        prev = tv;
+        bad_p |= (pv != 1) & (pv != -1);
+        if (out) {
+            unsigned char *rec = out + k * EVENT_RECORD_BYTES;
+            memcpy(rec, &tv, sizeof tv);
+            memcpy(rec + 8, &xv, sizeof xv);
+            memcpy(rec + 12, &yv, sizeof yv);
+            memcpy(rec + 16, &pv, sizeof pv);
+        }
+    }
+    return (bad_t ? INGEST_T_NONFINITE : 0) | (bad_xy ? INGEST_XY_NONFINITE : 0)
+        | (decreasing ? INGEST_T_DECREASING : 0) | (bad_p ? INGEST_P_INVALID : 0);
+}
+
+/*   t, x, y, p: column base addresses (float64, float32, float32, int8)
+ *   *_stride:   signed byte strides
+ *   n:          events
+ *   out:        (n * 17) bytes of packed records, or NULL to validate only
+ */
+EXPORT int eventor_ingest_events(
+    const char *t, ll t_stride, const char *x, ll x_stride,
+    const char *y, ll y_stride, const char *p, ll p_stride,
+    ll n, unsigned char *out)
+{
+    /* Two instantiations, so neither loop tests out per event. */
+    if (out)
+        return ingest_columns(t, t_stride, x, x_stride, y, y_stride,
+                              p, p_stride, n, out);
+    return ingest_columns(t, t_stride, x, x_stride, y, y_stride,
+                          p, p_stride, n, NULL);
 }

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.events.containers import EVENT_DTYPE
 from repro.fixedpoint.quantize import QuantizationSchema
 
 #: The single C source file of the kernel library.
@@ -171,6 +172,8 @@ class CExtensionKernels:
         lib.eventor_argmax_projection_i32.restype = None
         lib.eventor_median_reject.argtypes = [ptr, ptr, ll, ll, ll, ptr, ptr]
         lib.eventor_median_reject.restype = None
+        lib.eventor_ingest_events.argtypes = [ptr, ll, ptr, ll, ptr, ll, ptr, ll, ll, ptr]
+        lib.eventor_ingest_events.restype = ctypes.c_int
         self._lib = lib
 
     # ------------------------------------------------------------------
@@ -430,6 +433,75 @@ class CExtensionKernels:
             _ptr(depth), _ptr(mask), h, w, radius, _ptr(window), _ptr(out)
         )
         return out
+
+    def pack_events(
+        self,
+        t: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        p: np.ndarray,
+        out: np.ndarray,
+    ) -> int:
+        """Pack four event columns into ``out`` and flag them in one pass.
+
+        ``t`` (float64), ``x``/``y`` (float32) and ``p`` (int8) are 1-D
+        columns of ``N`` events at any byte stride (strided field views,
+        reversed views); ``out`` is the caller-owned C-contiguous ``(N,)``
+        :data:`~repro.events.containers.EVENT_DTYPE` array the records are
+        written to, byte for byte.  Returns the kernel's validation mask
+        (the ``INGEST_*`` bits of ``_kernels.c``).  Any other dtype,
+        shape or length raises ``ValueError`` before the kernel runs.
+        """
+        n = _check_columns((t, x, y, p))
+        if out.dtype != EVENT_DTYPE or out.shape != (n,):
+            raise ValueError(f"out must be ({n},) event records, got {out.shape} {out.dtype}")
+        if not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("out must be a writeable C-contiguous buffer")
+        return int(
+            self._lib.eventor_ingest_events(
+                t.ctypes.data, t.strides[0], x.ctypes.data, x.strides[0],
+                y.ctypes.data, y.strides[0], p.ctypes.data, p.strides[0],
+                n, out.ctypes.data,
+            )
+        )
+
+    def check_events(self, records: np.ndarray) -> int:
+        """The validation mask of packed event records, read in place.
+
+        ``records`` is a 1-D :data:`~repro.events.containers.EVENT_DTYPE`
+        array at any record stride; the same kernel as
+        :meth:`pack_events` runs over its four fields without writing.
+        """
+        if records.dtype != EVENT_DTYPE or records.ndim != 1:
+            raise ValueError(
+                f"records must be 1-D event records, got {records.shape} {records.dtype}"
+            )
+        base, stride = records.ctypes.data, records.strides[0]
+        t, x, y, p = (base + EVENT_DTYPE.fields[f][1] for f in "txyp")
+        return int(
+            self._lib.eventor_ingest_events(
+                t, stride, x, stride, y, stride, p, stride, len(records), None
+            )
+        )
+
+
+#: Column dtypes of :meth:`CExtensionKernels.pack_events`, in ``t, x, y, p`` order.
+_COLUMN_DTYPES = tuple(EVENT_DTYPE.fields[f][0] for f in "txyp")
+
+
+def _check_columns(columns: tuple) -> int:
+    """Validate the ingest columns before C indexes by them; ``N``.
+
+    The kernel reads every column at ``N`` positions and in native byte
+    order, so each must be 1-D, of its field's dtype and ``N`` long.
+    """
+    for name, column, dtype in zip("txyp", columns, _COLUMN_DTYPES):
+        if column.dtype != dtype:
+            raise ValueError(f"column {name} must be {dtype}, got {column.dtype}")
+    shapes = [column.shape for column in columns]
+    if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
+        raise ValueError(f"event columns must be 1-D of one length, got t/x/y/p {shapes}")
+    return shapes[0][0]
 
 
 def _check_image(array: np.ndarray, name: str, shape: tuple, dtypes: tuple) -> None:

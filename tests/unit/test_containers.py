@@ -1,8 +1,13 @@
 """Unit tests for the event containers."""
 
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.events import containers
 from repro.events.containers import EVENT_DTYPE, EventArray
 
 
@@ -178,3 +183,78 @@ class TestOperations:
         b = make_events(5)
         assert a == b
         assert not (a == make_events(6))
+
+
+def tobytes_digest(data: np.ndarray) -> str:
+    """``content_digest``'s formula as it was first written (a packed copy)."""
+    digest = hashlib.sha256()
+    digest.update(str(len(data)).encode())
+    digest.update(np.ascontiguousarray(data).tobytes())
+    return digest.hexdigest()
+
+
+class TestContentDigest:
+    """The digest hashes the records' buffer in place; its value is the
+    packed-copy formula's, which persisted segment-cache keys depend on."""
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 1000])
+    def test_whole_array_equals_the_copy_formula(self, n):
+        events = make_events(n)
+        assert events.content_digest() == tobytes_digest(events.data)
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (3, 3), (2, 9), (None, 5), (7, None)])
+    def test_slices_equal_the_copy_formula(self, start, stop):
+        events = make_events(12)
+        expected = tobytes_digest(events.data[start:stop])
+        assert events.content_digest(start, stop) == expected
+        assert events[start:stop].content_digest() == expected
+
+    def test_non_contiguous_records_equal_the_copy_formula(self):
+        data = make_events(20).data
+        for records in (data[::3], data[::-2], data[[5, 1, 1, 19]]):
+            assert EventArray(records, validate=False).content_digest() == tobytes_digest(records)
+
+
+class TestIngestPaths:
+    """``from_arrays`` and validation run natively when the kernels load and
+    in numpy otherwise; both give the same records and the same errors."""
+
+    def test_numpy_path_when_the_kernels_are_absent(self, monkeypatch):
+        native = make_events(50)
+        monkeypatch.setattr(containers, "_native_kernels", lambda: None)
+        numpy = make_events(50)
+        assert numpy.data.tobytes() == native.data.tobytes()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EventArray.from_arrays([1.0, 0.5], [0, 0], [0, 0], [1, 1])
+
+    def test_scalar_columns_broadcast(self):
+        events = EventArray.from_arrays([0.0, 1.0, 2.0], 4.0, 5.0, 1)
+        assert events.x.tolist() == [4.0] * 3 and events.p.tolist() == [1] * 3
+
+    def test_mismatched_columns_raise_numpys_broadcast_error(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            EventArray.from_arrays([0.0, 1.0], [0.0] * 3, [0.0] * 2, [1] * 2)
+
+    def test_decreasing_and_bad_polarity_reports_the_order(self):
+        # Monotonicity is checked before polarity; a sort clears it first.
+        t, xy, p = [1.0, 0.5], [0.0, 0.0], [1, 0]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EventArray.from_arrays(t, xy, xy, p)
+        with pytest.raises(ValueError, match="polarity"):
+            EventArray.from_arrays(t, xy, xy, p, sort=True)
+
+    def test_concatenate_validates_the_joined_records(self):
+        a, b = make_events(5, t0=1.0), make_events(5, t0=0.0)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EventArray.concatenate([a, b])
+        assert len(EventArray.concatenate([b, a])) == 10
+
+    def test_events_import_without_the_native_layer(self):
+        code = (
+            "import sys; sys.modules['repro.native'] = None\n"
+            "from repro.events import EventArray\n"
+            "e = EventArray.from_arrays([0.0, 1.0], [1.0, 2.0], [3.0, 4.0], [1, -1])\n"
+            "assert len(EventArray.concatenate([e, e[1:]])) == 3\n"
+            "assert 'repro.native.cext' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -65,21 +65,13 @@ class TestDSI:
         with pytest.raises(ValueError, match="scores must be"):
             DSI(small_camera, SE3.identity(), depths, scores=window[:, :-1])
 
-    def test_accumulate_and_total(self, dsi):
-        counts = np.zeros(dsi.shape)
-        counts[3, 10, 20] = 5
-        dsi.accumulate_counts(counts)
+    def test_total_votes(self, dsi):
+        dsi.scores[3, 10, 20] = 5
         assert dsi.total_votes() == 5.0
 
-    def test_accumulate_shape_checked(self, dsi):
-        with pytest.raises(ValueError):
-            dsi.accumulate_counts(np.zeros((2, 2, 2)))
-
     def test_max_projection_picks_peak_depth(self, dsi):
-        counts = np.zeros(dsi.shape)
-        counts[5, 7, 9] = 10
-        counts[2, 7, 9] = 3
-        dsi.accumulate_counts(counts)
+        dsi.scores[5, 7, 9] = 10
+        dsi.scores[2, 7, 9] = 3
         confidence, depth = dsi.max_projection()
         assert confidence[7, 9] == pytest.approx(10.0)
         assert depth[7, 9] == pytest.approx(dsi.depths[5])

@@ -373,6 +373,71 @@ class TestDetectionBindings:
         assert out.all()
 
 
+def _ingest_operands(case):
+    """``(t, x, y, p, out)`` pack operands with one defect named by ``case``."""
+    n = 6
+    records = np.zeros(n, dtype=EVENT_DTYPE)
+    records["t"], records["p"] = np.arange(n), 1
+    t, x, y, p = (records[f] for f in "txyp")
+    out = np.empty(n, dtype=EVENT_DTYPE)
+    if case == "t_short":
+        t = t[:-1]
+    elif case == "p_long":
+        p = np.ones(n + 1, dtype=np.int8)
+    elif case == "x_2d":
+        x = np.zeros((n, 1), dtype=np.float32)
+    elif case == "y_float64":
+        y = y.astype(np.float64)
+    elif case == "t_big_endian":
+        t = t.astype(">f8")
+    elif case == "out_short":
+        out = out[:-1]
+    elif case == "out_strided":
+        out = np.empty(2 * n, dtype=EVENT_DTYPE)[::2]
+    elif case == "out_readonly":
+        out.setflags(write=False)
+    elif case == "out_plain":
+        out = np.empty(n, dtype=np.float64)
+    return t, x, y, p, out
+
+
+@needs_kernels
+class TestIngestBindings:
+    """The ingest wrappers check every column and the output before C
+    indexes by them: a short column would be read past its end."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("t_short", "one length"),
+            ("p_long", "one length"),
+            ("x_2d", "one length"),
+            ("y_float64", "column y must be float32"),
+            ("t_big_endian", "column t must be float64"),
+            ("out_short", "out must be"),
+            ("out_strided", "out must be"),
+            ("out_readonly", "out must be"),
+            ("out_plain", "out must be"),
+        ],
+    )
+    def test_pack_events_rejects_bad_operands(self, case, message):
+        with pytest.raises(ValueError, match=message):
+            get_kernels().pack_events(*_ingest_operands(case))
+
+    def test_check_events_rejects_non_records(self):
+        records = np.zeros(4, dtype=EVENT_DTYPE)
+        for bad in (records.reshape(2, 2), records["t"], records.astype(
+                [("t", ">f8"), ("x", "f4"), ("y", "f4"), ("p", "i1")])):
+            with pytest.raises(ValueError, match="records must be"):
+                get_kernels().check_events(bad)
+
+    def test_well_formed_operands_pass(self):
+        t, x, y, p, out = _ingest_operands("ok")
+        assert get_kernels().pack_events(t, x, y, p, out) == 0
+        assert out.tobytes() == t.base.tobytes()
+        assert get_kernels().check_events(out[::-1]) == 4  # decreasing only
+
+
 @needs_kernels
 class TestNativeDetection:
     def test_nearest_dsi_wraps_the_count_window(self):
