@@ -241,7 +241,7 @@ def test_native_kernel_baselines(benchmark, workload):
 
     def canonical_native():
         return kernels.canonical_q_batch(
-            H, frames, EVENTOR_SCHEMA, canonical_uv0, canonical_valid
+            H, records, EVENTOR_SCHEMA, canonical_uv0, canonical_valid
         )
 
     t_can_np = best_of(canonical_numpy, repeats=3) * 1e3 / N_FRAMES
@@ -443,6 +443,119 @@ def test_batched_parameter_stage_baseline(benchmark):
         np.testing.assert_array_equal(batch.H_Z0[k], params.H_Z0)
         np.testing.assert_array_equal(batch.phi[k], params.phi)
     assert t_batch < t_scalar
+
+
+#: Frames per ``P_Z0`` batch: the default ``DataflowPolicy.batch_frames``.
+PZ0_BATCH = 16
+
+
+@pytest.mark.benchmark(group="hotpath")
+def test_pose_sampling_and_pz0_host_split(benchmark):
+    """Stage ``A``'s pose sampling and ``P_Z0``'s host work, split by step.
+
+    Pose sampling: every frame mid-time of ``corridor_sweep`` (the
+    ``stream_realtime`` recording) through the scalar pose oracle, one
+    ``SE3.interpolate`` per frame, against one
+    ``Trajectory.sample_batch`` call on a fresh trajectory (its lazy
+    tables included).  ``P_Z0``: one 16-frame batch of the same poses,
+    split into the parameter stack (``H_Z0``, native φ when the kernels
+    load), the two ``QFormat.quantize`` calls (in-range fast path
+    against the integer round trip) and the canonical kernel.  Every
+    row asserts identical bytes; the times land in the ``pose_sampling``
+    and ``pz0_host_split`` sections of ``BENCH_backends.json``.  A
+    report, not a gate.
+    """
+    from repro.core.backprojection import BackProjector
+    from repro.core.dsi import depth_planes
+    from repro.events.datasets import load_sequence
+    from repro.events.packetizer import frame_midtimes
+    from repro.geometry.homography import (
+        canonical_plane_homography_batch,
+        event_camera_centers_in_virtual,
+    )
+    from repro.geometry.trajectory import Trajectory
+    from tests.pose_oracles import assert_poses_bit_identical, sample_reference
+
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    seq = load_sequence("corridor_sweep", quality="fast")
+    times = frame_midtimes(seq.events, 1024)
+    timestamps, poses = seq.trajectory.timestamps, seq.trajectory.poses
+
+    def batched():
+        return Trajectory(timestamps, poses).sample_batch(times)
+
+    t_scalar = best_of(
+        lambda: [sample_reference(seq.trajectory, float(t)) for t in times], repeats=3
+    ) * 1e3
+    t_batched = best_of(batched, repeats=3) * 1e3
+    rotations, translations = batched()
+    assert_poses_bit_identical(
+        rotations, translations, [sample_reference(seq.trajectory, float(t)) for t in times]
+    )
+
+    kernels = get_kernels()
+    schema = EVENTOR_SCHEMA
+    depths = depth_planes(seq.depth_range[0], seq.depth_range[1], 48)
+    proj = BackProjector(seq.camera, SE3(rotations[0], translations[0]), depths, schema)
+    rot, trans = rotations[1 : 1 + PZ0_BATCH], translations[1 : 1 + PZ0_BATCH]
+    records = seq.events.data[1024 : 1024 * (1 + PZ0_BATCH)]
+
+    def raw_parameters():
+        H = canonical_plane_homography_batch(proj.T_w_ref, rot, trans, proj.camera, proj.z0)
+        H = H / np.abs(H).max(axis=(1, 2), keepdims=True)
+        c = event_camera_centers_in_virtual(proj.T_w_ref, trans)
+        cam = proj.camera
+        if kernels is not None:
+            phi = kernels.phi_batch(c, proj.z0, depths, cam.fx, cam.fy, cam.cx, cam.cy)
+        else:
+            phi = proportional_coefficients_batch(c, proj.z0, depths, cam)
+        return H, phi
+
+    H, phi = raw_parameters()
+    report = {"frames": PZ0_BATCH, "params_ms": best_of(raw_parameters) * 1e3}
+    for name, fmt, values in (("H_Z0", schema.homography, H), ("phi", schema.phi, phi)):
+        fast = fmt.quantize(values)
+        assert fast.tobytes() == fmt.from_raw(fmt.to_raw(values)).tobytes()
+        report[f"quantize_{name}_fast_us"] = best_of(lambda: fmt.quantize(values)) * 1e6
+        report[f"quantize_{name}_round_trip_us"] = (
+            best_of(lambda: fmt.from_raw(fmt.to_raw(values))) * 1e6
+        )
+    params = BatchFrameParameters(H_Z0=schema.quantize_homography(H), phi=schema.quantize_phi(phi))
+    uv_ref, valid_ref = proj.canonical_batch(
+        params, np.stack([records["x"], records["y"]], axis=1).reshape(PZ0_BATCH, 1024, 2)
+    )
+    if kernels is not None:
+        uv0 = np.empty((PZ0_BATCH, 1024, 2))
+        valid = np.empty((PZ0_BATCH, 1024), dtype=bool)
+
+        def kernel():
+            return kernels.canonical_q_batch(params.H_Z0, records, schema, uv0, valid)
+
+        misses = kernel()
+        assert uv0.tobytes() == uv_ref.tobytes() and valid.tobytes() == valid_ref.tobytes()
+        assert misses == np.count_nonzero(~valid_ref)
+        report["canonical_q_batch_ms"] = best_of(kernel) * 1e3
+
+    table = Table("Pose sampling and P_Z0 host split", ["step", "time"])
+    table.add_row(f"scalar pose oracle ({len(times)} frames)", f"{t_scalar:.2f} ms")
+    table.add_row(f"Trajectory.sample_batch ({len(times)} frames)", f"{t_batched:.2f} ms")
+    for key, value in report.items():
+        if key != "frames":
+            table.add_row(f"P_Z0 {key} (B={PZ0_BATCH})", f"{value:.3f}")
+    write_result("hotpath_pose_pz0", table.render())
+    update_bench_json(
+        "BENCH_backends.json",
+        {
+            "pose_sampling": {
+                "sequence": "corridor_sweep",
+                "frames": len(times),
+                "scalar_ms": t_scalar,
+                "batched_ms": t_batched,
+                "speedup": t_scalar / t_batched,
+            },
+            "pz0_host_split": report,
+        },
+    )
 
 
 def synthetic_keyframe_dsi(seed: int = 2022) -> DSI:

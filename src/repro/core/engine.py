@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import abc
 import time
+import weakref
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,13 +77,14 @@ from repro.events.containers import EventArray
 from repro.events.packetizer import (
     ChunkBuffer,
     EventFrame,
+    FrameBatch,
     Packetizer,
     segment_slice,
 )
 from repro.geometry.camera import PinholeCamera
 from repro.geometry.distortion import NoDistortion
 from repro.geometry.homography import apply_proportional
-from repro.geometry.se3 import SE3, stack_poses
+from repro.geometry.se3 import SE3
 from repro.geometry.trajectory import Trajectory
 
 
@@ -104,9 +106,29 @@ class ExecutionBackend(abc.ABC):
     #: are preserved.
     buffers_frames: bool = False
 
-    def bind(self, engine: "ReconstructionEngine") -> None:
-        """Attach to the owning engine (grants camera/policy/profile access)."""
-        self.engine = engine
+    #: Weak reference to the bound engine (``None`` while unbound).
+    _engine_ref: weakref.ref | None = None
+
+    def bind(self, engine: "ReconstructionEngine | None") -> None:
+        """Attach to the owning engine (grants camera/policy/profile access).
+
+        The engine owns its backend, so the backend keeps only a weak
+        reference back: with no reference cycle between them, an engine
+        and its DSI volume are freed the moment the last reference
+        goes, not at the next cyclic garbage collection (a pool worker
+        runs one fresh engine per segment task).
+        """
+        self._engine_ref = None if engine is None else weakref.ref(engine)
+
+    @property
+    def engine(self) -> "ReconstructionEngine | None":
+        """The bound engine (``None`` while unbound)."""
+        if self._engine_ref is None:
+            return None
+        engine = self._engine_ref()
+        if engine is None:
+            raise ReferenceError("the engine this backend was bound to is gone")
+        return engine
 
     @abc.abstractmethod
     def start_reference(self, T_w_ref: SE3) -> None:
@@ -116,15 +138,16 @@ class ExecutionBackend(abc.ABC):
     def process_frame(self, frame: EventFrame) -> tuple[int, int]:
         """Back-project and vote one frame; returns ``(votes, misses)``."""
 
-    def process_batch(self, frames: list[EventFrame]) -> tuple[int, int]:
+    def process_batch(self, batch: FrameBatch) -> tuple[int, int]:
         """Back-project and vote a batch of frames of one segment.
 
         The default implementation loops over :meth:`process_frame`;
-        batching backends override it with fused multi-frame execution.
-        Returns the summed ``(votes, misses)`` of the batch.
+        batching backends override it with fused multi-frame execution
+        over the batch's stacked poses and contiguous events.  Returns
+        the summed ``(votes, misses)`` of the batch.
         """
         votes = misses = 0
-        for frame in frames:
+        for frame in batch.frames():
             frame_votes, frame_misses = self.process_frame(frame)
             votes += frame_votes
             misses += frame_misses
@@ -273,8 +296,8 @@ class NumpyBatchBackend(_NumpyBackendBase):
     batches (``DataflowPolicy.batch_frames`` per flush) and executes each
     batch in three fused steps, each bit-identical to the per-frame path:
 
-    1. *batched parameter computation* — event poses are stacked and
-       ``H_Z0``/φ come out of one ``(B, 3, 3)`` inverse/matmul pass
+    1. *batched parameter computation* — ``H_Z0``/φ come out of one
+       ``(B, 3, 3)`` inverse/matmul pass over the batch's stacked poses
        (:meth:`~repro.core.backprojection.BackProjector.frame_parameters_batch`)
        instead of ``B`` Python trips through ``SE3``;
     2. *batched canonical projection* — the ``(B, N, 2)`` event block goes
@@ -309,23 +332,17 @@ class NumpyBatchBackend(_NumpyBackendBase):
 
     def process_frame(self, frame: EventFrame) -> tuple[int, int]:
         """Single-frame fallback: a batch of one."""
-        return self.process_batch([frame])
+        return self.process_batch(FrameBatch.from_frames([frame]))
 
-    def process_batch(self, frames: list[EventFrame]) -> tuple[int, int]:
+    def process_batch(self, batch: FrameBatch) -> tuple[int, int]:
         """Execute one buffered frame batch in fused whole-batch passes."""
         if self._projector is None:
             raise RuntimeError("start_reference() must be called before frames")
-        sizes = {len(frame) for frame in frames}
-        if len(sizes) > 1:
-            # Mixed frame sizes cannot stack; fall back to singleton
-            # batches (the engine's packetizer only emits fixed sizes, so
-            # this path serves direct backend users).
-            return super().process_batch(frames)
-
         t0 = time.perf_counter()
-        rotations, translations = stack_poses([frame.T_wc for frame in frames])
-        xy = np.stack([frame.events.xy for frame in frames])
-        params = self._projector.frame_parameters_batch(rotations, translations)
+        xy = batch.events.xy.reshape(len(batch), batch.frame_size, 2)
+        params = self._projector.frame_parameters_batch(
+            batch.rotations, batch.translations
+        )
         uv0, valid = self._projector.canonical_batch(params, xy)
         self.engine.profile.add_time("P_Z0", time.perf_counter() - t0)
 
@@ -612,12 +629,12 @@ class StreamSegmentPlanner:
     relative to the whole planned stream), same event slices, same
     dropped-tail count — :func:`plan_segments` is the one-chunk case.
     The mid-times are :func:`~repro.events.packetizer.frame_midtimes`'
-    ``0.5 * (t_first + t_last)`` in float64, the selector reads only the
-    vectorized :meth:`Trajectory.positions` lerp (bit-identical to the
-    translation of the engine's scalar ``trajectory.sample``; no rotation
-    is interpolated), and one stateful
-    :class:`~repro.core.keyframes.KeyframeSelector` decides across
-    pushes; ``tests/unit/test_stream_planner.py`` pins it per chunk size.
+    ``0.5 * (t_first + t_last)`` in float64, the selector reads only
+    :meth:`Trajectory.positions` (the translation half of the engine's
+    :meth:`Trajectory.sample_batch`; no rotation is interpolated), and
+    one stateful :class:`~repro.core.keyframes.KeyframeSelector` decides
+    across pushes; ``tests/unit/test_stream_planner.py`` pins it per
+    chunk size.
 
     One :class:`~repro.serve.StreamingSession` holds one planner; the
     serve layer dispatches each closed segment onto the shared worker
@@ -699,13 +716,15 @@ class StreamSegmentPlanner:
             np.concatenate([firsts, firsts + (self._frame_size - 1)])
         ).reshape(2, -1)
         midtimes = 0.5 * (ends[0] + ends[1])
-        positions = self._trajectory.positions(midtimes)
-        for t_mid, position in zip(midtimes.tolist(), positions):
-            if self._selector.is_new_keyframe(position):
-                if self._checked > 0:
-                    closed.append(self._cut(self._checked))
-                self._open_t_ref = t_mid
+        done = 0
+        for key in self._selector.select(self._trajectory.positions(midtimes)):
+            self._checked += key - done
+            if self._checked > 0:
+                closed.append(self._cut(self._checked))
+            self._open_t_ref = float(midtimes[key])
             self._checked += 1
+            done = key + 1
+        self._checked += len(midtimes) - done
         return closed
 
     def finish(self) -> tuple[list[tuple[SegmentPlan, EventArray]], int]:
@@ -736,7 +755,8 @@ class ReconstructionEngine:
     camera:
         Sensor calibration (with distortion, if any).
     trajectory:
-        Pose source; any object with ``sample(t) -> SE3`` works.
+        Pose source; any object with :meth:`Trajectory.sample_batch`
+        (and ``sample`` for a flushed partial frame) works.
     config:
         Shared EMVS parameters.
     depth_range:
@@ -806,9 +826,10 @@ class ReconstructionEngine:
         #: Pose of the open reference segment (None before the first key frame).
         self._T_w_ref: SE3 | None = None
         self._finished = False
-        #: Frames buffered for a batching backend (always within one
+        #: Frame batches buffered for a batching backend (always within one
         #: reference segment; flushed on keyframe, preview and finish).
-        self._pending_frames: list[EventFrame] = []
+        self._pending: list[FrameBatch] = []
+        self._n_pending = 0
 
     # ------------------------------------------------------------------
     @property
@@ -833,12 +854,16 @@ class ReconstructionEngine:
             return events
         return events.with_coordinates(self.camera.undistort_pixels(events.xy))
 
-    def _correct_frame(self, frame: EventFrame) -> None:
+    def _correct_frames(self, batch: FrameBatch) -> FrameBatch:
         """Per-frame (batched) distortion correction, original scheduling."""
-        if isinstance(self.camera.distortion, NoDistortion):
-            return
-        corrected = self.camera.undistort_pixels(frame.events.xy)
-        frame.events = frame.events.with_coordinates(corrected)
+        if isinstance(self.camera.distortion, NoDistortion) or not len(batch):
+            return batch
+        xy = batch.events.xy
+        n = batch.frame_size
+        corrected = np.concatenate(
+            [self.camera.undistort_pixels(xy[k : k + n]) for k in range(0, len(xy), n)]
+        )
+        return replace(batch, events=batch.events.with_coordinates(corrected))
 
     # ------------------------------------------------------------------
     def push(self, events: EventArray) -> int:
@@ -855,45 +880,62 @@ class ReconstructionEngine:
         if self.policy.correction is CorrectionScheduling.PER_EVENT:
             events = self._correct_events(events)
         self._events_pushed += len(events)
-        frames = self._packetizer.push(events)
+        batch = self._packetizer.push(events)
         self.profile.add_time("A", time.perf_counter() - t0)
-        for frame in frames:
-            self._process(frame)
-        return len(frames)
-
-    def _process(self, frame: EventFrame) -> None:
         if self.policy.correction is CorrectionScheduling.PER_FRAME:
-            self._correct_frame(frame)
-        if self._selector.is_new_keyframe(frame.T_wc.translation):
-            frame.is_keyframe = True
+            batch = self._correct_frames(batch)
+        # Key-frame selection reads only the batch's translations; the
+        # batch is split so each piece lies in one reference segment.
+        keys = self._selector.select(batch.translations)
+        for start, stop in zip([0] + keys, keys + [len(batch)]):
+            if start < stop:
+                self._process(batch[start:stop], is_keyframe=start in keys)
+        return len(batch)
+
+    def _process(self, piece: FrameBatch, is_keyframe: bool) -> None:
+        """Execute consecutive frames of one segment (a key frame opens it)."""
+        if is_keyframe:
             self._finalize_segment()
-            self.backend.start_reference(frame.T_wc)
-            self._T_w_ref = frame.T_wc
+            self._T_w_ref = piece.pose(0)
+            self.backend.start_reference(self._T_w_ref)
             self.profile.n_keyframes += 1
         if self.backend.buffers_frames:
-            self._pending_frames.append(frame)
-            if len(self._pending_frames) >= self.policy.batch_frames:
-                self._flush_pending_frames()
+            self._buffer(piece)
         else:
-            votes, misses = self.backend.process_frame(frame)
-            self.profile.votes_cast += votes
-            self.profile.dropped_events += misses
-        self.profile.n_events += len(frame)
-        self.profile.n_frames += 1
-        self._events_in_ref += len(frame)
-        self._frames_in_ref += 1
+            frames = piece.frames()
+            frames[0].is_keyframe = is_keyframe
+            for frame in frames:
+                votes, misses = self.backend.process_frame(frame)
+                self.profile.votes_cast += votes
+                self.profile.dropped_events += misses
+        self.profile.n_events += len(piece.events)
+        self.profile.n_frames += len(piece)
+        self._events_in_ref += len(piece.events)
+        self._frames_in_ref += len(piece)
+
+    def _buffer(self, piece: FrameBatch) -> None:
+        """Queue frames for a batching backend, flushing full batches."""
+        size = self.policy.batch_frames
+        while len(piece):
+            take = size - self._n_pending
+            self._pending.append(piece[:take])
+            self._n_pending += len(self._pending[-1])
+            piece = piece[take:]
+            if self._n_pending >= size:
+                self._flush_pending_frames()
 
     def _flush_pending_frames(self) -> None:
-        """Deliver buffered frames to a batching backend.
+        """Deliver buffered frames to a batching backend as one batch.
 
         Vote/miss accounting lands in the profile at flush time; totals
         match the per-frame backends exactly, they just arrive in batch
         granularity.
         """
-        if not self._pending_frames:
+        if not self._pending:
             return
-        frames, self._pending_frames = self._pending_frames, []
-        votes, misses = self.backend.process_batch(frames)
+        pieces, self._pending, self._n_pending = self._pending, [], 0
+        batch = pieces[0] if len(pieces) == 1 else FrameBatch.concatenate(pieces)
+        votes, misses = self.backend.process_batch(batch)
         self.profile.votes_cast += votes
         self.profile.dropped_events += misses
 

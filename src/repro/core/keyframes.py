@@ -20,7 +20,8 @@ class KeyframeSelector:
     planning feeds :meth:`~repro.geometry.trajectory.Trajectory.positions`
     without ever building a rotation.  One arithmetic,
     ``float(np.linalg.norm(reference - position))``, decides key frames
-    everywhere, so a plan predicts the engine's boundaries bit for bit.
+    everywhere (:meth:`select` screens whole batches with it), so a plan
+    predicts the engine's boundaries bit for bit.
 
     Parameters
     ----------
@@ -59,6 +60,50 @@ class KeyframeSelector:
             self._reference = position
             return True
         return False
+
+    def select(self, positions: np.ndarray) -> list[int]:
+        """Rows of ``(M, 3)`` ``positions`` that become key frames, in order.
+
+        The same decisions, and the same reference left behind, as
+        :meth:`is_new_keyframe` on each row in turn.  Distances to the
+        current reference are computed for all rows at once; a vectorized
+        distance may differ from ``np.linalg.norm``'s by a few ulps (its
+        sum order is not BLAS's), so a row within a relative 1e-12 of the
+        threshold, or every row under a threshold outside
+        ``(1e-100, 1e100)`` where squares may under- or overflow, is
+        decided by :meth:`is_new_keyframe` itself.
+        """
+        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        keys: list[int] = []
+        k = 0
+        while k < len(positions):
+            if self._reference is None:
+                self._reference = positions[k]
+                keys.append(k)
+                k += 1
+                continue
+            threshold = self.distance_threshold
+            if threshold is None:
+                break
+            rest = positions[k:]
+            distance = np.sqrt(((self._reference - rest) ** 2).sum(axis=1))
+            band = threshold * 1e-12 if 1e-100 < threshold < 1e100 else np.inf
+            far = distance > threshold + band
+            near = np.abs(distance - threshold) <= band
+            hit = next(
+                (
+                    j
+                    for j in np.flatnonzero(far | near).tolist()
+                    if far[j] or self.is_new_keyframe(rest[j])
+                ),
+                None,
+            )
+            if hit is None:
+                break
+            self._reference = rest[hit]
+            keys.append(k + hit)
+            k += hit + 1
+        return keys
 
     @staticmethod
     def relative_threshold(mean_depth: float, fraction: float = 0.15) -> float:

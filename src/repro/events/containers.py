@@ -168,10 +168,17 @@ class EventArray:
 
     @staticmethod
     def concatenate(parts: Sequence["EventArray"]) -> "EventArray":
-        """Concatenate time-ordered parts (their spans must not interleave)."""
+        """Concatenate time-ordered parts (their spans must not interleave).
+
+        The records are joined as raw bytes: numpy's concatenation of the
+        packed structured dtype copies field by field, several times
+        slower than one byte copy of the same records.
+        """
         if not parts:
             return EventArray.empty()
-        data = np.concatenate([p.data for p in parts])
+        data = np.concatenate(
+            [np.ascontiguousarray(p.data).view(np.uint8) for p in parts]
+        ).view(EVENT_DTYPE)
         return EventArray(data)
 
     # ------------------------------------------------------------------

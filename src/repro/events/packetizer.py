@@ -6,18 +6,24 @@ storage").  Each frame carries the camera pose at its representative
 timestamp; all events of a frame are back-projected with that single pose,
 which is the approximation both the original EMVS implementation and the
 accelerator make.
+
+The packetizer emits its complete frames as one :class:`FrameBatch`: a
+contiguous event view plus stacked mid-times and poses, sampled in one
+:meth:`~repro.geometry.trajectory.Trajectory.sample_batch` call.  Per-frame
+:class:`EventFrame` views are built from it only for consumers that walk
+frames one by one.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 
 import numpy as np
 
 from repro.events.containers import EventArray
-from repro.geometry.se3 import SE3
+from repro.geometry.se3 import SE3, stack_poses
 from repro.geometry.trajectory import Trajectory
 
 #: Frame size used throughout the paper's evaluation.
@@ -51,6 +57,97 @@ class EventFrame:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+@dataclass(frozen=True)
+class FrameBatch:
+    """Consecutive complete event frames as arrays: stage ``A``'s record.
+
+    Attributes
+    ----------
+    events:
+        The ``B * frame_size`` events of the frames, contiguous; frame
+        ``k`` is ``events[k * frame_size:(k + 1) * frame_size]``.
+    frame_size:
+        Events per frame.
+    timestamps:
+        ``(B,)`` mid-span times, ``0.5 * (t_first + t_last)`` per frame.
+    rotations, translations:
+        ``(B, 3, 3)`` / ``(B, 3)`` stacked camera poses ``T_wc`` at
+        :attr:`timestamps`.
+    first_index:
+        Stream position of frame 0.
+    """
+
+    events: EventArray
+    frame_size: int
+    timestamps: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+    first_index: int = 0
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, key: slice) -> "FrameBatch":
+        """Frames ``key.start:key.stop`` as a batch of views."""
+        start, stop, _ = key.indices(len(self))
+        stop = max(start, stop)
+        n = self.frame_size
+        return FrameBatch(
+            events=self.events[start * n : stop * n],
+            frame_size=n,
+            timestamps=self.timestamps[start:stop],
+            rotations=self.rotations[start:stop],
+            translations=self.translations[start:stop],
+            first_index=self.first_index + start,
+        )
+
+    def pose(self, k: int) -> SE3:
+        """Frame ``k``'s pose ``T_wc``."""
+        return SE3(self.rotations[k], self.translations[k])
+
+    def frames(self) -> list[EventFrame]:
+        """Per-frame :class:`EventFrame` views, for per-frame consumers."""
+        n = self.frame_size
+        return [
+            EventFrame(
+                events=self.events[k * n : (k + 1) * n],
+                T_wc=self.pose(k),
+                timestamp=float(self.timestamps[k]),
+                index=self.first_index + k,
+            )
+            for k in range(len(self))
+        ]
+
+    @staticmethod
+    def concatenate(batches: Sequence["FrameBatch"]) -> "FrameBatch":
+        """Consecutive batches of one frame size as one (copies the events)."""
+        if len({b.frame_size for b in batches}) != 1:
+            raise ValueError("batches must share one frame size")
+        return FrameBatch(
+            events=EventArray.concatenate([b.events for b in batches]),
+            frame_size=batches[0].frame_size,
+            timestamps=np.concatenate([b.timestamps for b in batches]),
+            rotations=np.concatenate([b.rotations for b in batches]),
+            translations=np.concatenate([b.translations for b in batches]),
+            first_index=batches[0].first_index,
+        )
+
+    @staticmethod
+    def from_frames(frames: Sequence[EventFrame]) -> "FrameBatch":
+        """Stack frames of one size (e.g. a single frame) into a batch."""
+        if not frames or len({len(f) for f in frames}) != 1:
+            raise ValueError("a frame batch needs one or more frames of one size")
+        rotations, translations = stack_poses([f.T_wc for f in frames])
+        return FrameBatch(
+            events=EventArray.concatenate([f.events for f in frames]),
+            frame_size=len(frames[0]),
+            timestamps=np.array([f.timestamp for f in frames], dtype=float),
+            rotations=rotations,
+            translations=translations,
+            first_index=frames[0].index,
+        )
 
 
 class Packetizer:
@@ -92,29 +189,29 @@ class Packetizer:
         self._pending_count = 0
         return dropped
 
-    def push(self, events: EventArray) -> list[EventFrame]:
-        """Add events to the buffer; return every completed frame."""
-        if len(events) == 0:
-            return []
-        self._pending.append(events)
-        self._pending_count += len(events)
+    def push(self, events: EventArray) -> FrameBatch:
+        """Add events to the buffer; return every completed frame as one batch.
+
+        The batch's events are one view of the merged buffer, and its
+        poses come from one :meth:`Trajectory.sample_batch` call over the
+        frames' mid-times; it is empty while no frame completes.
+        """
+        if len(events):
+            self._pending.append(events)
+            self._pending_count += len(events)
         if self._pending_count < self._frame_size:
-            return []
-        # Merge once, then emit frame-sized slices (views, no re-copy).
+            return self._batch(EventArray.empty())
+        # Merge once, then emit the frame-aligned prefix (a view, no re-copy).
         merged = (
             self._pending[0]
             if len(self._pending) == 1
             else EventArray.concatenate(self._pending)
         )
         n_full = self._pending_count // self._frame_size
-        frames = [
-            self._make_frame(merged[i * self._frame_size : (i + 1) * self._frame_size])
-            for i in range(n_full)
-        ]
         tail = merged[n_full * self._frame_size :]
         self._pending = [tail] if len(tail) else []
         self._pending_count = len(tail)
-        return frames
+        return self._batch(merged[: n_full * self._frame_size])
 
     def flush(self) -> EventFrame | None:
         """Emit the trailing partial frame, if any."""
@@ -123,18 +220,24 @@ class Packetizer:
         merged = EventArray.concatenate(self._pending)
         self._pending = []
         self._pending_count = 0
-        return self._make_frame(merged)
-
-    def _make_frame(self, events: EventArray) -> EventFrame:
-        t_mid = 0.5 * (events.t_start + events.t_end)
+        t_mid = 0.5 * (merged.t_start + merged.t_end)
         frame = EventFrame(
-            events=events,
+            events=merged,
             T_wc=self._trajectory.sample(t_mid),
             timestamp=t_mid,
             index=self._emitted,
         )
         self._emitted += 1
         return frame
+
+    def _batch(self, events: EventArray) -> FrameBatch:
+        timestamps = frame_midtimes(events, self._frame_size)
+        rotations, translations = self._trajectory.sample_batch(timestamps)
+        batch = FrameBatch(
+            events, self._frame_size, timestamps, rotations, translations, self._emitted
+        )
+        self._emitted += len(batch)
+        return batch
 
 
 class ChunkBuffer:
@@ -264,7 +367,7 @@ def aggregate_frames(
     True (``n_dropped`` is 0 when ``drop_partial`` is False).
     """
     packetizer = Packetizer(trajectory, frame_size)
-    frames = packetizer.push(events)
+    frames = packetizer.push(events).frames()
     if drop_partial:
         dropped = packetizer.drop_pending()
     else:
@@ -342,5 +445,5 @@ def iter_frames(
     """
     packetizer = Packetizer(trajectory, frame_size)
     for start in range(0, len(events), frame_size):
-        yield from packetizer.push(events[start : start + frame_size])
+        yield from packetizer.push(events[start : start + frame_size]).frames()
     return packetizer.drop_pending()

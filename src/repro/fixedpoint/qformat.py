@@ -107,12 +107,17 @@ class QFormat:
         NaN maps to zero; under ``SATURATE`` a finite value of any
         magnitude saturates too.
         """
-        values = np.asarray(values, dtype=float)
-        scaled = values * self.scale
+        return self._saturated(self._rounded(values, rounding), overflow)
+
+    def _rounded(self, values: np.ndarray, rounding: Rounding) -> np.ndarray:
+        """``values`` scaled and rounded to integral floats (not yet cast)."""
+        scaled = np.asarray(values, dtype=float) * self.scale
         if rounding is Rounding.NEAREST:
-            raw = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-        else:
-            raw = np.floor(scaled)
+            return np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+        return np.floor(scaled)
+
+    def _saturated(self, raw: np.ndarray, overflow: Overflow) -> np.ndarray:
+        """Rounded floats cast to raw int64 under ``overflow``."""
         raw = np.nan_to_num(raw, nan=0.0, posinf=float(self.raw_max), neginf=float(self.raw_min))
         # A float past the int64 range has no defined integer cast (x86
         # yields INT64_MIN, which would saturate 1e30 to raw_min): clamp
@@ -134,8 +139,19 @@ class QFormat:
         rounding: Rounding = Rounding.NEAREST,
         overflow: Overflow = Overflow.SATURATE,
     ) -> np.ndarray:
-        """Round-trip floats through the format (quantization simulation)."""
-        return self.from_raw(self.to_raw(values, rounding, overflow))
+        """Round-trip floats through the format (quantization simulation).
+
+        Equal to ``from_raw(to_raw(values))`` bit for bit.  When every
+        rounded value is already a representable raw (finite, inside
+        ``[raw_min, raw_max]``), saturation, wrapping and the int64 cast
+        are identities, so the integral floats are scaled back directly;
+        ``+ 0.0`` turns the ``-0.0`` a rounding of ``(-1/2 LSB, 0]`` can
+        leave into the ``+0.0`` the integer round trip gives.
+        """
+        raw = self._rounded(values, rounding)
+        if raw.size and raw.min() >= self.raw_min and raw.max() <= self.raw_max:
+            return raw / self.scale + 0.0
+        return self.from_raw(self._saturated(raw, overflow))
 
     def overflows(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of values outside the representable range.

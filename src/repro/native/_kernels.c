@@ -162,8 +162,9 @@ static inline ll to_raw_nearest(double v, double scale, ll raw_min, ll raw_max)
  * result is bit-identical to BackProjector.canonical_batch: the
  * divisions are correctly rounded on both sides.
  *
- *   records:  (B,) address of each frame's first event record
- *   strides:  (B,) byte stride between consecutive records of a frame
+ *   records:  address of the batch's first event record; frame b's
+ *             event i is record b * N + i
+ *   stride:   byte stride between consecutive records
  *   x_off, y_off: byte offsets of the float32 x / y fields in a record
  *   H:        (B, 3, 3) quantized H_Z0 stack
  *   e_*:      event format (scale = 2^frac, raw bounds)
@@ -174,7 +175,7 @@ static inline ll to_raw_nearest(double v, double scale, ll raw_min, ll raw_max)
  * Returns the number of misses.
  */
 EXPORT VECTOR_CLONES ll eventor_canonical_q_batch(
-    const ll *records, const ll *strides, ll x_off, ll y_off,
+    const char *records, ll stride, ll x_off, ll y_off,
     ll B, ll N, const double *H,
     double e_scale, ll e_min, ll e_max,
     double c_scale, ll c_min, ll c_max, double c_lo, double c_hi,
@@ -186,9 +187,8 @@ EXPORT VECTOR_CLONES ll eventor_canonical_q_batch(
     const double c_inv = 1.0 / c_scale;
     ll misses = 0;
     for (ll b = 0; b < B; ++b) {
-        const char *px = (const char *)(intptr_t)records[b] + x_off;
-        const char *py = (const char *)(intptr_t)records[b] + y_off;
-        const ll stride = strides[b];
+        const char *px = records + b * N * stride + x_off;
+        const char *py = records + b * N * stride + y_off;
         const double *h = H + 9 * b;
         double *o = uv0 + b * N * 2;
         unsigned char *ok_out = valid + b * N;
@@ -558,7 +558,8 @@ static inline int ingest_columns(
     const char *y, ll y_stride, const char *p, ll p_stride,
     ll n, unsigned char *out)
 {
-    int bad_t = 0, bad_xy = 0, decreasing = 0, bad_p = 0;
+    int bad_t = 0, bad_xy = 0, decreasing = 0;
+    unsigned bad_p = 0;
     double prev = -INFINITY;
     for (ll k = 0; k < n; ++k) {
         double tv;
@@ -572,7 +573,9 @@ static inline int ingest_columns(
         bad_xy |= !isfinite(xv) | !isfinite(yv);
         decreasing |= tv < prev;
         prev = tv;
-        bad_p |= (pv != 1) & (pv != -1);
+        /* p + 1 is 2 or 0 exactly for p = +1 / -1: OR the other bits in
+         * and test once after the loop (no compare per event). */
+        bad_p |= (uint8_t)(pv + 1) & 0xfd;
         if (out) {
             unsigned char *rec = out + k * EVENT_RECORD_BYTES;
             memcpy(rec, &tv, sizeof tv);

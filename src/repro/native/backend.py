@@ -38,12 +38,12 @@ from repro.core.detection import detect_structure
 from repro.core.dsi import DSI
 from repro.core.engine import BACKENDS, _NumpyBackendBase
 from repro.core.voting import VotingMethod
-from repro.events.packetizer import EventFrame
+from repro.events.packetizer import EventFrame, FrameBatch
 from repro.geometry.homography import (
     canonical_plane_homography_batch,
     event_camera_centers_in_virtual,
 )
-from repro.geometry.se3 import SE3, stack_poses
+from repro.geometry.se3 import SE3
 from repro.native.cext import BilinearScratch
 from repro.native.provider import get_kernels
 
@@ -53,11 +53,11 @@ class NativeBatchBackend(_NumpyBackendBase):
 
     Stage split per batch (timing mirrors ``numpy-batch``):
 
-    1. ``P_Z0`` — stacked poses, numpy ``H_Z0`` batch (LAPACK inverse,
-       bit-identical to the reference by construction), native
-       ``phi_batch``, and the batched canonical projection: native
-       ``canonical_q_batch`` straight from the frames' event records
-       into instance-owned ``uv0``/``valid`` scratch when the
+    1. ``P_Z0`` — the batch's stacked poses, numpy ``H_Z0`` batch
+       (LAPACK inverse, bit-identical to the reference by construction),
+       native ``phi_batch``, and the batched canonical projection: native
+       ``canonical_q_batch`` straight from the batch's contiguous event
+       records into instance-owned ``uv0``/``valid`` scratch when the
        schema's MACs are exact, numpy otherwise;
     2. ``P_Zi_R`` — one native fused proportional + vote call over the
        whole batch: ``vote_nearest_batch`` accumulates into an
@@ -139,33 +139,22 @@ class NativeBatchBackend(_NumpyBackendBase):
 
     def process_frame(self, frame: EventFrame) -> tuple[int, int]:
         """Single-frame fallback: a batch of one."""
-        return self.process_batch([frame])
+        return self.process_batch(FrameBatch.from_frames([frame]))
 
-    def process_batch(self, frames: list[EventFrame]) -> tuple[int, int]:
+    def process_batch(self, batch: FrameBatch) -> tuple[int, int]:
         """Execute one buffered frame batch through the native kernels."""
         if self._projector is None:
             raise RuntimeError("start_reference() must be called before frames")
-        sizes = {len(frame) for frame in frames}
-        if len(sizes) > 1:
-            # Mixed frame sizes cannot stack; fall back to singleton
-            # batches (the engine's packetizer only emits fixed sizes, so
-            # this path serves direct backend users).
-            return super().process_batch(frames)
-
         t0 = time.perf_counter()
-        rotations, translations = stack_poses([frame.T_wc for frame in frames])
-        params = self._frame_parameters_batch(rotations, translations)
+        b, n = len(batch), batch.frame_size
+        params = self._frame_parameters_batch(batch.rotations, batch.translations)
         if self._native_canonical:
-            uv0, valid = self._canonical_scratch(len(frames), len(frames[0]))
+            uv0, valid = self._canonical_scratch(b, n)
             misses = self._kernels.canonical_q_batch(
-                params.H_Z0,
-                [frame.events.data for frame in frames],
-                self._projector.schema,
-                uv0,
-                valid,
+                params.H_Z0, batch.events.data, self._projector.schema, uv0, valid
             )
         else:
-            xy = np.stack([frame.events.xy for frame in frames])
+            xy = batch.events.xy.reshape(b, n, 2)
             uv0, valid = self._projector.canonical_batch(params, xy)
             misses = int(np.count_nonzero(~valid))
         self.engine.profile.add_time("P_Z0", time.perf_counter() - t0)

@@ -24,7 +24,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +156,7 @@ class CExtensionKernels:
         lib.eventor_phi_batch.argtypes = [ptr, ptr, ll, ll, dbl, dbl, dbl, dbl, dbl, ptr]
         lib.eventor_phi_batch.restype = ctypes.c_int
         lib.eventor_canonical_q_batch.argtypes = [
-            ptr, ptr, ll, ll, ll, ll, ptr, dbl, ll, ll, dbl, ll, ll, dbl, dbl, ptr, ptr
+            ptr, ll, ll, ll, ll, ll, ptr, dbl, ll, ll, dbl, ll, ll, dbl, dbl, ptr, ptr
         ]
         lib.eventor_canonical_q_batch.restype = ll
         lib.eventor_vote_nearest_batch.argtypes = [ptr, ptr, ptr, ll, ll, ll, ll, ll, ptr]
@@ -218,7 +217,7 @@ class CExtensionKernels:
     def canonical_q_batch(
         self,
         H: np.ndarray,
-        records: Sequence[np.ndarray],
+        records: np.ndarray,
         schema: QuantizationSchema,
         uv0: np.ndarray,
         valid: np.ndarray,
@@ -226,12 +225,13 @@ class CExtensionKernels:
         """Quantized canonical projection of a frame batch; returns misses.
 
         ``H`` is the ``(B, 3, 3)`` quantized ``H_Z0`` stack and
-        ``records[b]`` frame ``b``'s 1-D array of ``N`` event records
+        ``records`` the batch's 1-D array of ``B * N`` event records
         (:data:`~repro.events.containers.EVENT_DTYPE`, or any record
-        dtype with float32 ``x``/``y`` fields), read in place at any
-        stride.  ``uv0`` (``(B, N, 2)`` float64) and ``valid``
-        (``(B, N)`` bool) are caller-owned C-contiguous outputs.
-        Bit-exact with
+        dtype with float32 ``x``/``y`` fields), frame ``b`` being
+        ``records[b * N:(b + 1) * N]``; the kernel reads them in place
+        from one base address at the array's record stride.  ``uv0``
+        (``(B, N, 2)`` float64) and ``valid`` (``(B, N)`` bool) are
+        caller-owned C-contiguous outputs.  Bit-exact with
         :meth:`~repro.core.backprojection.BackProjector.canonical_batch`
         on the same coordinates; a schema whose MACs are not exact in
         float64 (``schema.canonical_mac_exact``) raises ``ValueError``.
@@ -241,37 +241,31 @@ class CExtensionKernels:
                 "canonical_q_batch needs a quantized schema whose H_Z0 MACs "
                 "are exact in float64 (QuantizationSchema.canonical_mac_exact)"
             )
-        b = len(records)
-        n = len(records[0]) if b else 0
-        dtype = records[0].dtype if b else None
-        for frame in records:
-            if frame.dtype != dtype or frame.ndim != 1 or len(frame) != n:
-                raise ValueError("every frame must hold N records of one dtype")
+        if valid.ndim != 2 or valid.dtype != np.bool_:
+            raise ValueError(f"valid must be a (B, N) bool buffer, got {valid.shape}")
+        b, n = valid.shape
         H = _c_contiguous(H, np.float64)
         if H.shape != (b, 3, 3):
             raise ValueError(f"H must be ({b}, 3, 3), got {H.shape}")
+        if records.ndim != 1 or len(records) != b * n:
+            raise ValueError(f"records must hold B * N = {b * n} events in one row")
         if uv0.shape != (b, n, 2) or uv0.dtype != np.float64:
             raise ValueError(f"uv0 must be a ({b}, {n}, 2) float64 buffer")
-        if valid.shape != (b, n) or valid.dtype != np.bool_:
-            raise ValueError(f"valid must be a ({b}, {n}) bool buffer")
         if not (uv0.flags.c_contiguous and valid.flags.c_contiguous):
             raise ValueError("uv0 and valid must be C-contiguous")
-        if b == 0:
-            return 0
-        fields = dtype.fields or {}
+        fields = records.dtype.fields or {}
         if any(fields.get(f, (None,))[0] != np.float32 for f in "xy"):
             raise ValueError("event records need float32 x and y fields")
-        x_off, y_off = fields["x"][1], fields["y"][1]
-        addresses = np.array([frame.ctypes.data for frame in records], dtype=np.int64)
-        strides = np.array([frame.strides[0] for frame in records], dtype=np.int64)
+        if b * n == 0:
+            return 0
         e, c = schema.event_coord, schema.canonical_coord
         c_lo, c_hi = c.overflow_bounds
         return int(
             self._lib.eventor_canonical_q_batch(
-                _ptr(addresses),
-                _ptr(strides),
-                x_off,
-                y_off,
+                records.ctypes.data,
+                records.strides[0],
+                fields["x"][1],
+                fields["y"][1],
                 b,
                 n,
                 _ptr(H),

@@ -1,8 +1,9 @@
 """Reference implementations of segment planning and map fusion.
 
 Each oracle is the plain formulation the library replaced: planning
-samples every frame's full pose through the scalar ``Trajectory.sample``
-(slerp included) and compares ``SE3`` poses with ``SE3.distance_to``;
+samples every frame's full pose through the scalar pose oracle
+(``pose_oracles.sample_reference``, slerp included) and compares
+``SE3`` poses with ``SE3.distance_to``;
 fusion sorts the ``(N, 3)`` voxel-key rows themselves with
 ``np.unique(axis=0)``.  Tests compare the library against them bit for
 bit.
@@ -11,6 +12,7 @@ bit.
 from __future__ import annotations
 
 import numpy as np
+from pose_oracles import sample_reference
 
 from repro.core.engine import SegmentPlan
 from repro.events.packetizer import frame_midtimes, n_full_frames
@@ -46,7 +48,7 @@ def plan_segments_reference(events, trajectory, config):
     starts = [
         i
         for i in range(n_frames)
-        if selector.is_new_keyframe(trajectory.sample(float(midtimes[i])))
+        if selector.is_new_keyframe(sample_reference(trajectory, float(midtimes[i])))
     ]
     bounds = starts + [n_frames]
     plans = [

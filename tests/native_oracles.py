@@ -72,11 +72,10 @@ def assert_canonical_matches_numpy(kernels, H, x, y):
     records = np.zeros(b * n, dtype=EVENT_DTYPE)
     records["x"] = x.ravel()
     records["y"] = y.ravel()
-    frames = [records[k * n : (k + 1) * n] for k in range(b)]
     uv_ref, valid_ref = canonical_reference(H, x, y)
     uv0 = np.empty((b, n, 2))
     valid = np.empty((b, n), dtype=bool)
-    misses = kernels.canonical_q_batch(H, frames, EVENTOR_SCHEMA, uv0, valid)
+    misses = kernels.canonical_q_batch(H, records, EVENTOR_SCHEMA, uv0, valid)
     np.testing.assert_array_equal(uv0.view(np.int64), uv_ref.view(np.int64))
     np.testing.assert_array_equal(valid, valid_ref)
     assert misses == np.count_nonzero(~valid_ref)

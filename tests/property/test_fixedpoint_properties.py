@@ -117,3 +117,65 @@ class TestFxpArithmeticProperties:
         sat = a.resize(target, overflow=Overflow.SATURATE)
         wrap = a.resize(target, overflow=Overflow.WRAP)
         np.testing.assert_array_equal(sat.raw, wrap.raw)
+
+
+# ----------------------------------------------------------------------
+# QFormat.quantize's in-range fast path ≡ the integer round trip
+# ----------------------------------------------------------------------
+from repro.fixedpoint.quantize import (  # noqa: E402
+    EVENT_COORD_FORMAT,
+    HOMOGRAPHY_FORMAT,
+    PHI_FORMAT,
+)
+
+TABLE1_FORMATS = (HOMOGRAPHY_FORMAT, PHI_FORMAT, EVENT_COORD_FORMAT)
+
+
+def edge_values(fmt: QFormat) -> list[float]:
+    """The values around which the fast path's test can flip."""
+    lsb, half = fmt.resolution, 0.5 * fmt.resolution
+    edges = []
+    for end in (fmt.min_value, fmt.max_value):
+        for offset in (-half, half):
+            point = end + offset
+            edges += [point, np.nextafter(point, -np.inf), np.nextafter(point, np.inf)]
+        edges += [end, end - lsb, end + lsb]
+    # (-1/2 LSB, 0] rounds to -0.0 before the cast; -0.0 itself floors to it.
+    edges += [-0.0, 0.0, -0.25 * lsb, -half, np.nextafter(-half, 0.0), -5e-324]
+    edges += [np.nan, np.inf, -np.inf, 1e19, -1e19, 9.3e18, -9.3e18, 1e300, -1e300]
+    return edges
+
+
+def assert_fast_path_exact(fmt, values, rounding, overflow):
+    fast = fmt.quantize(values, rounding, overflow)
+    full = fmt.from_raw(fmt.to_raw(values, rounding, overflow))
+    assert np.shape(fast) == np.shape(full)
+    assert np.asarray(fast).tobytes() == np.asarray(full).tobytes()
+
+
+@given(
+    st.sampled_from(TABLE1_FORMATS),
+    st.data(),
+    st.sampled_from(list(Rounding)),
+    st.sampled_from(list(Overflow)),
+)
+@settings(max_examples=400, deadline=None)
+def test_quantize_fast_path_matches_integer_round_trip(fmt, data, rounding, overflow):
+    """Mixed edge and ordinary values: same bytes, signed zeros included."""
+    ordinary = st.floats(fmt.min_value - 2.0, fmt.max_value + 2.0)
+    pool = st.one_of(ordinary, st.sampled_from(edge_values(fmt)))
+    values = np.asarray(data.draw(st.lists(pool, min_size=0, max_size=12)), dtype=float)
+    shape = data.draw(st.sampled_from([None, (1, -1)]))
+    if shape is not None and values.size:
+        values = values.reshape(shape)
+    assert_fast_path_exact(fmt, values, rounding, overflow)
+
+
+@given(st.sampled_from(TABLE1_FORMATS), st.sampled_from(list(Rounding)))
+@settings(max_examples=20, deadline=None)
+def test_quantize_every_edge_alone(fmt, rounding):
+    """Each edge value as its own array and as a 0-d scalar."""
+    for value in edge_values(fmt):
+        for overflow in Overflow:
+            assert_fast_path_exact(fmt, np.array([value]), rounding, overflow)
+            assert_fast_path_exact(fmt, np.float64(value), rounding, overflow)

@@ -9,7 +9,11 @@ at the places a byte-copying kernel can diverge from numpy's casts and
 checks: NaN, ±inf and −0.0 in every float column, float64 coordinates
 that overflow float32, decreasing runs, polarities 0, 2 and −128, ``n``
 of 0 and 1, and columns laid out contiguously, as stride-17 record
-fields, reversed and every other element.  The validate-only mode runs
+fields, reversed and every other element.  Bit-pattern properties plant
+NaN payloads, signalling and negative NaNs, subnormals, ±0.0, ±inf and
+the finite extremes of both float widths, and the polarities −128,
+−127, −2, −1, 0, 1, 2 and 127 (the kernel ORs ``(uint8)(p + 1) & 0xfd``,
+zero exactly for ±1).  The validate-only mode runs
 over already-packed records at any stride, against a full numpy mask of
 all four checks.  Every property runs on each code shape of the kernel
 (the ``native_kernels`` fixture): the host's ISA clone and the baseline
@@ -230,3 +234,87 @@ def test_sort_is_stable_and_only_when_decreasing(native_kernels):
     result = assert_ingest_matches(native_kernels, t, x, x, np.ones(5, np.int8), True)
     records = np.frombuffer(result[1], dtype=EVENT_DTYPE)
     assert records["x"].tolist() == [1.0, 2.0, 4.0, 0.0, 3.0]
+
+
+# ----------------------------------------------------------------------
+# Bit patterns: float classes at both widths, every polarity class
+# ----------------------------------------------------------------------
+#: float64 timestamps as bit patterns: quiet, signalling and negative NaNs
+#: with payloads, ±inf, ±0.0, the subnormal ends and the normal ends.
+T_BITS = (
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000001, 0x7FFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x8000000000000000, 0x0000000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+    0xFFEFFFFFFFFFFFFF, 0x3FF0000000000000,
+)
+#: The float32 analogues for ``x``/``y``.
+XY_BITS = (
+    0x7FC00000, 0x7F800001, 0xFFC00001, 0x7FFFFFFF, 0x7F800000, 0xFF800000,
+    0x80000000, 0x00000000, 0x00000001, 0x807FFFFF, 0x00800000, 0x7F7FFFFF,
+    0xFF7FFFFF, 0x3F800000,
+)
+POLARITIES = (-128, -127, -2, -1, 0, 1, 2, 127)
+
+
+def from_bits(bits, float_dtype, int_dtype):
+    return np.asarray(bits, dtype=int_dtype).view(float_dtype)
+
+
+@st.composite
+def bit_pattern_columns(draw, max_n=12):
+    """Columns drawn from the bit-pattern pools (mostly ordinary values)."""
+    n = draw(st.integers(1, max_n))
+    ordinary = st.sampled_from([0x3FF0000000000000, 0x4000000000000000])
+    t = draw(st.lists(st.one_of(ordinary, st.sampled_from(T_BITS)), min_size=n, max_size=n))
+    xy = st.one_of(st.just(0x3F800000), st.sampled_from(XY_BITS))
+    x = draw(st.lists(xy, min_size=n, max_size=n))
+    y = draw(st.lists(xy, min_size=n, max_size=n))
+    p = draw(st.lists(st.one_of(st.sampled_from([1, -1]), st.sampled_from(POLARITIES)),
+                      min_size=n, max_size=n))
+    return (
+        from_bits(t, np.float64, np.uint64),
+        from_bits(x, np.float32, np.uint32),
+        from_bits(y, np.float32, np.uint32),
+        np.asarray(p, dtype=np.int8),
+    )
+
+
+@given(bit_pattern_columns(), st.sampled_from(LAYOUTS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bit_patterns_pack_and_flag_as_numpy(native_kernels, columns, layout, sort):
+    """NaN payloads, subnormals, ±0.0 and ±inf: same bytes, or the same error."""
+    assert_ingest_matches(native_kernels, *lay_out(columns, layout), sort)
+    for step in (slice(None), slice(None, None, -1)):
+        records = packed(*columns)[step]
+        assert native_kernels.check_events(records) == full_mask(records)
+
+
+@pytest.mark.parametrize("column", "txy")
+@pytest.mark.parametrize("k", range(len(T_BITS)))
+def test_every_float_pattern_in_every_column(native_kernels, column, k):
+    """Each pattern alone, between two ordinary events, packed and checked."""
+    t = np.array([-1.0, 0.0, 1.0])
+    x = np.ones(3, dtype=np.float32)
+    y = np.ones(3, dtype=np.float32)
+    if column == "t":
+        t[1] = from_bits([T_BITS[k]], np.float64, np.uint64)[0]
+    else:
+        {"x": x, "y": y}[column][1] = from_bits([XY_BITS[k]], np.float32, np.uint32)[0]
+    p = np.ones(3, dtype=np.int8)
+    result = assert_ingest_matches(native_kernels, t, x, y, p, False)
+    records = packed(t, x, y, p)
+    assert native_kernels.check_events(records) == full_mask(records)
+    if result[0] == "ok":  # payload and sign bits survive the copy
+        assert result[1] == records.tobytes()
+
+
+@pytest.mark.parametrize("polarity", POLARITIES)
+@pytest.mark.parametrize("n", [1, 3, 33])
+def test_every_polarity(native_kernels, polarity, n):
+    p = np.ones(n, dtype=np.int8)
+    p[n // 2] = polarity
+    t, xy = np.arange(n, dtype=np.float64), np.zeros(n, dtype=np.float32)
+    result = assert_ingest_matches(native_kernels, t, xy, xy, p, False)
+    assert (result[0] == "ok") == (polarity in (1, -1))
+    mask = native_kernels.check_events(packed(t, xy, xy, p))
+    assert mask == (0 if polarity in (1, -1) else _P_INVALID)

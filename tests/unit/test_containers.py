@@ -151,6 +151,19 @@ class TestOperations:
     def test_concatenate_empty_list(self):
         assert len(EventArray.concatenate([])) == 0
 
+    def test_concatenate_copies_the_record_bytes(self):
+        """Empty, one-event, sliced and strided parts join into exactly the
+        records numpy's structured concatenation gives."""
+        ev = make_events(40)
+        strided = EventArray(ev.data[20:40:3], validate=False)
+        assert not strided.data.flags.c_contiguous
+        parts = [ev[:0], ev[:1], ev[1:20], EventArray.empty(), strided]
+        both = EventArray.concatenate(parts)
+        expected = np.concatenate([p.data for p in parts])
+        assert both.data.dtype == EVENT_DTYPE
+        assert both.data.flags.c_contiguous
+        assert both.data.tobytes() == expected.tobytes()
+
     def test_crop_to_sensor(self):
         ev = EventArray.from_arrays(
             [0.0, 0.1, 0.2], [-1.0, 120.0, 260.0], [5.0, 5.0, 5.0], [1, 1, 1]

@@ -302,9 +302,9 @@ class TestNumpyBatchBackend:
                 a.depth_map.confidence, b.depth_map.confidence
             )
 
-    def test_ragged_frames_fall_back(self, scene, config):
-        """Direct backend users may hand over mixed frame sizes."""
-        from repro.events.packetizer import aggregate_frames
+    def test_direct_batch_and_partial_frame_match_reference(self, scene, config):
+        """Direct backend users: a stacked batch, then a partial frame alone."""
+        from repro.events.packetizer import FrameBatch, aggregate_frames
 
         seq, events = scene
         engine = make_engine(seq, config, backend="numpy-batch")
@@ -313,8 +313,9 @@ class TestNumpyBatchBackend:
         )[-3:]
         assert len({len(f) for f in frames}) > 1  # tail frame is partial
         engine.backend.start_reference(frames[0].T_wc)
-        votes, misses = engine.backend.process_batch(frames)
-        assert votes > 0
+        votes, misses = engine.backend.process_batch(FrameBatch.from_frames(frames[:-1]))
+        tail_votes, _ = engine.backend.process_frame(frames[-1])
+        assert votes > 0 and tail_votes > 0
         flat_batch = engine.backend.read_dsi().scores.copy()
 
         ref = make_engine(seq, config, backend="numpy-reference")
@@ -379,3 +380,34 @@ class TestPreviewRematerialization:
         np.testing.assert_array_equal(
             engines["numpy-reference"].mask, engines[backend].mask
         )
+
+
+class TestEngineLifetime:
+    """An engine and its backend form no reference cycle."""
+
+    @pytest.mark.parametrize("backend", ["numpy-reference", "numpy-batch", "native-batch"])
+    def test_engine_is_freed_by_reference_counting(self, scene, config, backend):
+        """A pool worker builds one engine per segment task; its DSI volume
+        must go when the task returns, not at the next cyclic collection."""
+        import gc
+        import weakref
+
+        if backend not in BACKENDS:
+            pytest.skip(f"{backend} is not registered on this host")
+        seq, events = scene
+        engine = make_engine(seq, config, backend=backend)
+        engine.run(events)
+        kept = engine.backend
+        freed = [weakref.ref(engine), weakref.ref(kept)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del engine
+            assert freed[0]() is None
+            with pytest.raises(ReferenceError, match="is gone"):
+                kept.engine
+            del kept
+            assert freed[1]() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -154,7 +154,7 @@ class TestKernelExactness:
         uv0 = np.empty((B, N, 2))
         valid = np.empty((B, N), dtype=bool)
         misses = get_kernels().canonical_q_batch(
-            H, frames, EVENTOR_SCHEMA, uv0, valid
+            H, records, EVENTOR_SCHEMA, uv0, valid
         )
         np.testing.assert_array_equal(uv0.view(np.int64), uv_ref.view(np.int64))
         np.testing.assert_array_equal(valid, valid_ref)
@@ -175,7 +175,7 @@ class TestKernelExactness:
         with pytest.raises(ValueError, match="canonical_mac_exact"):
             get_kernels().canonical_q_batch(
                 np.zeros((1, 3, 3)),
-                [np.zeros(4, dtype=EVENT_DTYPE)],
+                np.zeros(4, dtype=EVENT_DTYPE),
                 schema,
                 np.empty((1, 4, 2)),
                 np.empty((1, 4), dtype=bool),

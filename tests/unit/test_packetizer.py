@@ -6,6 +6,7 @@ import pytest
 from repro.events.containers import EventArray
 from repro.events.packetizer import (
     ChunkBuffer,
+    FrameBatch,
     Packetizer,
     aggregate_frames,
     frame_midtimes,
@@ -23,7 +24,7 @@ def stream(n, rate=1000.0, t0=0.0):
 class TestPacketizer:
     def test_emits_full_frames(self, simple_trajectory):
         p = Packetizer(simple_trajectory, frame_size=100)
-        frames = p.push(stream(250))
+        frames = p.push(stream(250)).frames()
         assert len(frames) == 2
         assert all(len(f) == 100 for f in frames)
 
@@ -36,8 +37,8 @@ class TestPacketizer:
 
     def test_incremental_pushes_accumulate(self, simple_trajectory):
         p = Packetizer(simple_trajectory, frame_size=100)
-        assert p.push(stream(60)) == []
-        frames = p.push(stream(60, t0=0.1))
+        assert len(p.push(stream(60))) == 0
+        frames = p.push(stream(60, t0=0.1)).frames()
         assert len(frames) == 1
 
     def test_flush_empty_returns_none(self, simple_trajectory):
@@ -46,7 +47,7 @@ class TestPacketizer:
 
     def test_frame_indices_monotonic(self, simple_trajectory):
         p = Packetizer(simple_trajectory, frame_size=50)
-        frames = p.push(stream(200))
+        frames = p.push(stream(200)).frames()
         assert [f.index for f in frames] == [0, 1, 2, 3]
 
     def test_rejects_bad_frame_size(self, simple_trajectory):
@@ -75,8 +76,59 @@ class TestPacketizer:
         n = 100
         t = np.linspace(0.0, 2.0, n)
         ev = EventArray.from_arrays(t, np.zeros(n), np.zeros(n), np.ones(n, int))
-        frames = p.push(ev)
+        frames = p.push(ev).frames()
         np.testing.assert_allclose(frames[0].T_wc.translation, [0, 0, 0], atol=1e-9)
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (99, 100, 101), (150, 230), (7, 333, 334, 611)])
+    def test_any_chunking_emits_the_frames_of_one_push(self, simple_trajectory, cuts):
+        """Same events, mid-times and pose bytes however the stream is cut.
+
+        Cuts inside a frame make that frame (and the batch holding it)
+        span two pushes.
+        """
+        events = stream(640, rate=300.0)
+        whole = Packetizer(simple_trajectory, frame_size=100).push(events)
+        chunked = Packetizer(simple_trajectory, frame_size=100)
+        bounds = [0, *cuts, len(events)]
+        batches = [chunked.push(events[a:b]) for a, b in zip(bounds, bounds[1:])]
+        got = FrameBatch.concatenate([b for b in batches if len(b)])
+        assert chunked.pending_count == 40
+        assert got.events == whole.events
+        emitted = 0
+        for batch in batches:
+            assert batch.first_index == emitted
+            emitted += len(batch)
+        for name in ("timestamps", "rotations", "translations"):
+            assert getattr(got, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_batch_poses_are_the_scalar_samples(self, simple_trajectory):
+        events = stream(640, rate=300.0)
+        batch = Packetizer(simple_trajectory, frame_size=100).push(events)
+        for frame in batch.frames():
+            pose = simple_trajectory.sample(frame.timestamp)
+            assert frame.T_wc.rotation.tobytes() == pose.rotation.tobytes()
+            assert frame.T_wc.translation.tobytes() == pose.translation.tobytes()
+            assert frame.events == events[frame.index * 100 : (frame.index + 1) * 100]
+
+    def test_batch_slices_and_restacks(self, simple_trajectory):
+        batch = Packetizer(simple_trajectory, frame_size=50).push(stream(400))
+        piece = batch[2:5]
+        assert (len(piece), piece.first_index, len(piece.events)) == (3, 2, 150)
+        assert [f.index for f in piece[1:].frames()] == [3, 4]
+        assert piece[1:].events == batch.events[150:250]
+        again = FrameBatch.from_frames(piece.frames())
+        assert again.events == piece.events
+        assert again.first_index == 2
+        assert again.rotations.tobytes() == piece.rotations.tobytes()
+        assert again.timestamps.tobytes() == piece.timestamps.tobytes()
+        assert len(batch[7:3]) == 0
+
+    def test_from_frames_refuses_ragged_frames(self, simple_trajectory):
+        frames = aggregate_frames(
+            stream(250), simple_trajectory, frame_size=100, drop_partial=False
+        )
+        with pytest.raises(ValueError, match="one size"):
+            FrameBatch.from_frames(frames)
 
 
 class TestAggregateFrames:

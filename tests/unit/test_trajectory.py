@@ -1,8 +1,19 @@
 """Unit tests for trajectories and pose interpolation."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from pose_oracles import assert_poses_bit_identical, sample_reference
 
+from repro.events.datasets import (
+    ALL_SEQUENCE_NAMES,
+    RIG_SCENARIO_NAMES,
+    load_rig_sequence,
+    load_sequence,
+)
+from repro.events.packetizer import frame_midtimes
 from repro.geometry.se3 import SE3, Quaternion
 from repro.geometry.trajectory import Trajectory, linear_trajectory
 
@@ -85,6 +96,72 @@ class TestContentDigest:
     def test_computed_once(self, simple_trajectory, monkeypatch):
         first = simple_trajectory.content_digest()
         monkeypatch.setattr(
-            np, "stack", lambda *a, **k: pytest.fail("re-hashed the poses")
+            "repro.geometry.trajectory.hashlib",
+            SimpleNamespace(sha256=lambda *a: pytest.fail("re-hashed the poses")),
         )
         assert simple_trajectory.content_digest() is first
+
+
+class TestState:
+    """A trajectory's state is its timestamps and stacked pose arrays."""
+
+    @pytest.fixture
+    def turning(self):
+        seq = load_sequence("corridor_sweep", quality="fast")
+        return seq.trajectory
+
+    def test_pickle_round_trip_samples_the_same_bytes(self, turning):
+        times = np.linspace(turning.t_start - 0.1, turning.t_end + 0.1, 997)
+        digest = turning.content_digest()
+        before = turning.sample_batch(times)  # fills the cached tables
+        loaded = pickle.loads(pickle.dumps(turning))
+        assert loaded.content_digest() == digest
+        for got, want in zip(loaded.sample_batch(times), before):
+            assert got.tobytes() == want.tobytes()
+        assert loaded.timestamps.tobytes() == turning.timestamps.tobytes()
+
+    def test_pickles_as_arrays(self, turning):
+        """No per-pose objects and no cached tables travel with a task."""
+        turning.sample_batch(np.linspace(turning.t_start, turning.t_end, 500))
+        arrays = turning.timestamps.nbytes + len(turning) * 12 * 8
+        assert len(pickle.dumps(turning, protocol=5)) < arrays + 1024
+
+    def test_poses_are_copies(self, simple_trajectory):
+        want = simple_trajectory.sample(0.7)
+        pose = simple_trajectory.poses[14]
+        pose.rotation[0, 0] = 5.0
+        pose.translation[:] = 9.0
+        got = simple_trajectory.sample(0.7)
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
+        assert simple_trajectory.poses[14].rotation[0, 0] == 1.0
+
+
+class TestSampleBatchOnRegistry:
+    """``sample_batch`` ≡ the scalar pose oracle on every registry frame.
+
+    Every frame mid-time of every registry sequence, and of every camera
+    of every rig scenario, is sampled both ways and compared byte for
+    byte (every registry interval takes the nlerp branch; the synthetic
+    property suite covers slerp).
+    """
+
+    @staticmethod
+    def assert_every_frame_matches(trajectory, events):
+        times = frame_midtimes(events, 1024)
+        assert len(times) > 100
+        rotations, translations = trajectory.sample_batch(times)
+        want = [sample_reference(trajectory, float(t)) for t in times]
+        assert_poses_bit_identical(rotations, translations, want)
+
+    @pytest.mark.parametrize("name", ALL_SEQUENCE_NAMES)
+    def test_sequence(self, name):
+        seq = load_sequence(name, quality="fast")
+        self.assert_every_frame_matches(seq.trajectory, seq.events)
+
+    @pytest.mark.parametrize("name", RIG_SCENARIO_NAMES)
+    def test_rig_cameras(self, name):
+        rig = load_rig_sequence(name, quality="fast")
+        for camera, extrinsic in zip(rig.camera_names, rig.extrinsics):
+            trajectory = rig.trajectory.transformed(extrinsic)
+            self.assert_every_frame_matches(trajectory, rig.events[camera])
